@@ -1,10 +1,11 @@
 """Exact HOMFLY polynomials of links presented as closed braids.
 
-The engine evaluates the polynomial four independent ways -- descending and
+The engine evaluates the polynomial by four formulas -- descending and
 ascending resolving trees, and the standard and dual admissible
-circuit-partition expansions -- and derives Morton-Frank-Williams bounds,
-braid-index certificates for reduced alternating braids, and Alexander
-polynomials from the result.
+circuit-partition expansions, each computed by the same leaf search as its
+paired tree -- and derives Morton-Frank-Williams bounds, braid-index
+certificates for reduced alternating braids, and Alexander polynomials from
+the result.
 """
 
 from .braid import (

@@ -35,9 +35,10 @@ from __future__ import annotations
 import enum
 import random
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 
 class BraidParseError(ValueError):
@@ -167,18 +168,17 @@ class ResolvedDiagram:
             i for i, st in enumerate(self.states) if st is SMOOTHED
         )
 
-    def live_writhe(self) -> int:
-        """Writhe of the resolved diagram: flipped signs count, smoothed do not."""
-        return sum(
-            self.effective_sign(i)
-            for i in range(len(self.states))
-            if self.states[i] is not SMOOTHED
-        )
-
     def permutation(self) -> "StrandPermutation":
-        """Strand permutation with smoothed letters acting as the identity."""
-        live = [g for g, st in zip(self.word.gaps, self.states) if st is not SMOOTHED]
-        return StrandPermutation(_cycles_from_gaps(self.word.strands, live))
+        """Strand permutation with smoothed letters acting as the identity.
+
+        Its standard-form cycles are the strand labels in the order the
+        natural traversal starts them, one cycle per closure component.
+        """
+        cycles: list[tuple[int, ...]] = []
+        for i, col, first in walk(self.word, self.states):
+            if i < 0:
+                cycles.append((col,) if first else cycles.pop() + (col,))
+        return StrandPermutation(tuple(cycles))
 
 
 # ---------------------------------------------------------------------------
@@ -230,37 +230,6 @@ def mirror(word: BraidWord) -> BraidWord:
 # ---------------------------------------------------------------------------
 
 
-def _cycles_from_gaps(strands: int, gaps: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Standard-form cycles of the permutation label -> ending column.
-
-    Composes the transpositions ``(g, g+1)`` in letter order as functions:
-    the image of a label is obtained by pushing it through every letter.
-    """
-
-    def image(x: int) -> int:
-        for g in gaps:
-            if x == g:
-                x = g + 1
-            elif x == g + 1:
-                x = g
-        return x
-
-    seen = [False] * (strands + 1)
-    cycles = []
-    for start in range(1, strands + 1):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        nxt = image(start)
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = image(nxt)
-        cycles.append(tuple(cycle))
-    return tuple(cycles)
-
-
 @dataclass(frozen=True)
 class StrandPermutation:
     """A strand permutation in standard cycle form.
@@ -295,7 +264,7 @@ class StrandPermutation:
 
 
 def permutation(word: BraidWord) -> StrandPermutation:
-    return StrandPermutation(_cycles_from_gaps(word.strands, word.gaps))
+    return ResolvedDiagram.all_kept(word).permutation()
 
 
 # ---------------------------------------------------------------------------
@@ -425,53 +394,75 @@ class TraversalReport:
         return tuple(c[0] for c in self.components)
 
 
+def walk(
+    word: BraidWord, states: Sequence[Optional[CrossingState]]
+) -> Iterator[tuple[int, int, bool]]:
+    """The natural traversal of the closed diagram, one step at a time.
+
+    Components are walked in pivot order: each starts at the top of its
+    pivot column, every strand is walked top to bottom, and the closure arc
+    returns the walker to the top of the column it ended in.  Smoothed
+    letters keep the walker in its column; any other state swaps it across
+    the gap.  Yields ``(i, col, first)``:
+
+    * ``i >= 0``: the walker passes letter ``i``, arriving in column ``col``,
+      for the first time when ``first`` (every letter is passed twice);
+    * ``i == -1``: the walker starts a strand at the top of column ``col``,
+      the pivot of a new component when ``first``.
+
+    ``states[i]`` is read only after the passage at letter ``i`` is yielded,
+    so a consumer may decide a letter's state when the walker reaches it.
+    """
+    gaps = word.gaps
+    adj = word.column_index
+    seen = [False] * len(gaps)
+    visited = [False] * (word.strands + 1)
+    for pivot in range(1, word.strands + 1):
+        if visited[pivot]:
+            continue
+        col = pivot
+        while True:
+            visited[col] = True
+            yield -1, col, col == pivot
+            pos = -1
+            while True:
+                lst = adj[col]
+                k = bisect_right(lst, pos)
+                if k == len(lst):
+                    break
+                pos = lst[k]
+                yield pos, col, not seen[pos]
+                seen[pos] = True
+                if states[pos] is not SMOOTHED:
+                    col = 2 * gaps[pos] + 1 - col
+            if col == pivot:
+                break
+
+
 def natural_traversal(diagram: ResolvedDiagram) -> TraversalReport:
     """Walk the closed resolved diagram naturally and record every passage.
 
-    Components are visited in pivot order of the diagram's own permutation;
-    within a component each strand is walked top to bottom and the closure arc
-    returns the walker to the top of the same column.  Smoothed letters keep
-    the walker in its column; kept and flipped letters swap it across the gap.
-    Every letter is passed exactly twice.
+    See :func:`walk` for the route; components list each one's strand labels
+    in the order they are walked, which is the diagram's own standard form.
     """
-    word = diagram.word
-    n = word.strands
-    gaps = word.gaps
-    signs = word.signs
-    states = diagram.states
+    gaps = diagram.word.gaps
+    signs = diagram.word.signs
     events: list[TraversalEvent] = []
-    seen = [0] * len(gaps)
-    visited = [False] * (n + 1)
     components: list[tuple[int, ...]] = []
-    for pivot in range(1, n + 1):
-        if visited[pivot]:
+    for i, col, first in walk(diagram.word, diagram.states):
+        if i < 0:
+            components.append((col,) if first else components.pop() + (col,))
             continue
-        component = [pivot]
-        visited[pivot] = True
-        col = pivot
-        while True:
-            for i, g in enumerate(gaps):
-                if col != g and col != g + 1:
-                    continue
-                seen[i] += 1
-                side = "left" if col == g else "right"
-                arrives_under = (col == g) == (signs[i] > 0)
-                events.append(
-                    TraversalEvent(
-                        index=i,
-                        ordinal=seen[i],
-                        side=side,
-                        role="under" if arrives_under else "over",
-                        state=states[i],
-                    )
-                )
-                if states[i] is not SMOOTHED:
-                    col = 2 * g + 1 - col
-            if col == pivot:
-                break
-            component.append(col)
-            visited[col] = True
-        components.append(tuple(component))
+        arrives_under = (col == gaps[i]) == (signs[i] > 0)
+        events.append(
+            TraversalEvent(
+                index=i,
+                ordinal=1 if first else 2,
+                side="left" if col == gaps[i] else "right",
+                role="under" if arrives_under else "over",
+                state=diagram.states[i],
+            )
+        )
     return TraversalReport(tuple(events), tuple(components))
 
 

@@ -107,7 +107,8 @@ def check_markov(word: BraidWord, *, seed: int, count: int) -> Optional[str]:
     """Every word-rewrite variant closes to the same link, hence same P."""
     reference = homfly(word, DESCENDING)
     for variant in markov_variants(word, seed=seed, count=count):
-        # the circuit-partition engine doubles as a cross-check here
+        # the partition sum runs the same leaf search as ``homfly``, so this
+        # checks invariance under the moves, not one engine against another
         if homfly_jaeger(variant.word, STANDARD) != reference:
             return (
                 f"invariance fails on {word.text()!r}: variant "

@@ -37,7 +37,7 @@ from .checks import (
 )
 from .invariants import alexander, braid_index_certificate
 from .jaeger import DUAL, STANDARD, homfly_jaeger
-from .polynomial import SubstitutionError
+from .polynomial import LaurentPoly2, SubstitutionError
 from .resolver import ASCENDING, DESCENDING, homfly
 
 EXIT_OK = 0

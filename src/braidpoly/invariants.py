@@ -16,13 +16,13 @@ a unit leading coefficient for every reduced alternating braid.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
 from .braid import (
     BraidLetter,
     BraidWord,
+    CrossingState,
     DiagramClass,
     FLIPPED,
     KEPT,
@@ -31,6 +31,7 @@ from .braid import (
     classify,
     gap_profile,
     mirror,
+    walk,
     writhe,
 )
 from .polynomial import LaurentPoly1
@@ -158,71 +159,50 @@ def construct_u_prime(word: BraidWord) -> ResolvedDiagram:
     n = word.strands
     gaps = word.gaps
     signs = word.signs
-    adj = word.column_index
     profile = gap_profile(word)
-    states: list[Optional[int]] = [None] * len(gaps)
+    states: list[Optional[CrossingState]] = [None] * len(gaps)
 
     flip_target: Optional[int] = _cyclic_predecessor(profile.tally(1).positions, 0)
     reached_last_column = n == 1
-    visited = [False] * (n + 1)
     components = 0
-    for pivot in range(1, n + 1):
-        if visited[pivot]:
+    for i, col, first in walk(word, states):
+        if i < 0:
+            components += first
             continue
-        visited[pivot] = True
-        col = pivot
-        while True:
-            pos = -1
-            while True:
-                lst = adj[col]
-                k = bisect_right(lst, pos)
-                if k == len(lst):
-                    break
-                i = lst[k]
-                st = states[i]
-                if st is None:
-                    arrives_under = (col == gaps[i]) == (signs[i] > 0)
-                    if not arrives_under:
-                        # forced keep; rightward keeps steer the outbound walk
-                        states[i] = 0
-                        new_col = 2 * gaps[i] + 1 - col
-                        if not reached_last_column and new_col > col:
-                            if new_col == n:
-                                reached_last_column = True
-                                flip_target = None
-                            else:
-                                flip_target = _cyclic_predecessor(
-                                    profile.tally(new_col).positions, i
-                                )
-                        col = new_col
-                    elif i == flip_target:
-                        states[i] = 1
-                        col = 2 * gaps[i] + 1 - col
-                        if col == n:
-                            reached_last_column = True
-                        flip_target = None
-                    else:
-                        states[i] = 2
-                elif st != 2:
-                    col = 2 * gaps[i] + 1 - col
-                pos = i
-            if col == pivot:
-                break
-            visited[col] = True
-        components += 1
+        if not first:
+            continue
+        new_col = 2 * gaps[i] + 1 - col
+        if (col == gaps[i]) != (signs[i] > 0):
+            # arrival on the over-arm forces a keep; rightward keeps steer
+            # the outbound walk
+            states[i] = KEPT
+            if not reached_last_column and new_col > col:
+                if new_col == n:
+                    reached_last_column = True
+                    flip_target = None
+                else:
+                    flip_target = _cyclic_predecessor(
+                        profile.tally(new_col).positions, i
+                    )
+        elif i == flip_target:
+            states[i] = FLIPPED
+            if new_col == n:
+                reached_last_column = True
+            flip_target = None
+        else:
+            states[i] = SMOOTHED
 
     if components != 1 or any(st is None for st in states):
         raise ConsistencyError(
             f"single-component construction failed for word {word.text()!r}"
         )
     expected_t = len(word) - n + 1
-    if sum(1 for st in states if st == 2) != expected_t:
+    if states.count(SMOOTHED) != expected_t:
         raise ConsistencyError(
             f"maximal-smoothing construction smoothed the wrong number of "
             f"crossings for word {word.text()!r}"
         )
-    state_map = (KEPT, FLIPPED, SMOOTHED)
-    diagram = ResolvedDiagram(word, tuple(state_map[st] for st in states))
+    diagram = ResolvedDiagram(word, tuple(states))
     if not leaf_membership_test(word, diagram.states, DESCENDING):
         raise ConsistencyError(
             f"constructed diagram is not a descending leaf for word {word.text()!r}"

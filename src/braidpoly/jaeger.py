@@ -21,23 +21,31 @@ same weights as the resolving-tree formulas:
 
 The smoothed-index sets of descending-tree leaves are exactly the standard
 admissible sets (ascending leaves pair with the dual variant), with matching
-gamma, t and t'; :func:`verify_bijection` checks that correspondence
-exhaustively and is the engine's deepest cross-validation.
-
-Enumeration prunes in natural-traversal order: admissibility of a crossing
-depends only on the walk up to its first visit, so an inadmissible first
-passage can never be repaired by later choices.
+gamma, t and t'.  So the partitions and their sum come from the paired tree's
+leaf search, :func:`braidpoly.resolver.leaf_stream`: its keep and smooth
+choices at each crossing's first visit are the admissibility test, and an
+inadmissible first passage can never be repaired by later choices.
+:func:`verify_bijection` checks that search against the resolving tree
+expanded literally, one restarted walk per node.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .braid import BraidWord, ResolvedDiagram, SMOOTHED, KEPT, natural_traversal, writhe
+from .braid import KEPT, SMOOTHED, BraidWord, ResolvedDiagram, walk
 from .polynomial import LaurentPoly2
-from .resolver import ASCENDING, DESCENDING, assemble_tree_sum, enumerate_leaves
+from .resolver import (
+    ASCENDING,
+    DESCENDING,
+    Mode,
+    enumerate_leaves,
+    first_violation,
+    homfly,
+    leaf_stream,
+    split_at,
+)
 
 Variant = Literal["standard", "dual"]
 
@@ -45,11 +53,12 @@ STANDARD: Variant = "standard"
 DUAL: Variant = "dual"
 
 
-def _check_variant(variant: str) -> bool:
+def _paired_mode(variant: str) -> Mode:
+    """The tree whose leaves pair with the variant's admissible partitions."""
     if variant == STANDARD:
-        return False
+        return DESCENDING
     if variant == DUAL:
-        return True
+        return ASCENDING
     raise ValueError(f"variant must be 'standard' or 'dual', got {variant!r}")
 
 
@@ -90,131 +99,65 @@ class CircuitPartition:
 
 def is_admissible(partition: CircuitPartition, variant: Variant = STANDARD) -> bool:
     """Check the first-passage tangence condition at every smoothed crossing."""
-    dual = _check_variant(variant)
-    smoothed = partition.smoothed
-    for event in natural_traversal(partition.as_diagram()).events:
-        if event.ordinal != 1 or event.index not in smoothed:
+    dual = _paired_mode(variant) == ASCENDING
+    word = partition.word
+    for i, col, first in walk(word, partition.as_diagram().states):
+        if not first or i not in partition.smoothed:
             continue
         # standard: first passage on the original under-arm (left tangence at
         # a positive crossing, right at a negative); dual: on the over-arm
-        if (event.role == "under") == dual:
+        if ((col == word.gaps[i]) == (word.signs[i] > 0)) == dual:
             return False
     return True
-
-
-def _enumerate_raw(word: BraidWord, dual: bool):
-    """Yield ``(smoothed_mask, gamma, t, t_neg)`` over all admissible partitions.
-
-    Depth-first search over walk snapshots: the walk advances deterministically
-    between first visits of undecided crossings, where it branches into a
-    keep child (always legal) and a smooth child (only when the arrival side
-    is admissible, which prunes the subtree otherwise).
-    """
-    n = word.strands
-    gaps = word.gaps
-    signs = word.signs
-    adj = word.column_index
-    c = len(gaps)
-    # snapshot: (decided tuple 0=undecided/1=kept/2=smoothed, smoothed mask,
-    #            visited-labels mask, col, pos, pivot, gamma, t, t_neg)
-    stack = [((0,) * c, 0, 2, 1, -1, 1, 0, 0, 0)]
-    while stack:
-        states, mask, visited, col, pos, pivot, gamma, t, t_neg = stack.pop()
-        states = list(states)
-        while True:
-            lst = adj[col]
-            k = bisect_right(lst, pos)
-            if k == len(lst):
-                # bottom of the current column
-                if col != pivot:
-                    visited |= 1 << col
-                    pos = -1
-                    continue
-                gamma += 1
-                nxt = 0
-                for label in range(1, n + 1):
-                    if not (visited >> label) & 1:
-                        nxt = label
-                        break
-                if nxt == 0:
-                    yield mask, gamma, t, t_neg
-                    break
-                visited |= 1 << nxt
-                pivot = col = nxt
-                pos = -1
-                continue
-            i = lst[k]
-            st = states[i]
-            if st == 1:
-                col = 2 * gaps[i] + 1 - col
-                pos = i
-                continue
-            if st == 2:
-                pos = i
-                continue
-            # first visit of an undecided crossing: branch
-            left = col == gaps[i]
-            smooth_ok = left == ((signs[i] > 0) != dual)
-            if smooth_ok:
-                smoothed = list(states)
-                smoothed[i] = 2
-                stack.append(
-                    (
-                        tuple(smoothed),
-                        mask | (1 << i),
-                        visited,
-                        col,
-                        i,
-                        pivot,
-                        gamma,
-                        t + 1,
-                        t_neg + (1 if signs[i] < 0 else 0),
-                    )
-                )
-            states[i] = 1
-            col = 2 * gaps[i] + 1 - col
-            pos = i
 
 
 def enumerate_admissible(
     word: BraidWord, variant: Variant = STANDARD
 ) -> Iterator[CircuitPartition]:
     """Stream every admissible circuit partition exactly once."""
-    dual = _check_variant(variant)
-    for mask, _, _, _ in _enumerate_raw(word, dual):
-        smoothed = frozenset(i for i in range(len(word)) if (mask >> i) & 1)
-        yield CircuitPartition(word, smoothed)
+    ascending = _paired_mode(variant) == ASCENDING
+    for smoothed, _, _, _, _ in leaf_stream(word, ascending):
+        yield CircuitPartition(
+            word, frozenset(i for i in range(len(word)) if (smoothed >> i) & 1)
+        )
 
 
 def homfly_jaeger(word: BraidWord, variant: Variant = STANDARD) -> LaurentPoly2:
-    """The HOMFLY polynomial of the closure via the circuit-partition sum."""
-    dual = _check_variant(variant)
-    counts: dict[tuple[int, int], int] = {}
-    for _, gamma, t, t_neg in _enumerate_raw(word, dual):
-        key = (gamma, t)
-        counts[key] = counts.get(key, 0) + (-1 if t_neg % 2 else 1)
-    return assemble_tree_sum(counts, word.strands, writhe(word), dual)
+    """The HOMFLY polynomial of the closure via the circuit-partition sum.
+
+    Each admissible partition carries the gamma, t and t' of its paired
+    leaf and the sums share their weights, so this is the paired tree's sum.
+    """
+    return homfly(word, _paired_mode(variant))
 
 
 def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     """Check the leaf/partition correspondence exhaustively for one word.
 
-    The set of smoothed-index sets of descending-tree leaves must equal the
-    set of standard admissible sets (ascending leaves against the dual), and
-    each matched pair must agree on gamma, t and t'.
+    The paired resolving tree (descending for the standard variant, ascending
+    for the dual) is expanded literally with :func:`first_violation` and
+    :func:`split_at`, restarting the walk at every node.  Its leaves must have
+    distinct smoothed sets, which makes those sets a family of partitions,
+    and must match the leaf search that enumerates the admissible partitions
+    (:func:`enumerate_leaves`) in full state vector, gamma, t and t'.
     """
-    dual = _check_variant(variant)
-    mode = ASCENDING if dual else DESCENDING
-    leaves: dict[frozenset[int], tuple[int, int, int]] = {}
-    for leaf in enumerate_leaves(word, mode):
-        key = leaf.smoothed
-        if key in leaves:
+    mode = _paired_mode(variant)
+    tree = set()
+    smoothed_sets = set()
+    stack = [ResolvedDiagram.all_kept(word)]
+    while stack:
+        diagram = stack.pop()
+        i = first_violation(diagram, mode)
+        if i is not None:
+            stack += split_at(diagram, i)
+            continue
+        cut = diagram.smoothed
+        if cut in smoothed_sets:
             return False  # two leaves sharing a smoothed set breaks the pairing
-        leaves[key] = (leaf.gamma, leaf.t, leaf.t_neg)
-    partitions: dict[frozenset[int], tuple[int, int, int]] = {}
-    for mask, gamma, t, t_neg in _enumerate_raw(word, dual):
-        key = frozenset(i for i in range(len(word)) if (mask >> i) & 1)
-        if key in partitions:
-            return False
-        partitions[key] = (gamma, t, t_neg)
-    return leaves == partitions
+        smoothed_sets.add(cut)
+        t_neg = sum(1 for j in cut if word.signs[j] < 0)
+        tree.add((diagram.states, len(diagram.permutation().cycles), len(cut), t_neg))
+    stream = [
+        (leaf.states, leaf.gamma, leaf.t, leaf.t_neg) for leaf in enumerate_leaves(word, mode)
+    ]
+    return len(stream) == len(tree) and set(stream) == tree

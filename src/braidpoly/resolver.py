@@ -14,11 +14,19 @@ over the respective leaf sets, where ``t`` counts smoothed crossings, ``t'``
 those smoothed crossings that were negative in the original word, ``gamma``
 is the leaf's closure component count, ``n`` the strand count and ``w`` the
 writhe of the original word.  Both expressions equal the HOMFLY polynomial of
-the closure; computing them independently is the engine's main self-check.
+the closure.  Descending leaves satisfy ``gamma - writhe = n`` and ascending
+leaves ``gamma + writhe = n``.
 
-The tree is never materialized: an explicit-stack DFS walks state vectors and
-re-runs the natural traversal from scratch at every node.  Descending leaves
-satisfy ``gamma - writhe = n`` and ascending leaves ``gamma + writhe = n``.
+The tree is never materialized.  Flipping a crossing never moves the walker
+and neither child changes what the walker has already passed, so both
+children share their parent's walk up to the split: a single resumable
+search (:func:`leaf_stream`) advances the walk and, at each crossing's first
+visit, either keeps the crossing (it already has the requested form) or
+branches into the flipped and the smoothed child.  That search is also the admissible
+circuit-partition enumeration of :mod:`braidpoly.jaeger`.  The step API
+(:func:`first_violation`, :func:`split_at`) restarts the walk at every node
+instead, as the definition does, and serves as the reference the search is
+checked against.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Literal, Optional
+from typing import Iterator, Literal, Optional, Sequence
 
 from .braid import (
     FLIPPED,
@@ -35,7 +43,7 @@ from .braid import (
     BraidWord,
     CrossingState,
     ResolvedDiagram,
-    natural_traversal,
+    walk,
     writhe,
 )
 from .polynomial import LaurentPoly2
@@ -45,58 +53,65 @@ Mode = Literal["descending", "ascending"]
 DESCENDING: Mode = "descending"
 ASCENDING: Mode = "ascending"
 
-_STATE_INT = {KEPT: 0, FLIPPED: 1, SMOOTHED: 2}
-_INT_STATE = (KEPT, FLIPPED, SMOOTHED)
 
-
-def _check_mode(mode: str) -> bool:
+def _ascending(mode: str) -> bool:
     if mode == DESCENDING:
-        return True
-    if mode == ASCENDING:
         return False
+    if mode == ASCENDING:
+        return True
     raise ValueError(f"mode must be 'descending' or 'ascending', got {mode!r}")
 
 
-def _scan(n, gaps, signs, states, adj, want_descending):
-    """One natural traversal over integer state codes (0 kept/1 flipped/2 smoothed).
+def leaf_stream(word: BraidWord, ascending: bool) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield ``(smoothed, flipped, gamma, t, t_neg)`` for every leaf of a tree.
 
-    Returns ``(violation_index, -1)`` at the first crossing breaking the
-    requested monotonicity (first visits in traversal-time order), or
-    ``(-1, gamma)`` when the diagram already has the requested form.  With
-    ``want_descending=None`` no crossing checks run and only gamma is counted.
+    ``smoothed`` and ``flipped`` are bit masks over letter positions.  The
+    search walks the diagram naturally and decides each crossing at its first
+    visit: one first reached on its original over-arm (under-arm when
+    ``ascending``) is kept; any other is a tree node whose flipped child the
+    walk continues with and whose smoothed child is resumed later from a
+    snapshot.  Leaves come out in tree order, flipped child first.
     """
-    seen = 0
-    visited = 0
-    gamma = 0
-    for pivot in range(1, n + 1):
-        if (visited >> pivot) & 1:
-            continue
-        visited |= 1 << pivot
-        col = pivot
+    n = word.strands
+    gaps = word.gaps
+    signs = word.signs
+    adj = word.column_index
+    # snapshot: (decided, smoothed, flipped, visited labels, col, pos, pivot,
+    # gamma, t, t_neg); bit 0 of ``visited`` is always set so that its
+    # lowest clear bit is the next pivot
+    stack = [(0, 0, 0, 3, 1, -1, 1, 0, 0, 0)]
+    while stack:
+        decided, smoothed, flipped, visited, col, pos, pivot, gamma, t, t_neg = stack.pop()
         while True:
-            pos = -1
-            while True:
-                lst = adj[col]
-                k = bisect_right(lst, pos)
-                if k == len(lst):
+            lst = adj[col]
+            k = bisect_right(lst, pos)
+            if k == len(lst):
+                # bottom of the column: next strand, next component, or leaf
+                pos = -1
+                if col != pivot:
+                    visited |= 1 << col
+                    continue
+                gamma += 1
+                low = ~visited & (visited + 1)
+                pivot = col = low.bit_length() - 1
+                if pivot > n:
+                    yield smoothed, flipped, gamma, t, t_neg
                     break
-                i = lst[k]
-                st = states[i]
-                if st != 2:
-                    if want_descending is not None and not (seen >> i) & 1:
-                        # first arrival on the under-arm of the live sign
-                        # means the crossing is ascending, and vice versa
-                        under = (col == gaps[i]) == ((signs[i] > 0) ^ (st == 1))
-                        if under == want_descending:
-                            return i, -1
-                    col = 2 * gaps[i] + 1 - col
-                seen |= 1 << i
-                pos = i
-            if col == pivot:
-                break
-            visited |= 1 << col
-        gamma += 1
-    return -1, gamma
+                visited |= low
+                continue
+            i = pos = lst[k]
+            bit = 1 << i
+            if smoothed & bit:
+                continue
+            if not decided & bit:
+                decided |= bit
+                if (col == gaps[i]) == ((signs[i] > 0) != ascending):
+                    stack.append(
+                        (decided, smoothed | bit, flipped, visited, col, i, pivot,
+                         gamma, t + 1, t_neg + (signs[i] < 0))
+                    )
+                    flipped |= bit
+            col = 2 * gaps[i] + 1 - col
 
 
 @dataclass(frozen=True)
@@ -119,6 +134,28 @@ class LeafSummary:
         return frozenset(i for i, st in enumerate(self.states) if st is SMOOTHED)
 
 
+def _violations(
+    word: BraidWord, states: Sequence[CrossingState], ascending: bool
+) -> Iterator[int]:
+    """Letters breaking the requested form at their first visit, in walk order.
+
+    For the descending form a kept or flipped letter must be reached on the
+    over-arm of its live crossing and a smoothed letter on the under-arm of
+    its original crossing; the ascending form swaps both arms.
+    """
+    gaps = word.gaps
+    signs = word.signs
+    for i, col, first in walk(word, states):
+        if i < 0 or not first:
+            continue
+        arrives_under = (col == gaps[i]) == (signs[i] > 0)
+        if states[i] is SMOOTHED:
+            if arrives_under == ascending:
+                yield i
+        elif (arrives_under != (states[i] is FLIPPED)) != ascending:
+            yield i
+
+
 def first_violation(diagram: ResolvedDiagram, mode: Mode = DESCENDING) -> Optional[int]:
     """Index of the first crossing breaking the requested form, if any.
 
@@ -127,13 +164,11 @@ def first_violation(diagram: ResolvedDiagram, mode: Mode = DESCENDING) -> Option
     (``mode="ascending"``) in the diagram's own return order is reported;
     ``None`` means the diagram already has the requested form.
     """
-    want_desc = _check_mode(mode)
-    word = diagram.word
-    states = tuple(_STATE_INT[s] for s in diagram.states)
-    i, _ = _scan(
-        word.strands, word.gaps, word.signs, states, word.column_index, want_desc
-    )
-    return None if i < 0 else i
+    ascending = _ascending(mode)
+    for i in _violations(diagram.word, diagram.states, ascending):
+        if diagram.states[i] is not SMOOTHED:
+            return i
+    return None
 
 
 def split_at(diagram: ResolvedDiagram, i: int) -> tuple[ResolvedDiagram, ResolvedDiagram]:
@@ -150,56 +185,21 @@ def split_at(diagram: ResolvedDiagram, i: int) -> tuple[ResolvedDiagram, Resolve
     return diagram.with_state(i, toggled), diagram.with_state(i, SMOOTHED)
 
 
-def _dfs_leaves(word: BraidWord, want_descending: bool):
-    """Yield raw leaf tuples ``(states, gamma)`` of the requested tree.
-
-    Iterative DFS over integer state vectors; the flipped child is emitted
-    before the smoothed child, so the order is deterministic.
-    """
-    n = word.strands
-    gaps = word.gaps
-    signs = word.signs
-    adj = word.column_index
-    stack = [(0,) * len(gaps)]
-    while stack:
-        states = stack.pop()
-        i, gamma = _scan(n, gaps, signs, states, adj, want_descending)
-        if i < 0:
-            yield states, gamma
-            continue
-        flipped = list(states)
-        flipped[i] = 1 - flipped[i]
-        smoothed = list(states)
-        smoothed[i] = 2
-        stack.append(tuple(smoothed))
-        stack.append(tuple(flipped))
-
-
-def _summary(word: BraidWord, states, gamma: int) -> LeafSummary:
-    t = 0
-    t_neg = 0
-    w = 0
-    for st, s in zip(states, word.signs):
-        if st == 2:
-            t += 1
-            if s < 0:
-                t_neg += 1
-        else:
-            w += -s if st == 1 else s
-    return LeafSummary(
-        states=tuple(_INT_STATE[st] for st in states),
-        gamma=gamma,
-        t=t,
-        t_neg=t_neg,
-        writhe=w,
-    )
-
-
 def enumerate_leaves(word: BraidWord, mode: Mode = DESCENDING) -> Iterator[LeafSummary]:
     """Stream every leaf of the descending (or ascending) tree exactly once."""
-    want_desc = _check_mode(mode)
-    for states, gamma in _dfs_leaves(word, want_desc):
-        yield _summary(word, states, gamma)
+    ascending = _ascending(mode)
+    signs = word.signs
+    for smoothed, flipped, gamma, t, t_neg in leaf_stream(word, ascending):
+        states = tuple(
+            SMOOTHED if (smoothed >> i) & 1 else FLIPPED if (flipped >> i) & 1 else KEPT
+            for i in range(len(signs))
+        )
+        w = sum(
+            -s if (flipped >> i) & 1 else s
+            for i, s in enumerate(signs)
+            if not (smoothed >> i) & 1
+        )
+        yield LeafSummary(states, gamma, t, t_neg, w)
 
 
 def leaf_membership_test(
@@ -216,20 +216,9 @@ def leaf_membership_test(
     leaf of the descending tree (``mode="ascending"`` swaps both arm tests
     and characterizes ascending-tree leaves).
     """
-    want_desc = _check_mode(mode)
+    ascending = _ascending(mode)
     diagram = ResolvedDiagram(word, tuple(states))
-    for event in natural_traversal(diagram).events:
-        if event.ordinal != 1:
-            continue
-        arrived_original_under = event.role == "under"
-        if event.state is SMOOTHED:
-            ok = arrived_original_under == want_desc
-        else:
-            arrived_live_under = arrived_original_under ^ (event.state is FLIPPED)
-            ok = arrived_live_under != want_desc
-        if not ok:
-            return False
-    return True
+    return next(_violations(word, diagram.states, ascending), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -283,22 +272,6 @@ def assemble_tree_sum(
     return LaurentPoly2(acc)
 
 
-def _leaf_counts(word: BraidWord, want_descending: bool) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    signs = word.signs
-    for states, gamma in _dfs_leaves(word, want_descending):
-        t = 0
-        neg = False
-        for st, s in zip(states, signs):
-            if st == 2:
-                t += 1
-                if s < 0:
-                    neg = not neg
-        key = (gamma, t)
-        counts[key] = counts.get(key, 0) + (-1 if neg else 1)
-    return counts
-
-
 def homfly(word: BraidWord, mode: Mode = DESCENDING) -> LaurentPoly2:
     """The HOMFLY polynomial of the closure, by the requested tree formula.
 
@@ -307,9 +280,12 @@ def homfly(word: BraidWord, mode: Mode = DESCENDING) -> LaurentPoly2:
     ``((a - a^-1) z^-1)^(n-1)`` and a single positive crossing closes to the
     unknot with value 1.
     """
-    want_desc = _check_mode(mode)
-    counts = _leaf_counts(word, want_desc)
-    return assemble_tree_sum(counts, word.strands, writhe(word), not want_desc)
+    ascending = _ascending(mode)
+    counts: dict[tuple[int, int], int] = {}
+    for _, _, gamma, t, t_neg in leaf_stream(word, ascending):
+        key = (gamma, t)
+        counts[key] = counts.get(key, 0) + (-1 if t_neg & 1 else 1)
+    return assemble_tree_sum(counts, word.strands, writhe(word), ascending)
 
 
 @dataclass(frozen=True)
@@ -322,14 +298,10 @@ class LeafStatistics:
 
 def leaf_statistics(word: BraidWord, mode: Mode = DESCENDING) -> LeafStatistics:
     """Aggregate counts over the leaf stream (unsigned, unlike the formula)."""
-    want_desc = _check_mode(mode)
+    ascending = _ascending(mode)
     hist: dict[tuple[int, int], int] = {}
-    signs = word.signs
-    for states, gamma in _dfs_leaves(word, want_desc):
-        t = sum(1 for st in states if st == 2)
+    for _, _, gamma, t, _ in leaf_stream(word, ascending):
         hist[(gamma, t)] = hist.get((gamma, t), 0) + 1
-    if not hist:  # cannot happen: every tree has at least one leaf
-        return LeafStatistics(0, 0, 0, {})
     return LeafStatistics(
         count=sum(hist.values()),
         max_gamma=max(g for g, _ in hist),

@@ -49,45 +49,49 @@ def brute_walk(strands, letters, states):
     return firsts, components
 
 
-def is_descending_leaf(strands, letters, states):
-    """First-visit rule: smoothed from the original under-arm, live from over."""
+def is_leaf(strands, letters, states, ascending=False):
+    """First-visit rule of the descending tree: smoothed letters reached from
+    the original under-arm, live ones from the live over-arm.  The ascending
+    tree swaps both arms."""
     firsts, _ = brute_walk(strands, letters, states)
     for i, col in firsts:
         gap, sign = letters[i]
         from_left = col == gap
-        original_under = from_left == (sign > 0)
         if states[i] == SMOOTH:
-            if not original_under:
-                return False
+            descending_ok = from_left == (sign > 0)
         else:
             live_sign = sign if states[i] == KEEP else -sign
-            live_over = (not from_left) == (live_sign > 0)
-            if not live_over:
-                return False
+            descending_ok = (not from_left) == (live_sign > 0)
+        if descending_ok == ascending:
+            return False
     return True
 
 
-def brute_descending_leaves(strands, letters):
-    """All descending leaves by exhaustive filtering of 3^c state vectors."""
+def brute_leaves(strands, letters, ascending=False):
+    """All leaves of one tree by exhaustive filtering of 3^c state vectors."""
     leaves = []
     for states in itertools.product((KEEP, FLIP, SMOOTH), repeat=len(letters)):
-        if is_descending_leaf(strands, letters, states):
+        if is_leaf(strands, letters, states, ascending):
             leaves.append("".join(states))
     return leaves
 
 
-def brute_homfly(strands, letters):
-    """HOMFLY of the closure via the descending-tree sum, in sympy."""
+def brute_homfly(strands, letters, ascending=False):
+    """HOMFLY of the closure via the descending (or ascending) tree sum, in sympy."""
     w = sum(sign for _, sign in letters)
+    if ascending:
+        prefactor, base = A ** (strands - 1 - w), (1 - A**-2) / Z
+    else:
+        prefactor, base = A ** (1 - strands - w), (A**2 - 1) / Z
     total = sp.Integer(0)
-    for states in brute_descending_leaves(strands, letters):
+    for states in brute_leaves(strands, letters, ascending):
         _, gamma = brute_walk(strands, letters, states)
         t = states.count(SMOOTH)
         t_neg = sum(
             1 for st, (_, sign) in zip(states, letters) if st == SMOOTH and sign < 0
         )
-        total += (-1) ** t_neg * Z**t * ((A**2 - 1) / Z) ** (gamma - 1)
-    return sp.expand(A ** (1 - strands - w) * total)
+        total += (-1) ** t_neg * Z**t * base ** (gamma - 1)
+    return sp.expand(prefactor * total)
 
 
 def poly2_to_sympy(poly):

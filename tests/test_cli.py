@@ -1,7 +1,10 @@
+import inspect
 import json
+import typing
 
 import pytest
 
+import braidpoly.cli
 from braidpoly import LaurentPoly2, homfly, parse_braid
 from braidpoly.cli import main
 
@@ -12,6 +15,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_annotations_resolve():
+    functions = [
+        fn
+        for _, fn in inspect.getmembers(braidpoly.cli, inspect.isfunction)
+        if fn.__module__ == braidpoly.cli.__name__
+    ]
+    assert functions
+    for fn in functions:
+        typing.get_type_hints(fn)
 
 
 class TestCompute:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from braidpoly import (
     enumerate_leaves,
     first_violation,
     homfly,
+    homfly_jaeger,
     leaf_membership_test,
     leaf_statistics,
     mirror,
@@ -23,7 +25,7 @@ from braidpoly import (
 )
 from braidpoly.resolver import ASCENDING, DESCENDING, assemble_tree_sum
 
-from _brute import brute_descending_leaves, brute_homfly, poly2_to_sympy, word_letters
+from _brute import brute_homfly, brute_leaves, poly2_to_sympy, word_letters
 
 EXAMPLE_WORD = "-1 3 -2 -4 -4 -4 1 -3"
 
@@ -250,7 +252,7 @@ class TestBruteForceOracle:
 
     def test_leaf_sets_match(self):
         for word in self.all_small_words():
-            expected = sorted(brute_descending_leaves(word.strands, word_letters(word)))
+            expected = sorted(brute_leaves(word.strands, word_letters(word)))
             got = sorted(leaf_string(l) for l in enumerate_leaves(word, DESCENDING))
             assert got == expected, word.text()
 
@@ -260,7 +262,7 @@ class TestBruteForceOracle:
             got = poly2_to_sympy(homfly(word, DESCENDING))
             assert (expected - got).expand() == 0, word.text()
 
-    def test_random_larger_words(self):
+    def random_larger_words(self):
         rng = random.Random(9)
         for _ in range(12):
             strands = rng.randint(2, 4)
@@ -268,11 +270,48 @@ class TestBruteForceOracle:
                 rng.randint(1, strands - 1) * rng.choice((1, -1))
                 for _ in range(rng.randint(4, 5))
             ]
-            word = BraidWord.from_tokens(tokens, strands)
+            yield BraidWord.from_tokens(tokens, strands)
+
+    def test_random_larger_words(self):
+        for word in self.random_larger_words():
             assert (
                 brute_homfly(word.strands, word_letters(word))
                 - poly2_to_sympy(homfly(word, DESCENDING))
             ).expand() == 0, word.text()
+
+    def test_ascending_leaf_sets_match(self):
+        for word in self.all_small_words():
+            expected = sorted(brute_leaves(word.strands, word_letters(word), ascending=True))
+            got = sorted(leaf_string(l) for l in enumerate_leaves(word, ASCENDING))
+            assert got == expected, word.text()
+
+    def test_ascending_polynomials_match(self):
+        for word in itertools.chain(self.all_small_words(), self.random_larger_words()):
+            expected = brute_homfly(word.strands, word_letters(word), ascending=True)
+            for got in (homfly(word, ASCENDING), homfly_jaeger(word, "dual")):
+                assert (expected - poly2_to_sympy(got)).expand() == 0, word.text()
+
+
+class TestLeafStreamIsTheTree:
+    """The leaf search against the tree expanded node by node."""
+
+    def test_same_leaves_in_order_on_small_three_strand_words(self):
+        for length in range(6):
+            for tokens in itertools.product((1, -1, 2, -2), repeat=length):
+                word = BraidWord.from_tokens(tokens, 3)
+                for mode in (DESCENDING, ASCENDING):
+                    expected = []
+                    stack = [ResolvedDiagram.all_kept(word)]
+                    while stack:
+                        d = stack.pop()
+                        i = first_violation(d, mode)
+                        if i is None:
+                            expected.append((d.states, len(d.permutation().cycles)))
+                        else:
+                            flipped, smoothed = split_at(d, i)
+                            stack += [smoothed, flipped]  # flipped child first
+                    got = [(leaf.states, leaf.gamma) for leaf in enumerate_leaves(word, mode)]
+                    assert got == expected, (word.text(), mode)
 
 
 class TestLeafStatistics:
