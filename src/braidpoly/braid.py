@@ -133,6 +133,16 @@ class BraidWord:
             cols[g + 1].append(i)
         return tuple(tuple(c) for c in cols)
 
+    @cached_property
+    def homfly_memo(self) -> dict:
+        """This word's HOMFLY polynomials computed so far, keyed by tree mode.
+
+        Filled by :func:`braidpoly.resolver.homfly`, so every caller holding
+        this object shares one evaluation per mode.  The memo belongs to the
+        instance: an equal word parsed separately evaluates afresh.
+        """
+        return {}
+
 
 @dataclass(frozen=True)
 class ResolvedDiagram:

@@ -32,7 +32,12 @@ class CheckResult:
 
 
 def check_methods_agree(word: BraidWord) -> Optional[str]:
-    """All four formulas must produce the identical polynomial."""
+    """All four formulas must produce the identical polynomial.
+
+    The partition sums are the paired trees' sums and read their memoized
+    polynomials on this word object, so the cross-check that remains here is
+    descending against ascending.
+    """
     values = {
         "descending": homfly(word, DESCENDING),
         "ascending": homfly(word, ASCENDING),
@@ -68,17 +73,15 @@ def check_leaf_identity(word: BraidWord) -> Optional[str]:
 
 
 def skein_triple(word: BraidWord, i: int) -> tuple[BraidWord, BraidWord, BraidWord]:
-    """The positive, negative and smoothed versions of the word at letter ``i``."""
+    """The positive, negative and smoothed versions of the word at letter ``i``.
+
+    The side equal to the word is ``word`` itself, so the checks at every
+    letter share its memoized polynomial.
+    """
     tokens = list(word.tokens())
-    gap = abs(tokens[i])
-    plus = tokens[:i] + [gap] + tokens[i + 1 :]
-    minus = tokens[:i] + [-gap] + tokens[i + 1 :]
-    zero = tokens[:i] + tokens[i + 1 :]
-    return (
-        BraidWord.from_tokens(plus, word.strands),
-        BraidWord.from_tokens(minus, word.strands),
-        BraidWord.from_tokens(zero, word.strands),
-    )
+    flipped = BraidWord.from_tokens(tokens[:i] + [-tokens[i]] + tokens[i + 1 :], word.strands)
+    zero = BraidWord.from_tokens(tokens[:i] + tokens[i + 1 :], word.strands)
+    return (word, flipped, zero) if tokens[i] > 0 else (flipped, word, zero)
 
 
 def check_skein(

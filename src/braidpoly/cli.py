@@ -146,6 +146,15 @@ def _parse_word_or_exit(text: str, strands: Optional[int]) -> BraidWord:
         raise SystemExit(EXIT_INPUT)
 
 
+def _below_minimum(args, minimums: dict[str, int]) -> bool:
+    """Report the first option below its minimum on stderr; True if there is one."""
+    for dest, low in minimums.items():
+        if getattr(args, dest) < low:
+            print(f"error: --{dest.replace('_', '-')} must be >= {low}", file=sys.stderr)
+            return True
+    return False
+
+
 def _cert_line(cert_json: dict) -> str:
     if cert_json["certified"]:
         return f"braid index = {cert_json['braid_index']} (certified)"
@@ -214,8 +223,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
+    if _below_minimum(args, {"samples": 1}):
         return EXIT_INPUT
     word = _parse_word_or_exit(args.word, args.strands)
     moves = (
@@ -272,6 +280,8 @@ def _batch_line(item: tuple[int, str]) -> tuple[int, int, str]:
 
 
 def cmd_batch(args) -> int:
+    if _below_minimum(args, {"jobs": 1}):
+        return EXIT_INPUT
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -283,7 +293,7 @@ def cmd_batch(args) -> int:
         for lineno, line in enumerate(lines, start=1)
         if line.split("#", 1)[0].strip()
     ]
-    if args.jobs and args.jobs > 1:
+    if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_batch_line, items))
     else:
@@ -306,6 +316,8 @@ def cmd_batch(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if _below_minimum(args, {"samples": 1, "max_strands": 1, "max_crossings": 0}):
+        return EXIT_INPUT
     results = run_selftest(
         max_crossings=args.max_crossings,
         max_strands=args.max_strands,

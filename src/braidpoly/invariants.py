@@ -273,6 +273,7 @@ def split_blocks(word: BraidWord) -> list[tuple[int, BraidWord]]:
 
     Returns ``(first_strand, block_word)`` pairs covering all strands; a
     block with a single strand is an unknot component with the empty word.
+    A word with no empty gap is its own single block, returned as is.
     """
     profile = gap_profile(word)
     blocks = []
@@ -282,6 +283,8 @@ def split_blocks(word: BraidWord) -> list[tuple[int, BraidWord]]:
             blocks.append((start, g))
             start = g + 1
     blocks.append((start, word.strands))
+    if len(blocks) == 1:
+        return [(1, word)]  # the word itself, so its memoized polynomial is shared
     out = []
     for start, stop in blocks:
         letters = tuple(

@@ -126,7 +126,8 @@ def homfly_jaeger(word: BraidWord, variant: Variant = STANDARD) -> LaurentPoly2:
     """The HOMFLY polynomial of the closure via the circuit-partition sum.
 
     Each admissible partition carries the gamma, t and t' of its paired
-    leaf and the sums share their weights, so this is the paired tree's sum.
+    leaf and the sums share their weights, so this is the paired tree's sum,
+    read from the word's memo when that tree was already evaluated.
     """
     return homfly(word, _paired_mode(variant))
 

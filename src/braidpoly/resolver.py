@@ -279,13 +279,21 @@ def homfly(word: BraidWord, mode: Mode = DESCENDING) -> LaurentPoly2:
     always agree; the empty word on ``n`` strands gives the trivial-link value
     ``((a - a^-1) z^-1)^(n-1)`` and a single positive crossing closes to the
     unknot with value 1.
+
+    The result is memoized on the word object (:attr:`BraidWord.homfly_memo`),
+    so asking the same object again runs no second search; polynomials are
+    never mutated in place, which makes sharing them safe.
     """
     ascending = _ascending(mode)
-    counts: dict[tuple[int, int], int] = {}
-    for _, _, gamma, t, t_neg in leaf_stream(word, ascending):
-        key = (gamma, t)
-        counts[key] = counts.get(key, 0) + (-1 if t_neg & 1 else 1)
-    return assemble_tree_sum(counts, word.strands, writhe(word), ascending)
+    memo = word.homfly_memo
+    poly = memo.get(mode)
+    if poly is None:
+        counts: dict[tuple[int, int], int] = {}
+        for _, _, gamma, t, t_neg in leaf_stream(word, ascending):
+            key = (gamma, t)
+            counts[key] = counts.get(key, 0) + (-1 if t_neg & 1 else 1)
+        poly = memo[mode] = assemble_tree_sum(counts, word.strands, writhe(word), ascending)
+    return poly
 
 
 @dataclass(frozen=True)

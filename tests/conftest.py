@@ -1,0 +1,19 @@
+import pytest
+
+import braidpoly.jaeger
+import braidpoly.resolver
+
+
+@pytest.fixture
+def leaf_searches(monkeypatch):
+    """Record every leaf search run during the test as ``(tokens, strands, ascending)``."""
+    calls = []
+    search = braidpoly.resolver.leaf_stream
+
+    def counted(word, ascending):
+        calls.append((word.tokens(), word.strands, ascending))
+        return search(word, ascending)
+
+    for module in (braidpoly.resolver, braidpoly.jaeger):
+        monkeypatch.setattr(module, "leaf_stream", counted)
+    return calls

@@ -166,6 +166,15 @@ class TestBatch:
         code, _, err = run(capsys, "batch", "/does/not/exist")
         assert code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bad_jobs_exits_2(self, tmp_path, capsys, jobs):
+        batch = tmp_path / "words.txt"
+        batch.write_text("1 1 1\n")
+        code, out, err = run(capsys, "batch", str(batch), "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --jobs must be >= 1\n"
+
     def test_text_mode(self, tmp_path, capsys):
         batch = tmp_path / "words.txt"
         batch.write_text("1 1 1\n")
@@ -205,3 +214,48 @@ class TestSelftest:
             "--inject-failure",
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "option, value, minimum",
+        [
+            ("--samples", "0", 1),
+            ("--samples", "-1", 1),
+            ("--max-strands", "0", 1),
+            ("--max-strands", "-2", 1),
+            ("--max-crossings", "-1", 0),
+        ],
+    )
+    def test_out_of_range_argument_exits_2(self, capsys, option, value, minimum):
+        argv = ["selftest", "--max-crossings", "2", "--max-strands", "2", "--samples", "5"]
+        argv[argv.index(option) + 1] = value
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {option} must be >= {minimum}\n"
+
+
+class TestSearchCounts:
+    """Leaf searches per CLI call: each word object is evaluated once per mode."""
+
+    @pytest.mark.parametrize("word", ["1 2 -1 2", "1 -2 1 -2", "-1 2 -1 2 2"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_analyze_single_block_searches_once(self, capsys, leaf_searches, word, json_flag):
+        code, _, _ = run(capsys, "analyze", word, *json_flag)
+        assert code == 0
+        assert len(leaf_searches) == 1
+
+    @pytest.mark.parametrize(
+        "word, certifiable_blocks", [("1 1 -3 -3", 2), ("1 1 -3 -3 3", 1), ("1 -1 -3 3", 0)]
+    )
+    def test_analyze_multi_block_searches_each_certifiable_block(
+        self, capsys, leaf_searches, word, certifiable_blocks
+    ):
+        code, _, _ = run(capsys, "analyze", word)
+        assert code == 0
+        assert len(leaf_searches) == 1 + certifiable_blocks
+
+    @pytest.mark.parametrize("word", ["1 1 1", "1 -2 1 2 2"])
+    def test_verify_skein_searches_original_word_once(self, capsys, leaf_searches, word):
+        code, _, _ = run(capsys, "verify", word, "--moves", "skein")
+        assert code == 0
+        assert len(leaf_searches) == 2 * len(word.split()) + 1

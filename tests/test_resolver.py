@@ -238,6 +238,34 @@ class TestHomfly:
             assert 1 - n - w <= da <= n - 1 - w
 
 
+class TestMemo:
+    """``homfly`` evaluates each word object once per mode, and only that object."""
+
+    def test_second_call_on_same_object_runs_no_search(self, leaf_searches):
+        word = parse_braid("1 -2 1 -2")
+        first = homfly(word)
+        assert homfly(word) is first
+        assert len(leaf_searches) == 1
+
+    def test_equal_word_parsed_separately_searches_again(self, leaf_searches):
+        first = homfly(parse_braid("1 -2 1 -2"))
+        assert homfly(parse_braid("1 -2 1 -2")) == first
+        assert len(leaf_searches) == 2
+
+    def test_modes_memoized_separately(self, leaf_searches):
+        word = parse_braid("1 -2 1 -2")
+        for mode in (DESCENDING, ASCENDING, DESCENDING, ASCENDING):
+            homfly(word, mode)
+        assert [ascending for _, _, ascending in leaf_searches] == [False, True]
+
+    def test_jaeger_reads_the_paired_tree_memo(self, leaf_searches):
+        word = parse_braid("1 -2 1 -2")
+        assert homfly_jaeger(word, "standard") is homfly(word)
+        assert len(leaf_searches) == 1
+        assert homfly_jaeger(word, "dual") is homfly(word, ASCENDING)
+        assert len(leaf_searches) == 2
+
+
 class TestBruteForceOracle:
     """Exhaustive independent recomputation for every small word."""
 
