@@ -241,8 +241,6 @@ def cmd_verify(args) -> int:
             message = check_skein(word)
         else:
             message = check_bijection(word)
-        if args.inject_failure:
-            message = f"{move}: injected failure (test hook)"
         if message is None:
             print(f"{move}: pass")
         else:
@@ -331,9 +329,6 @@ def cmd_selftest(args) -> int:
         for message in r.failures:
             failed = True
             print(f"  {message}")
-    if args.inject_failure:
-        print("injected failure (test hook)")
-        failed = True
     return EXIT_VERIFY if failed else EXIT_OK
 
 
@@ -382,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=int, default=20, help="variants for markov checks")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("batch", help="one report per input line")
@@ -396,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-strands", type=int, default=4)
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_selftest)
 
     return parser

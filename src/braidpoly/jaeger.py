@@ -34,12 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .braid import KEPT, SMOOTHED, BraidWord, ResolvedDiagram, walk
+from .braid import KEPT, SMOOTHED, BraidWord, ResolvedDiagram
 from .polynomial import LaurentPoly2
 from .resolver import (
     ASCENDING,
     DESCENDING,
     Mode,
+    _violations,
     enumerate_leaves,
     first_violation,
     homfly,
@@ -98,17 +99,17 @@ class CircuitPartition:
 
 
 def is_admissible(partition: CircuitPartition, variant: Variant = STANDARD) -> bool:
-    """Check the first-passage tangence condition at every smoothed crossing."""
+    """Check the first-passage tangence condition at every smoothed crossing.
+
+    Standard: each smoothed crossing is first passed on its original
+    under-arm (left tangence at a positive crossing, right at a negative);
+    dual: on the over-arm.  These are the smoothed-letter tests of the paired
+    tree's leaf form, so the walk is :func:`braidpoly.resolver._violations`,
+    with its verdicts on unsmoothed letters ignored.
+    """
     dual = _paired_mode(variant) == ASCENDING
-    word = partition.word
-    for i, col, first in walk(word, partition.as_diagram().states):
-        if not first or i not in partition.smoothed:
-            continue
-        # standard: first passage on the original under-arm (left tangence at
-        # a positive crossing, right at a negative); dual: on the over-arm
-        if ((col == word.gaps[i]) == (word.signs[i] > 0)) == dual:
-            return False
-    return True
+    states = partition.as_diagram().states
+    return not any(i in partition.smoothed for i in _violations(partition.word, states, dual))
 
 
 def enumerate_admissible(

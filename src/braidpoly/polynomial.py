@@ -5,7 +5,9 @@ Two small value types live here:
 * :class:`LaurentPoly2` -- integer Laurent polynomials in the two variables
   ``z`` and ``a``, the value domain of the HOMFLY polynomial.
 * :class:`LaurentPoly1` -- integer Laurent polynomials in a single variable
-  ``s``, used for Alexander polynomials with ``s`` standing for ``x^(1/2)``.
+  ``s``, the Alexander polynomials with ``s`` standing for ``x^(1/2)``.  It
+  is a result type with no arithmetic: values come from
+  :meth:`LaurentPoly2.substitute_alexander` or :meth:`LaurentPoly1.from_text`.
 
 Both are immutable values backed by sparse exponent->coefficient maps with no
 stored zero coefficients.  Coefficients are plain Python integers, so the
@@ -18,6 +20,7 @@ descending, then ``z``-degree descending, e.g. ``a^2*z^-2 - 2*z^-2 + a^-2*z^-2``
 from __future__ import annotations
 
 import re
+from math import comb
 from typing import Iterable, Iterator, Mapping
 
 
@@ -26,10 +29,11 @@ class ZeroPolynomialError(ValueError):
 
 
 class SubstitutionError(ValueError):
-    """Raised when the Alexander substitution does not divide out exactly.
+    """Raised when a negative power of ``z`` survives ``a = 1``.
 
-    This happens exactly when the input was not the HOMFLY polynomial of an
-    actual link, since residual ``z^-1`` content must cancel at ``a = 1``.
+    The substitution ``z = s - s^-1`` then has no Laurent-polynomial value.
+    The HOMFLY polynomial of an actual link never does this: its ``z^-1``
+    content cancels at ``a = 1``.
     """
 
 
@@ -113,10 +117,6 @@ class LaurentPoly2:
     @classmethod
     def one(cls) -> "LaurentPoly2":
         return cls({(0, 0): 1})
-
-    @classmethod
-    def monomial(cls, coeff: int, dz: int = 0, da: int = 0) -> "LaurentPoly2":
-        return cls({(dz, da): coeff})
 
     @classmethod
     def from_text(cls, text: str) -> "LaurentPoly2":
@@ -217,9 +217,6 @@ class LaurentPoly2:
         """Terms in canonical order: a-degree descending, then z-degree descending."""
         return iter(sorted(self._terms.items(), key=lambda t: (-t[0][1], -t[0][0])))
 
-    def coefficient(self, dz: int, da: int) -> int:
-        return self._terms.get((dz, da), 0)
-
     def a_degrees(self) -> tuple[int, int, int]:
         """Return ``(E, e, span)``: max/min degree of ``a`` and their difference."""
         if not self._terms:
@@ -227,13 +224,6 @@ class LaurentPoly2:
         degs = [da for (_, da) in self._terms]
         E, e = max(degs), min(degs)
         return E, e, E - e
-
-    def z_degrees(self) -> tuple[int, int, int]:
-        if not self._terms:
-            raise ZeroPolynomialError("zero polynomial has no degree extremes")
-        degs = [dz for (dz, _) in self._terms]
-        m, lo = max(degs), min(degs)
-        return m, lo, m - lo
 
     # -- conversions -------------------------------------------------------
 
@@ -251,27 +241,25 @@ class LaurentPoly2:
     def substitute_alexander(self) -> "LaurentPoly1":
         """Evaluate at ``a = 1``, ``z = s - s^-1`` exactly.
 
-        Negative powers of ``z`` are cleared first: the polynomial is
-        multiplied through by ``z^m`` for the largest ``m`` with a ``z^-m``
-        term, the substitution is expanded, and the result is divided exactly
-        by ``(s - s^-1)^m``.  A nonzero remainder raises
-        :class:`SubstitutionError`, which certifies the input was not a
-        HOMFLY value.
+        Setting ``a = 1`` collapses the polynomial to ``sum q_k z^k``.  As
+        ``s - s^-1`` has a simple root at ``s = 1``, its ``m``-th power never
+        divides a nonzero polynomial in it of degree below ``m``, so the value
+        is a Laurent polynomial in ``s`` exactly when every ``q_k`` with
+        ``k < 0`` vanishes; otherwise :class:`SubstitutionError` is raised.
+        The rest is expanded by the binomial theorem.
         """
-        if not self._terms:
-            return LaurentPoly1.zero()
-        m = max(0, -min(dz for (dz, _) in self._terms))
-        base = LaurentPoly1({1: 1, -1: -1})  # s - s^-1
-        powers = [LaurentPoly1.one()]
-        top = max(dz for (dz, _) in self._terms) + m
-        for _ in range(top):
-            powers.append(powers[-1] * base)
-        acc = LaurentPoly1.zero()
+        q: dict[int, int] = {}
         for (dz, _), c in self._terms.items():
-            acc = acc + powers[dz + m].scale(c)
-        for _ in range(m):
-            acc = acc.divide_exact(base)
-        return acc
+            q[dz] = q.get(dz, 0) + c
+        if any(c for k, c in q.items() if k < 0):
+            raise SubstitutionError("a negative power of z survives a = 1")
+        acc: dict[int, int] = {}
+        for k, c in q.items():
+            # (s - s^-1)^k = sum_j (-1)^j C(k, j) s^(k - 2j)
+            for j in range(k + 1):
+                v = c * comb(k, j)
+                acc[k - 2 * j] = acc.get(k - 2 * j, 0) + (-v if j & 1 else v)
+        return LaurentPoly1(acc)
 
 
 class LaurentPoly1:
@@ -299,83 +287,6 @@ class LaurentPoly1:
     def from_text(cls, text: str) -> "LaurentPoly1":
         raw = _parse_terms(text, ("s",))
         return cls({k[0]: v for k, v in raw.items()})
-
-    def __add__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            v = acc.get(k, 0) + c
-            if v:
-                acc[k] = v
-            else:
-                acc.pop(k, None)
-        out = LaurentPoly1.__new__(LaurentPoly1)
-        out._terms = acc
-        return out
-
-    def __neg__(self) -> "LaurentPoly1":
-        out = LaurentPoly1.__new__(LaurentPoly1)
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        acc: dict[int, int] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                k = k1 + k2
-                v = acc.get(k, 0) + c1 * c2
-                if v:
-                    acc[k] = v
-                else:
-                    acc.pop(k, None)
-        out = LaurentPoly1.__new__(LaurentPoly1)
-        out._terms = acc
-        return out
-
-    def scale(self, coeff: int, shift: int = 0) -> "LaurentPoly1":
-        if coeff == 0:
-            return LaurentPoly1.zero()
-        out = LaurentPoly1.__new__(LaurentPoly1)
-        out._terms = {k + shift: c * coeff for k, c in self._terms.items()}
-        return out
-
-    def divide_exact(self, divisor: "LaurentPoly1") -> "LaurentPoly1":
-        """Exact division; raises :class:`SubstitutionError` on a remainder."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return LaurentPoly1.zero()
-        # Shift both to ordinary polynomials and long-divide coefficient lists.
-        s_lo = min(self._terms)
-        s_hi = max(self._terms)
-        d_lo = min(divisor._terms)
-        d_hi = max(divisor._terms)
-        num = [0] * (s_hi - s_lo + 1)
-        for k, c in self._terms.items():
-            num[k - s_lo] = c
-        den = [0] * (d_hi - d_lo + 1)
-        for k, c in divisor._terms.items():
-            den[k - d_lo] = c
-        if len(num) < len(den):
-            raise SubstitutionError("inexact division: quotient would not be polynomial")
-        lead = den[-1]
-        quot = [0] * (len(num) - len(den) + 1)
-        rem = list(num)
-        for i in range(len(quot) - 1, -1, -1):
-            head = rem[i + len(den) - 1]
-            if head % lead:
-                raise SubstitutionError("inexact division: leading coefficient mismatch")
-            q = head // lead
-            quot[i] = q
-            if q:
-                for j, d in enumerate(den):
-                    rem[i + j] -= q * d
-        if any(rem):
-            raise SubstitutionError("inexact division: nonzero remainder")
-        shift = s_lo - d_lo
-        return LaurentPoly1({i + shift: c for i, c in enumerate(quot) if c})
 
     def is_zero(self) -> bool:
         return not self._terms

@@ -226,24 +226,6 @@ def leaf_membership_test(
 # ---------------------------------------------------------------------------
 
 
-def _base_powers(strands: int, ascending: bool) -> list[list[tuple[int, int, int]]]:
-    """Expansions of ``((a^2-1) z^-1)^k`` or ``((1-a^-2) z^-1)^k`` for k < n.
-
-    Each entry is a term list ``(dz, da, coeff)``; component counts never
-    exceed the strand count, so k stays below n.
-    """
-    powers = []
-    for k in range(strands):
-        terms = []
-        for j in range(k + 1):
-            if ascending:
-                terms.append((-k, -2 * j, comb(k, j) * (-1) ** j))
-            else:
-                terms.append((-k, 2 * j, comb(k, j) * (-1) ** (k - j)))
-        powers.append(terms)
-    return powers
-
-
 def assemble_tree_sum(
     counts: dict[tuple[int, int], int],
     strands: int,
@@ -255,14 +237,24 @@ def assemble_tree_sum(
     ``counts`` maps ``(gamma, t)`` to the signed multiplicity
     ``sum (-1)^t'`` of leaves (or circuit partitions) with those statistics.
     Addition is commutative, so any accumulation order gives identical output.
+    Only the powers ``k = gamma - 1`` that occur are expanded, once each.
     """
-    powers = _base_powers(strands, ascending)
     prefactor = (strands - 1 - total_writhe) if ascending else (1 - strands - total_writhe)
+    powers: dict[int, list[tuple[int, int, int]]] = {}
     acc: dict[tuple[int, int], int] = {}
     for (gamma, t), mult in counts.items():
         if mult == 0:
             continue
-        for dz, da, c in powers[gamma - 1]:
+        k = gamma - 1
+        terms = powers.get(k)
+        if terms is None:
+            # ((a^2-1) z^-1)^k or ((1-a^-2) z^-1)^k as (dz, da, coeff) terms
+            if ascending:
+                terms = [(-k, -2 * j, comb(k, j) * (-1) ** j) for j in range(k + 1)]
+            else:
+                terms = [(-k, 2 * j, comb(k, j) * (-1) ** (k - j)) for j in range(k + 1)]
+            powers[k] = terms
+        for dz, da, c in terms:
             key = (dz + t, da + prefactor)
             v = acc.get(key, 0) + mult * c
             if v:

@@ -6,6 +6,7 @@ import pytest
 
 import braidpoly.cli
 from braidpoly import LaurentPoly2, homfly, parse_braid
+from braidpoly.checks import CheckResult
 from braidpoly.cli import main
 
 TREFOIL = "a^-2*z^2 + 2*a^-2 - a^-4"
@@ -106,10 +107,9 @@ class TestVerify:
         assert code == 0
         assert "mirror: pass" in out
 
-    def test_injected_failure_exits_3(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "1", "--moves", "mirror", "--inject-failure"
-        )
+    def test_injected_failure_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(braidpoly.cli, "check_mirror", lambda word: "injected failure")
+        code, out, _ = run(capsys, "verify", "1", "--moves", "mirror")
         assert code == 3
         assert "FAIL" in out
 
@@ -204,14 +204,15 @@ class TestSelftest:
         )
         assert code == 0
 
-    def test_injected_failure_exits_3(self, capsys):
+    def test_injected_failure_exits_3(self, capsys, monkeypatch):
+        failing = CheckResult("injected", checked=1, failures=["injected failure"])
+        monkeypatch.setattr(braidpoly.cli, "run_selftest", lambda **kwargs: [failing])
         code, _, _ = run(
             capsys,
             "selftest",
             "--max-crossings", "1",
             "--max-strands", "2",
             "--samples", "5",
-            "--inject-failure",
         )
         assert code == 3
 

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidpoly.corpus import random_words
+from braidpoly.invariants import alexander
 from braidpoly.polynomial import (
     LaurentPoly1,
     LaurentPoly2,
     SubstitutionError,
     ZeroPolynomialError,
 )
+from braidpoly.resolver import homfly
 
 
 def P(text):
@@ -165,3 +168,42 @@ class TestSympyCrossCheck:
 
         p, q = LaurentPoly2(t1), LaurentPoly2(t2)
         assert poly2_to_sympy(p * q) == (poly2_to_sympy(p) * poly2_to_sympy(q)).expand()
+
+
+class TestAlexanderSympyOracle:
+    """The substitution against sympy: a = 1, z = s - 1/s, then ``together``."""
+
+    @staticmethod
+    def sympy_alexander(poly):
+        """The substituted value as a ``LaurentPoly1``, or ``None`` when its
+        denominator is not a monomial in ``s``."""
+        import sympy as sp
+        from _brute import A, Z, poly2_to_sympy
+
+        s = sp.Symbol("s")
+        num, den = sp.fraction(sp.together(poly2_to_sympy(poly).subs({A: 1, Z: s - 1 / s})))
+        den = sp.Poly(den, s)
+        if not den.is_monomial:
+            return None
+        ((k,), c), = den.terms()
+        terms = {}
+        for (e,), v in sp.Poly(sp.expand(num), s).terms():
+            assert v % c == 0
+            terms[e - k] = int(v // c)
+        return LaurentPoly1(terms)
+
+    @given(poly_terms, poly_terms)
+    @settings(max_examples=150, deadline=None)
+    def test_random_polynomials(self, t1, t2):
+        # the second part vanishes at a = 1 whatever its z-powers
+        p = LaurentPoly2(t1) + LaurentPoly2(t2) * P("a - 1")
+        expected = self.sympy_alexander(p)
+        if expected is None:
+            with pytest.raises(SubstitutionError):
+                p.substitute_alexander()
+        else:
+            assert p.substitute_alexander() == expected
+
+    def test_corpus_words(self):
+        for word in random_words(100, max_crossings=7, max_strands=4, seed=17):
+            assert alexander(word).delta == self.sympy_alexander(homfly(word)), word.text()

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,13 @@ class TestHomfly:
         word = parse_braid("", strands=n)
         assert homfly(word, DESCENDING) == expected
         assert homfly(word, ASCENDING) == expected
+
+    def test_wide_markov_stabilization_is_fast(self):
+        # both sides are the 999-component trivial link; each word's leaves
+        # reach one component count, so one power of the base is expanded
+        start = time.perf_counter()
+        assert homfly(parse_braid("1", strands=1000)) == homfly(parse_braid("", strands=999))
+        assert time.perf_counter() - start < 2.0
 
     def test_unknot_from_single_crossing(self):
         assert homfly(parse_braid("1"), DESCENDING) == LaurentPoly2.one()
