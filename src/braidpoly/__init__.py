@@ -12,7 +12,6 @@ from .braid import (
     FLIPPED,
     KEPT,
     SMOOTHED,
-    BraidLetter,
     BraidParseError,
     BraidWord,
     CrossingState,

@@ -1,8 +1,9 @@
 """Braid words, closed-braid combinatorics, and the natural traversal engine.
 
 A braid word on ``n`` strands is a top-to-bottom sequence of letters, each a
-signed generator: gap ``i`` with sign ``+1`` crosses the strands in columns
-``i`` and ``i+1`` positively, sign ``-1`` negatively.  The closure joins each
+signed generator stored as a plain int: ``i`` crosses the strands in columns
+``i`` and ``i+1`` positively, ``-i`` negatively.  ``BraidWord.gaps`` and
+``BraidWord.signs`` are the two halves of that int.  The closure joins each
 bottom endpoint ``(k, bottom)`` back to the top endpoint ``(k, top)``.
 
 Conventions fixed here and relied on everywhere else:
@@ -59,66 +60,50 @@ SMOOTHED = CrossingState.SMOOTHED
 
 
 @dataclass(frozen=True)
-class BraidLetter:
-    """One crossing: generator index ``gap >= 1`` and sign ``+1`` or ``-1``."""
-
-    gap: int
-    sign: int
-
-    def __post_init__(self):
-        if self.gap < 1:
-            raise ValueError(f"generator index must be >= 1, got {self.gap}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-
-    @property
-    def token(self) -> int:
-        return self.gap * self.sign
-
-
-@dataclass(frozen=True)
 class BraidWord:
     """An ordered braid word plus its strand count.
 
-    The empty word is legal on any number of strands ``n >= 1``.
+    ``letters`` are the signed generator tokens: ``k > 0`` crosses gap ``k``
+    positively and ``-k`` negatively.  The empty word is legal on any number
+    of strands ``n >= 1``.
     """
 
-    letters: tuple[BraidLetter, ...]
+    letters: tuple[int, ...]
     strands: int
 
     def __post_init__(self):
         if self.strands < 1:
             raise ValueError(f"strand count must be >= 1, got {self.strands}")
-        for pos, letter in enumerate(self.letters):
-            if letter.gap > self.strands - 1:
+        for pos, t in enumerate(self.letters):
+            if not 1 <= abs(t) <= self.strands - 1:
                 raise ValueError(
-                    f"letter {pos} uses gap {letter.gap} but only "
-                    f"{self.strands} strands are available"
+                    f"letter {pos} is {t}, but a letter on {self.strands} strands "
+                    f"must be a nonzero generator index of size at most {self.strands - 1}"
                 )
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[int], strands: int | None = None) -> "BraidWord":
-        letters = tuple(BraidLetter(abs(t), 1 if t > 0 else -1) for t in tokens)
+        letters = tuple(tokens)
         if strands is None:
-            strands = max((letter.gap + 1 for letter in letters), default=1)
+            strands = max((abs(t) + 1 for t in letters), default=1)
         return cls(letters, strands)
 
     def tokens(self) -> tuple[int, ...]:
-        return tuple(letter.token for letter in self.letters)
+        return self.letters
 
     def text(self) -> str:
-        return " ".join(str(t) for t in self.tokens())
+        return " ".join(str(t) for t in self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
 
     @cached_property
     def gaps(self) -> tuple[int, ...]:
-        return tuple(letter.gap for letter in self.letters)
+        return tuple(abs(t) for t in self.letters)
 
     @cached_property
     def signs(self) -> tuple[int, ...]:
-        return tuple(letter.sign for letter in self.letters)
+        return tuple(1 if t > 0 else -1 for t in self.letters)
 
     @cached_property
     def column_index(self) -> tuple[tuple[int, ...], ...]:
@@ -230,9 +215,7 @@ def writhe(word: BraidWord) -> int:
 
 def mirror(word: BraidWord) -> BraidWord:
     """The mirror image: every crossing sign negated, strands unchanged."""
-    return BraidWord(
-        tuple(BraidLetter(l.gap, -l.sign) for l in word.letters), word.strands
-    )
+    return BraidWord(tuple(-t for t in word.letters), word.strands)
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +246,6 @@ class StrandPermutation:
         """Position of each label in the return order (a bijection to 0..n-1)."""
         return {label: i for i, label in enumerate(self.return_order)}
 
-    def image(self, label: int) -> int:
-        for cycle in self.cycles:
-            if label in cycle:
-                return cycle[(cycle.index(label) + 1) % len(cycle)]
-        raise KeyError(label)
-
     def cycle_text(self) -> str:
         return "".join("(" + " ".join(str(x) for x in c) + ")" for c in self.cycles)
 
@@ -298,7 +275,6 @@ class GapTally:
 class GapProfile:
     """Per-gap crossing tallies for gaps ``1..strands-1``, in gap order."""
 
-    strands: int
     gaps: tuple[GapTally, ...]
 
     def tally(self, gap: int) -> GapTally:
@@ -309,17 +285,17 @@ def gap_profile(word: BraidWord) -> GapProfile:
     pos = [0] * word.strands
     neg = [0] * word.strands
     where: list[list[int]] = [[] for _ in range(word.strands)]
-    for i, letter in enumerate(word.letters):
-        if letter.sign > 0:
-            pos[letter.gap] += 1
+    for i, t in enumerate(word.letters):
+        if t > 0:
+            pos[t] += 1
         else:
-            neg[letter.gap] += 1
-        where[letter.gap].append(i)
+            neg[-t] += 1
+        where[abs(t)].append(i)
     tallies = tuple(
         GapTally(g, pos[g], neg[g], tuple(where[g]))
         for g in range(1, word.strands)
     )
-    return GapProfile(word.strands, tallies)
+    return GapProfile(tallies)
 
 
 @dataclass(frozen=True)
@@ -398,10 +374,6 @@ class TraversalEvent:
 class TraversalReport:
     events: tuple[TraversalEvent, ...]
     components: tuple[tuple[int, ...], ...]
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(c[0] for c in self.components)
 
 
 def walk(
@@ -488,8 +460,7 @@ def classify_crossings(diagram: ResolvedDiagram) -> tuple[Optional[str], ...]:
     rank = diagram.permutation().rank
     columns = list(range(word.strands + 1))  # columns[c] = label currently in column c
     out: list[Optional[str]] = []
-    for i, letter in enumerate(word.letters):
-        g = letter.gap
+    for i, g in enumerate(word.gaps):
         left_label, right_label = columns[g], columns[g + 1]
         if diagram.states[i] is SMOOTHED:
             out.append(None)
@@ -630,17 +601,3 @@ def markov_variants(
             MarkovVariant(BraidWord.from_tokens(tokens, strands), tuple(moves))
         )
     return variants
-
-
-def rotate(word: BraidWord, k: int) -> BraidWord:
-    """Cyclic rotation by ``k`` letters; the closure is unchanged."""
-    if not word.letters:
-        return word
-    k %= len(word.letters)
-    return BraidWord(word.letters[k:] + word.letters[:k], word.strands)
-
-
-def stabilize(word: BraidWord, sign: int = 1) -> BraidWord:
-    """Append a crossing in a fresh gap on one more strand."""
-    letters = word.letters + (BraidLetter(word.strands, sign),)
-    return BraidWord(letters, word.strands + 1)

@@ -1,4 +1,8 @@
-"""Deterministic word corpora for verification runs and tests."""
+"""Deterministic word corpora for verification runs and tests.
+
+Words are built straight from their signed letters (``k`` or ``-k`` for
+gap ``k``), as in :class:`braidpoly.braid.BraidWord`.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ import itertools
 import random
 from typing import Iterator
 
-from .braid import BraidLetter, BraidWord
+from .braid import BraidWord
 
 
 def all_words(strands: int, max_crossings: int) -> Iterator[BraidWord]:
@@ -44,36 +48,28 @@ def random_words(
     return [random_word(rng, max_crossings, max_strands) for _ in range(count)]
 
 
-def random_alternating_word(
-    rng: random.Random,
-    strands: int,
-    min_per_gap: int = 2,
-    max_per_gap: int = 4,
-) -> BraidWord:
+def random_alternating_word(rng: random.Random, strands: int) -> BraidWord:
     """A random reduced alternating braid word with no empty gaps.
 
-    Every gap receives between ``min_per_gap`` and ``max_per_gap`` crossings
-    whose sign is determined by the gap parity and a random leading sign; the
-    crossings of all gaps are interleaved uniformly at random.
+    Every gap receives 2 to 4 crossings whose sign is determined by the gap
+    parity and a random leading sign; the crossings of all gaps are
+    interleaved uniformly at random.
     """
     if strands < 2:
         raise ValueError("alternating words need at least 2 strands")
     leading = rng.choice((1, -1))
-    letters: list[BraidLetter] = []
+    letters: list[int] = []
     for gap in range(1, strands):
-        sign = leading if gap % 2 == 1 else -leading
-        letters.extend(
-            BraidLetter(gap, sign) for _ in range(rng.randint(min_per_gap, max_per_gap))
-        )
+        token = gap * leading if gap % 2 == 1 else -gap * leading
+        letters += [token] * rng.randint(2, 4)
     rng.shuffle(letters)
     return BraidWord(tuple(letters), strands)
 
 
-def alternating_words(
-    count: int, *, min_strands: int = 2, max_strands: int = 5, seed: int = 0
-) -> list[BraidWord]:
+def alternating_words(count: int, *, max_strands: int = 5, seed: int = 0) -> list[BraidWord]:
+    """``count`` alternating words, cycling through 2 to ``max_strands`` strands."""
     rng = random.Random(seed)
-    spread = list(range(min_strands, max_strands + 1))
+    spread = list(range(2, max_strands + 1))
     return [
         random_alternating_word(rng, spread[i % len(spread)]) for i in range(count)
     ]

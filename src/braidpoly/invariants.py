@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .braid import (
-    BraidLetter,
     BraidWord,
     CrossingState,
     DiagramClass,
@@ -99,6 +98,17 @@ def _require_positive_leading(word: BraidWord) -> DiagramClass:
     return flags
 
 
+def _keep_first_flip_last(word: BraidWord, parity: int) -> ResolvedDiagram:
+    """Keep the first and flip the last crossing in each gap of ``parity``; smooth the rest."""
+    _require_positive_leading(word)
+    states = [SMOOTHED] * len(word)
+    for tally in gap_profile(word).gaps:
+        if tally.gap % 2 == parity:
+            states[tally.positions[0]] = KEPT
+            states[tally.positions[-1]] = FLIPPED
+    return ResolvedDiagram(word, tuple(states))
+
+
 def construct_u_star(word: BraidWord) -> ResolvedDiagram:
     """The descending leaf realizing the top a-degree ``n - 1 - w``.
 
@@ -107,13 +117,7 @@ def construct_u_star(word: BraidWord) -> ResolvedDiagram:
     pairs, so the closure keeps all ``n`` components, and the leaf is the only
     one with no odd-gap crossings and exactly two per even gap.
     """
-    _require_positive_leading(word)
-    states = [SMOOTHED] * len(word)
-    for tally in gap_profile(word).gaps:
-        if tally.gap % 2 == 0:
-            states[tally.positions[0]] = KEPT
-            states[tally.positions[-1]] = FLIPPED
-    return ResolvedDiagram(word, tuple(states))
+    return _keep_first_flip_last(word, 0)
 
 
 def construct_v_star(word: BraidWord) -> ResolvedDiagram:
@@ -122,13 +126,7 @@ def construct_v_star(word: BraidWord) -> ResolvedDiagram:
     Keep the first and flip the last crossing in each odd gap; smooth
     everything else (including all even gaps).
     """
-    _require_positive_leading(word)
-    states = [SMOOTHED] * len(word)
-    for tally in gap_profile(word).gaps:
-        if tally.gap % 2 == 1:
-            states[tally.positions[0]] = KEPT
-            states[tally.positions[-1]] = FLIPPED
-    return ResolvedDiagram(word, tuple(states))
+    return _keep_first_flip_last(word, 1)
 
 
 def _cyclic_predecessor(positions: tuple[int, ...], entry: int) -> int:
@@ -287,10 +285,11 @@ def split_blocks(word: BraidWord) -> list[tuple[int, BraidWord]]:
         return [(1, word)]  # the word itself, so its memoized polynomial is shared
     out = []
     for start, stop in blocks:
+        shift = start - 1
         letters = tuple(
-            BraidLetter(l.gap - start + 1, l.sign)
-            for l in word.letters
-            if start <= l.gap <= stop - 1
+            t - shift if t > 0 else t + shift
+            for t in word.letters
+            if start <= abs(t) < stop
         )
         out.append((start, BraidWord(letters, stop - start + 1)))
     return out

@@ -85,14 +85,6 @@ class CircuitPartition:
         return ResolvedDiagram(self.word, states)
 
     @property
-    def t(self) -> int:
-        return len(self.smoothed)
-
-    @property
-    def t_neg(self) -> int:
-        return sum(1 for i in self.smoothed if self.word.signs[i] < 0)
-
-    @property
     def gamma(self) -> int:
         """Closure component count of the partition."""
         return len(self.as_diagram().permutation().cycles)

@@ -210,9 +210,6 @@ class LaurentPoly2:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
     def terms(self) -> Iterator[tuple[tuple[int, int], int]]:
         """Terms in canonical order: a-degree descending, then z-degree descending."""
         return iter(sorted(self._terms.items(), key=lambda t: (-t[0][1], -t[0][0])))

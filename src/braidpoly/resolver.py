@@ -292,7 +292,6 @@ def homfly(word: BraidWord, mode: Mode = DESCENDING) -> LaurentPoly2:
 class LeafStatistics:
     count: int
     max_gamma: int
-    max_t: int
     histogram: dict[tuple[int, int], int]
 
 
@@ -305,6 +304,5 @@ def leaf_statistics(word: BraidWord, mode: Mode = DESCENDING) -> LeafStatistics:
     return LeafStatistics(
         count=sum(hist.values()),
         max_gamma=max(g for g, _ in hist),
-        max_t=max(t for _, t in hist),
         histogram=hist,
     )

@@ -102,4 +102,4 @@ def poly2_to_sympy(poly):
 
 
 def word_letters(word):
-    return [(letter.gap, letter.sign) for letter in word.letters]
+    return list(zip(word.gaps, word.signs))

@@ -52,7 +52,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def alternating_corpus():
-    return alternating_words(200, min_strands=2, max_strands=5, seed=11)
+    return alternating_words(200, max_strands=5, seed=11)
 
 
 def report(number, name, start):

@@ -18,7 +18,6 @@ from braidpoly import (
     permutation,
     writhe,
 )
-from braidpoly.braid import rotate, stabilize
 
 EXAMPLE_WORD = "-1 3 -2 -4 -4 -4 1 -3"
 
@@ -62,6 +61,19 @@ class TestParsing:
         assert parse_braid("   ").tokens() == ()
         assert parse_braid("", strands=4).strands == 4
 
+    @pytest.mark.parametrize(
+        "letters, strands, message",
+        [
+            ((1, 0), 3, "letter 1 is 0"),
+            ((2, 3), 3, "letter 1 is 3"),
+            ((-3,), 3, "letter 0 is -3"),
+            ((), 0, "strand count must be >= 1"),
+        ],
+    )
+    def test_direct_construction_is_validated(self, letters, strands, message):
+        with pytest.raises(ValueError, match=message):
+            BraidWord(letters, strands)
+
     def test_strands_override(self):
         assert parse_braid("1 1", strands=5).strands == 5
         with pytest.raises(BraidParseError, match="too small"):
@@ -101,14 +113,16 @@ class TestPermutation:
     def test_matches_column_simulation(self, word):
         # independent route: drag the column contents through the letters
         columns = list(range(word.strands + 1))
-        for letter in word.letters:
-            g = letter.gap
+        for t in word.tokens():
+            g = abs(t)
             columns[g], columns[g + 1] = columns[g + 1], columns[g]
-        end_column = {label: col for col in range(1, word.strands + 1)
-                      for label in [columns[col]]}
-        p = permutation(word)
-        for label in range(1, word.strands + 1):
-            assert p.image(label) == end_column[label]
+        end_column = {columns[col]: col for col in range(1, word.strands + 1)}
+        cycles = permutation(word).cycles
+        labels = sorted(label for cycle in cycles for label in cycle)
+        assert labels == list(range(1, word.strands + 1))
+        for cycle in cycles:
+            for k, label in enumerate(cycle):
+                assert end_column[label] == cycle[(k + 1) % len(cycle)]
 
     @given(words())
     @settings(max_examples=80)
@@ -284,15 +298,6 @@ class TestNaturalTraversal:
 
 
 class TestMarkovVariants:
-    def test_rotation_of_uniform_word_is_identity(self):
-        w = parse_braid("1 1 1")
-        assert rotate(w, 1) == w
-
-    def test_stabilization(self):
-        w = stabilize(parse_braid("1 1 1"))
-        assert w.tokens() == (1, 1, 1, 2)
-        assert w.strands == 3
-
     def test_braid_relation_rewrite(self):
         from braidpoly.braid import _braid_relation_sites
 

@@ -5,7 +5,7 @@ import typing
 import pytest
 
 import braidpoly.cli
-from braidpoly import LaurentPoly2, homfly, parse_braid
+from braidpoly import LaurentPoly2, SubstitutionError, homfly, parse_braid
 from braidpoly.checks import CheckResult
 from braidpoly.cli import main
 
@@ -154,6 +154,24 @@ class TestBatch:
         assert code == 2
         docs = [json.loads(line) for line in out.splitlines()]
         assert "error" in docs[1]
+
+    def test_substitution_error_reported_inline_exits_3(self, tmp_path, capsys, monkeypatch):
+        analyze = braidpoly.cli._analyze_json
+
+        def failing_on_figure_eight(word):
+            if word.text() == "1 -2 1 -2":
+                raise SubstitutionError("injected substitution failure")
+            return analyze(word)
+
+        monkeypatch.setattr(braidpoly.cli, "_analyze_json", failing_on_figure_eight)
+        batch = tmp_path / "words.txt"
+        batch.write_text("1 1 1\n1 -2 1 -2\n2 2 1\n")
+        code, out, _ = run(capsys, "batch", str(batch), "--json", "--jobs", "1")
+        assert code == 3
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert [d["line"] for d in docs] == [1, 2, 3]
+        assert docs[1] == {"line": 2, "error": "injected substitution failure"}
+        assert [docs[0]["word"], docs[2]["word"]] == ["1 1 1", "2 2 1"]
 
     def test_parallel_output_matches_sequential(self, tmp_path, capsys):
         batch = tmp_path / "words.txt"

@@ -89,6 +89,12 @@ class TestCertificate:
             (3, "", 1),
             (4, "1 1", 2),
         ]
+        blocks = split_blocks(parse_braid("1 -1 -4 4 -5"))
+        assert [(start, b.text(), b.strands) for start, b in blocks] == [
+            (1, "1 -1", 2),
+            (3, "", 1),
+            (4, "-1 1 -2", 3),
+        ]
 
 
 class TestUStar:
@@ -185,7 +191,7 @@ class TestAlexander:
 class TestAlternatingCorpusLaws:
     """The degree and witness laws on generated reduced alternating words."""
 
-    WORDS = alternating_words(40, min_strands=2, max_strands=4, seed=5)
+    WORDS = alternating_words(40, max_strands=4, seed=5)
 
     def positive_leading_version(self, word):
         return word if classify(word).positive_leading else mirror(word)
