@@ -7,14 +7,17 @@ Subcommands: ``compute`` (polynomial by one or all methods), ``analyze``
 Exit codes are a stable contract: 0 success, 2 input error, 3 verification
 failure.  All behavior is controlled by flags; there are no config files or
 environment variables.
+
+:func:`main` may be called repeatedly in one process and reuses one parser,
+built on its first call, while :func:`build_parser` still returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from .braid import (
@@ -292,6 +295,9 @@ def cmd_batch(args) -> int:
         if line.split("#", 1)[0].strip()
     ]
     if args.jobs > 1:
+        # multiprocessing is a heavy import that only a parallel batch needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_batch_line, items))
     else:
@@ -395,8 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as exc:

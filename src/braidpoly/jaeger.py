@@ -84,11 +84,6 @@ class CircuitPartition:
         )
         return ResolvedDiagram(self.word, states)
 
-    @property
-    def gamma(self) -> int:
-        """Closure component count of the partition."""
-        return len(self.as_diagram().permutation().cycles)
-
 
 def is_admissible(partition: CircuitPartition, variant: Variant = STANDARD) -> bool:
     """Check the first-passage tangence condition at every smoothed crossing.

@@ -1,14 +1,20 @@
+import argparse
 import inspect
 import json
+import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import pytest
 
 import braidpoly.cli
 from braidpoly import LaurentPoly2, SubstitutionError, homfly, parse_braid
 from braidpoly.checks import CheckResult
-from braidpoly.cli import main
+from braidpoly.cli import build_parser, main
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 TREFOIL = "a^-2*z^2 + 2*a^-2 - a^-4"
 
 
@@ -278,3 +284,84 @@ class TestSearchCounts:
         code, _, _ = run(capsys, "verify", word, "--moves", "skein")
         assert code == 0
         assert len(leaf_searches) == 2 * len(word.split()) + 1
+
+
+def _actions(parser):
+    """Every action of ``parser`` and of its subcommand parsers."""
+    for action in parser._actions:
+        yield action
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _actions(sub)
+
+
+class TestParserReuse:
+    """``main`` shares one parser across calls; ``build_parser`` stays fresh."""
+
+    def test_two_calls_build_the_parser_once(self, capsys, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(braidpoly.cli, "build_parser", counted)
+        braidpoly.cli._shared_parser.cache_clear()
+        try:
+            assert run(capsys, "compute", "1 1 1")[0] == 0
+            assert run(capsys, "analyze", "1 -2 1 -2")[0] == 0
+        finally:
+            braidpoly.cli._shared_parser.cache_clear()
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "1 -2 1 -2", "--method", "all", "--json"],
+            ["analyze", "-1 3 -2 -4 -4 -4 1 -3"],
+            ["verify", "1 1 1", "--moves", "all", "--samples", "5"],
+            ["compute", "1 junk"],
+        ],
+    )
+    def test_same_argv_twice_gives_identical_output(self, capsys, argv):
+        assert run(capsys, *argv) == run(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["compute", "1", "--method", "bogus"], 2),
+            (["analyze"], 2),
+            (["--help"], 0),
+            (["verify", "--help"], 0),
+        ],
+    )
+    def test_usage_error_or_help_leaves_next_call_unchanged(self, capsys, argv, code):
+        follow = ["verify", "1 -2 1 -2", "--moves", "markov", "--samples", "3"]
+        before = run(capsys, *follow)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        capsys.readouterr()
+        assert run(capsys, *follow) == before
+
+    def test_no_argument_shares_mutable_state(self):
+        immutable = (type(None), bool, int, str, tuple, frozenset)
+        for action in _actions(build_parser()):
+            assert not isinstance(action, (argparse._AppendAction, argparse._AppendConstAction))
+            assert isinstance(action.default, immutable), action.dest
+            assert isinstance(action.const, immutable), action.dest
+
+
+def test_import_leaves_process_pool_unloaded():
+    script = (
+        "import sys, braidpoly.cli\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"

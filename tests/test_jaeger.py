@@ -70,7 +70,7 @@ class TestEnumeration:
     def test_empty_word(self):
         parts = list(enumerate_admissible(parse_braid("", strands=3), STANDARD))
         assert len(parts) == 1
-        assert parts[0].gamma == 3
+        assert len(parts[0].as_diagram().permutation().cycles) == 3
 
     @given(words(max_len=6))
     @settings(max_examples=50, deadline=None)
