@@ -21,14 +21,11 @@ from .braid import (
     MarkovVariant,
     ResolvedDiagram,
     StrandPermutation,
-    TraversalEvent,
-    TraversalReport,
     classify,
     classify_crossings,
     gap_profile,
     markov_variants,
     mirror,
-    natural_traversal,
     parse_braid,
     permutation,
     writhe,

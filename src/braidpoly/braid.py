@@ -1,4 +1,4 @@
-"""Braid words, closed-braid combinatorics, and the natural traversal engine.
+"""Braid words, closed-braid combinatorics, and the natural traversal walk.
 
 A braid word on ``n`` strands is a top-to-bottom sequence of letters, each a
 signed generator stored as a plain int: ``i`` crosses the strands in columns
@@ -353,29 +353,6 @@ def classify(word: BraidWord) -> DiagramClass:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraversalEvent:
-    """One passage of the walker at a letter.
-
-    ``side`` is the arrival column: ``"left"`` for the gap column, ``"right"``
-    for gap+1.  ``role`` is the arm the walker arrives on under the letter's
-    original sign: the over-arm of a positive crossing arrives from the right,
-    of a negative crossing from the left.
-    """
-
-    index: int
-    ordinal: int
-    side: str
-    role: str
-    state: CrossingState
-
-
-@dataclass(frozen=True)
-class TraversalReport:
-    events: tuple[TraversalEvent, ...]
-    components: tuple[tuple[int, ...], ...]
-
-
 def walk(
     word: BraidWord, states: Sequence[Optional[CrossingState]]
 ) -> Iterator[tuple[int, int, bool]]:
@@ -419,33 +396,6 @@ def walk(
                     col = 2 * gaps[pos] + 1 - col
             if col == pivot:
                 break
-
-
-def natural_traversal(diagram: ResolvedDiagram) -> TraversalReport:
-    """Walk the closed resolved diagram naturally and record every passage.
-
-    See :func:`walk` for the route; components list each one's strand labels
-    in the order they are walked, which is the diagram's own standard form.
-    """
-    gaps = diagram.word.gaps
-    signs = diagram.word.signs
-    events: list[TraversalEvent] = []
-    components: list[tuple[int, ...]] = []
-    for i, col, first in walk(diagram.word, diagram.states):
-        if i < 0:
-            components.append((col,) if first else components.pop() + (col,))
-            continue
-        arrives_under = (col == gaps[i]) == (signs[i] > 0)
-        events.append(
-            TraversalEvent(
-                index=i,
-                ordinal=1 if first else 2,
-                side="left" if col == gaps[i] else "right",
-                role="under" if arrives_under else "over",
-                state=diagram.states[i],
-            )
-        )
-    return TraversalReport(tuple(events), tuple(components))
 
 
 def classify_crossings(diagram: ResolvedDiagram) -> tuple[Optional[str], ...]:

@@ -257,8 +257,8 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _batch_line(item: tuple[int, str]) -> tuple[int, int, str]:
-    """Worker for one batch line; returns (line number, status, output)."""
+def _batch_line(item: tuple[int, str]) -> tuple[int, dict]:
+    """Worker for one batch line; returns (status, the line's record)."""
     lineno, line = item
     body = line.split("#", 1)[0].strip()
     strands = None
@@ -267,26 +267,24 @@ def _batch_line(item: tuple[int, str]) -> tuple[int, int, str]:
         try:
             strands = int(head.strip())
         except ValueError:
-            return lineno, EXIT_INPUT, json.dumps(
-                {"line": lineno, "error": f"bad strand prefix {head.strip()!r}"}
-            )
+            return EXIT_INPUT, {"line": lineno, "error": f"bad strand prefix {head.strip()!r}"}
     try:
         word = parse_braid(body, strands)
     except BraidParseError as exc:
-        return lineno, EXIT_INPUT, json.dumps({"line": lineno, "error": str(exc)})
+        return EXIT_INPUT, {"line": lineno, "error": str(exc)}
     try:
         doc = _analyze_json(word)
     except SubstitutionError as exc:
-        return lineno, EXIT_VERIFY, json.dumps({"line": lineno, "error": str(exc)})
-    doc = {"line": lineno, **doc}
-    return lineno, EXIT_OK, json.dumps(doc)
+        return EXIT_VERIFY, {"line": lineno, "error": str(exc)}
+    return EXIT_OK, {"line": lineno, **doc}
 
 
 def cmd_batch(args) -> int:
     if _below_minimum(args, {"jobs": 1}):
         return EXIT_INPUT
     try:
-        with open(args.file, "r", encoding="utf-8") as handle:
+        # utf-8-sig also reads a file that starts with a byte-order mark
+        with open(args.file, "r", encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -305,18 +303,17 @@ def cmd_batch(args) -> int:
     else:
         results = [_batch_line(item) for item in items]
     worst = EXIT_OK
-    for _, status, output in sorted(results):
+    # both paths return results in input order
+    for status, doc in results:
         if args.json:
-            print(output)
+            print(json.dumps(doc))
+        elif "error" in doc:
+            print(f"line {doc['line']}: error: {doc['error']}")
         else:
-            doc = json.loads(output)
-            if "error" in doc:
-                print(f"line {doc['line']}: error: {doc['error']}")
-            else:
-                print(
-                    f"line {doc['line']}: {doc['word'] or '(empty)'} "
-                    f"[n={doc['strands']}] P = {doc['homfly_text']}"
-                )
+            print(
+                f"line {doc['line']}: {doc['word'] or '(empty)'} "
+                f"[n={doc['strands']}] P = {doc['homfly_text']}"
+            )
         worst = max(worst, status)
     return worst
 

@@ -26,7 +26,8 @@ leaf search, :func:`braidpoly.resolver.leaf_stream`: its keep and smooth
 choices at each crossing's first visit are the admissibility test, and an
 inadmissible first passage can never be repaired by later choices.
 :func:`verify_bijection` checks that search against the resolving tree
-expanded literally, one restarted walk per node.
+expanded literally, one restarted walk per node, and checks that each leaf of
+the search closes to a trivial link.
 """
 
 from __future__ import annotations
@@ -128,9 +129,13 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     :func:`split_at`, restarting the walk at every node.  Its leaves must have
     distinct smoothed sets, which makes those sets a family of partitions,
     and must match the leaf search that enumerates the admissible partitions
-    (:func:`enumerate_leaves`) in full state vector, gamma, t and t'.
+    (:func:`enumerate_leaves`) in full state vector, gamma, t and t'.  Every
+    leaf of that search must also close to a trivial link: gamma - w = n on
+    the descending tree, gamma + w = n on the ascending one, with ``w`` the
+    leaf's own writhe.
     """
     mode = _paired_mode(variant)
+    sign = 1 if mode == ASCENDING else -1
     tree = set()
     smoothed_sets = set()
     stack = [ResolvedDiagram.all_kept(word)]
@@ -146,7 +151,9 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
         smoothed_sets.add(cut)
         t_neg = sum(1 for j in cut if word.signs[j] < 0)
         tree.add((diagram.states, len(diagram.permutation().cycles), len(cut), t_neg))
-    stream = [
-        (leaf.states, leaf.gamma, leaf.t, leaf.t_neg) for leaf in enumerate_leaves(word, mode)
-    ]
+    stream = []
+    for leaf in enumerate_leaves(word, mode):
+        if leaf.gamma + sign * leaf.writhe != word.strands:
+            return False
+        stream.append((leaf.states, leaf.gamma, leaf.t, leaf.t_neg))
     return len(stream) == len(tree) and set(stream) == tree

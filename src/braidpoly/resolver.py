@@ -291,18 +291,8 @@ def homfly(word: BraidWord, mode: Mode = DESCENDING) -> LaurentPoly2:
 @dataclass(frozen=True)
 class LeafStatistics:
     count: int
-    max_gamma: int
-    histogram: dict[tuple[int, int], int]
 
 
 def leaf_statistics(word: BraidWord, mode: Mode = DESCENDING) -> LeafStatistics:
-    """Aggregate counts over the leaf stream (unsigned, unlike the formula)."""
-    ascending = _ascending(mode)
-    hist: dict[tuple[int, int], int] = {}
-    for _, _, gamma, t, _ in leaf_stream(word, ascending):
-        hist[(gamma, t)] = hist.get((gamma, t), 0) + 1
-    return LeafStatistics(
-        count=sum(hist.values()),
-        max_gamma=max(g for g, _ in hist),
-        histogram=hist,
-    )
+    """The number of leaves of the tree."""
+    return LeafStatistics(count=sum(1 for _ in leaf_stream(word, _ascending(mode))))

@@ -13,11 +13,11 @@ from braidpoly import (
     gap_profile,
     markov_variants,
     mirror,
-    natural_traversal,
     parse_braid,
     permutation,
     writhe,
 )
+from braidpoly.braid import walk
 
 EXAMPLE_WORD = "-1 3 -2 -4 -4 -4 1 -3"
 
@@ -27,6 +27,15 @@ def words(max_len=6, max_gap=3):
         lambda g: st.sampled_from([g, -g])
     )
     return st.lists(token, max_size=max_len).map(BraidWord.from_tokens)
+
+
+def arm(word, i, col):
+    """The arm of letter ``i``'s original crossing that arrives in ``col``.
+
+    The over-arm of a positive crossing arrives from the right (column
+    gap + 1), of a negative crossing from the left (the gap column).
+    """
+    return "under" if (col == word.gaps[i]) == (word.signs[i] > 0) else "over"
 
 
 class TestParsing:
@@ -160,11 +169,11 @@ class TestCrossingClassification:
         # the over-arm of its live sign
         d = ResolvedDiagram.all_kept(word)
         kinds = classify_crossings(d)
-        for event in natural_traversal(d).events:
-            if event.ordinal != 1:
+        for i, col, first in walk(word, d.states):
+            if i < 0 or not first:
                 continue
-            expected = "descending" if event.role == "over" else "ascending"
-            assert kinds[event.index] == expected
+            expected = "descending" if arm(word, i, col) == "over" else "ascending"
+            assert kinds[i] == expected
 
 
 class TestGapProfile:
@@ -257,44 +266,63 @@ class TestMirror:
 
 
 class TestNaturalTraversal:
+    """The passages of :func:`walk`, read as ``(i, col, first)`` triples."""
+
     def test_single_crossing_events(self):
-        report = natural_traversal(ResolvedDiagram.all_kept(parse_braid("1")))
-        assert len(report.events) == 2
-        first, second = report.events
-        assert (first.index, first.ordinal, first.side, first.role) == (0, 1, "left", "under")
-        assert (second.index, second.ordinal, second.side, second.role) == (0, 2, "right", "over")
-        assert report.components == ((1, 2),)
+        word = parse_braid("1")
+        steps = list(walk(word, (KEPT,)))
+        assert steps == [(-1, 1, True), (0, 1, True), (-1, 2, False), (0, 2, False)]
+        # first passage from the left (the gap column) on the under-arm of the
+        # positive crossing, the second from the right on its over-arm
+        assert [arm(word, i, col) for i, col, _ in steps if i >= 0] == ["under", "over"]
 
     def test_smoothed_triple_first_visits_from_left(self):
         word = parse_braid("1 1 1")
-        report = natural_traversal(ResolvedDiagram(word, (SMOOTHED,) * 3))
-        firsts = [e for e in report.events if e.ordinal == 1]
-        seconds = [e for e in report.events if e.ordinal == 2]
-        assert [e.side for e in firsts] == ["left"] * 3
-        assert [e.side for e in seconds] == ["right"] * 3
-        assert report.components == ((1,), (2,))
+        steps = list(walk(word, (SMOOTHED,) * 3))
+        assert [(i, col) for i, col, first in steps if i >= 0 and first] == [
+            (0, 1), (1, 1), (2, 1)
+        ]
+        assert [(i, col) for i, col, first in steps if i >= 0 and not first] == [
+            (0, 2), (1, 2), (2, 2)
+        ]
+        assert [(col, first) for i, col, first in steps if i < 0] == [(1, True), (2, True)]
 
     def test_empty_word(self):
-        report = natural_traversal(ResolvedDiagram.all_kept(parse_braid("", strands=4)))
-        assert report.events == ()
-        assert report.components == ((1,), (2,), (3,), (4,))
+        steps = list(walk(parse_braid("", strands=4), ()))
+        assert steps == [(-1, 1, True), (-1, 2, True), (-1, 3, True), (-1, 4, True)]
 
     @given(words())
     @settings(max_examples=80)
     def test_each_letter_visited_twice(self, word):
-        report = natural_traversal(ResolvedDiagram.all_kept(word))
-        assert len(report.events) == 2 * len(word)
+        steps = [(i, first) for i, _, first in walk(word, (KEPT,) * len(word)) if i >= 0]
+        assert len(steps) == 2 * len(word)
         for i in range(len(word)):
-            ordinals = [e.ordinal for e in report.events if e.index == i]
-            assert sorted(ordinals) == [1, 2]
+            assert sorted(first for j, first in steps if j == i) == [False, True]
 
     @given(words())
     @settings(max_examples=60)
     def test_components_follow_pivot_order(self, word):
-        d = ResolvedDiagram.all_kept(word)
-        report = natural_traversal(d)
-        perm = permutation(word)
-        assert report.components == perm.cycles
+        # the closure continues the strand ending in column c with label c
+        columns = list(range(word.strands + 1))
+        for g in word.gaps:
+            columns[g], columns[g + 1] = columns[g + 1], columns[g]
+        ends = {label: col for col, label in enumerate(columns)}
+        components = []
+        for i, col, first in walk(word, (KEPT,) * len(word)):
+            if i < 0:
+                if first:
+                    components.append([col])
+                else:
+                    components[-1].append(col)
+        pivots = [c[0] for c in components]
+        assert pivots == sorted(set(pivots))
+        assert all(c[0] == min(c) for c in components)
+        assert sorted(label for c in components for label in c) == list(
+            range(1, word.strands + 1)
+        )
+        for c in components:
+            assert [ends[label] for label in c] == c[1:] + c[:1]
+        assert tuple(map(tuple, components)) == permutation(word).cycles
 
 
 class TestMarkovVariants:

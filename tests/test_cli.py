@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import braidpoly.checks
 import braidpoly.cli
 from braidpoly import LaurentPoly2, SubstitutionError, homfly, parse_braid
 from braidpoly.checks import CheckResult
@@ -132,6 +133,14 @@ class TestBatch:
         docs = [json.loads(line) for line in out.splitlines()]
         assert [d["word"] for d in docs] == ["1 1 1", "1 -2 1 -2"]
         assert docs[0]["line"] == 1 and docs[1]["line"] == 3
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        batch = tmp_path / "words.txt"
+        batch.write_bytes(b"\xef\xbb\xbf1 1 1\n1 -2 1 -2\n")
+        code, out, err = run(capsys, "batch", str(batch), "--json")
+        assert (code, err) == (0, "")
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert [(d["line"], d["word"]) for d in docs] == [(1, "1 1 1"), (2, "1 -2 1 -2")]
 
     def test_empty_file(self, tmp_path, capsys):
         batch = tmp_path / "empty.txt"
@@ -283,6 +292,38 @@ class TestSearchCounts:
         code, _, _ = run(capsys, "verify", word, "--moves", "skein")
         assert code == 0
         assert len(leaf_searches) == 2 * len(word.split()) + 1
+
+
+    def test_selftest_searches_each_corpus_word_once_per_suite_and_mode(
+        self, capsys, leaf_searches, monkeypatch
+    ):
+        # leaf searches per suite, from the count before and after each one
+        per_suite = {}
+        run_suite = braidpoly.checks._run
+
+        def counted(name, words, checker):
+            before = len(leaf_searches)
+            result = run_suite(name, words, checker)
+            per_suite[name] = len(leaf_searches) - before
+            return result
+
+        monkeypatch.setattr(braidpoly.checks, "_run", counted)
+        code, _, _ = run(
+            capsys, "selftest", "--max-crossings", "2", "--max-strands", "2", "--samples", "10"
+        )
+        assert code == 0
+        n = len(braidpoly.checks.selftest_corpus(2, 2, 10, 1))
+        # both modes of every corpus word for the polynomials and once more for
+        # the bijection; the mirror and each of the five Markov variants is a
+        # new word.  The alternating suites run on a corpus of their own.
+        alternating = ("reduced alternating degree law", "Alexander unit leading coefficient")
+        assert {k: v for k, v in per_suite.items() if k not in alternating} == {
+            "four-method equality": 2 * n,
+            "MFW degree window": 0,
+            "leaf/partition bijection": 2 * n,
+            "mirror identity": n,
+            "Markov-move invariance": 5 * n,
+        }
 
 
 def _actions(parser):

@@ -2,18 +2,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import braidpoly.jaeger
 from braidpoly import (
+    KEPT,
     BraidWord,
     CircuitPartition,
+    LeafSummary,
     enumerate_admissible,
     enumerate_leaves,
     homfly,
     homfly_jaeger,
     is_admissible,
-    natural_traversal,
     parse_braid,
     verify_bijection,
 )
+from braidpoly.braid import walk
 from braidpoly.jaeger import DUAL, STANDARD
 from braidpoly.resolver import ASCENDING, DESCENDING
 
@@ -52,10 +55,11 @@ class TestAdmissibility:
         # under-arm arrival rule, across all single-crossing smoothings
         for i in range(len(word)):
             partition = CircuitPartition(word, frozenset({i}))
-            events = natural_traversal(partition.as_diagram()).events
-            first = next(e for e in events if e.index == i and e.ordinal == 1)
-            assert is_admissible(partition, STANDARD) == (first.role == "under")
-            assert is_admissible(partition, DUAL) == (first.role == "over")
+            steps = walk(word, partition.as_diagram().states)
+            col = next(col for j, col, first in steps if j == i and first)
+            under = (col == word.gaps[i]) == (word.signs[i] > 0)
+            assert is_admissible(partition, STANDARD) == under
+            assert is_admissible(partition, DUAL) == (not under)
 
 
 class TestEnumeration:
@@ -129,6 +133,21 @@ class TestBijection:
         word = parse_braid(text, strands)
         assert verify_bijection(word, STANDARD)
         assert verify_bijection(word, DUAL)
+
+    def test_leaf_breaking_the_component_writhe_identity_is_rejected(self, monkeypatch):
+        # With no violation reported, the literal tree of "1" is its all-kept
+        # root, and a search yielding that root matches it leaf for leaf.  The
+        # root has gamma = 1 and w = 1: gamma + w = n = 2 holds for the
+        # ascending tree, but gamma - w = 0 breaks the descending identity.
+        word = parse_braid("1")
+        monkeypatch.setattr(braidpoly.jaeger, "first_violation", lambda diagram, mode: None)
+        monkeypatch.setattr(
+            braidpoly.jaeger,
+            "enumerate_leaves",
+            lambda word, mode: iter([LeafSummary((KEPT,), 1, 0, 0, 1)]),
+        )
+        assert verify_bijection(word, DUAL)
+        assert not verify_bijection(word, STANDARD)
 
     @given(words(max_len=6))
     @settings(max_examples=60, deadline=None)
