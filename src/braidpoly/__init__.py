@@ -3,9 +3,11 @@
 The engine evaluates the polynomial by four formulas -- descending and
 ascending resolving trees, and the standard and dual admissible
 circuit-partition expansions, each computed by the same leaf search as its
-paired tree -- and derives Morton-Frank-Williams bounds, braid-index
+paired tree -- and by a fifth, independent algorithm, the Ocneanu trace on
+the Hecke algebra.  It derives Morton-Frank-Williams bounds, braid-index
 certificates for reduced alternating braids, and Alexander polynomials from
-the result.
+the polynomial, which those take from the Hecke trace on words of up to
+``HECKE_MAX_STRANDS`` active strands and from the descending tree above.
 """
 
 from .braid import (
@@ -30,6 +32,7 @@ from .braid import (
     permutation,
     writhe,
 )
+from .hecke import homfly_hecke
 from .invariants import (
     AlexanderReport,
     BlockCertificate,
@@ -42,6 +45,7 @@ from .invariants import (
     construct_u_prime,
     construct_u_star,
     construct_v_star,
+    link_polynomial,
     mfw_bounds,
     split_blocks,
 )

@@ -120,11 +120,13 @@ class BraidWord:
 
     @cached_property
     def homfly_memo(self) -> dict:
-        """This word's HOMFLY polynomials computed so far, keyed by tree mode.
+        """This word's HOMFLY polynomials computed so far, keyed by engine.
 
-        Filled by :func:`braidpoly.resolver.homfly`, so every caller holding
-        this object shares one evaluation per mode.  The memo belongs to the
-        instance: an equal word parsed separately evaluates afresh.
+        Filled by :func:`braidpoly.resolver.homfly` (one key per tree mode)
+        and :func:`braidpoly.hecke.homfly_hecke` (key ``"hecke"``), so every
+        caller holding this object shares one evaluation per engine.  The memo
+        belongs to the instance: an equal word parsed separately evaluates
+        afresh.
         """
         return {}
 

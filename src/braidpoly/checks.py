@@ -13,6 +13,7 @@ from typing import Callable, Iterable, Optional
 
 from .braid import BraidWord, markov_variants, mirror, writhe
 from .corpus import all_words, alternating_words, exhaustive_count, random_words
+from .hecke import homfly_hecke
 from .invariants import alexander, braid_index_certificate, mfw_bounds
 from .jaeger import DUAL, STANDARD, homfly_jaeger, verify_bijection
 from .resolver import ASCENDING, DESCENDING, homfly
@@ -31,17 +32,19 @@ class CheckResult:
 
 
 def check_methods_agree(word: BraidWord) -> Optional[str]:
-    """All four formulas must produce the identical polynomial.
+    """All four formulas and the Hecke trace must produce the identical polynomial.
 
     The partition sums are the paired trees' sums and read their memoized
-    polynomials on this word object, so the cross-check that remains here is
-    descending against ascending.
+    polynomials on this word object, so the cross-checks here are descending
+    against ascending and the tree against the Hecke trace, a different
+    algorithm.
     """
     values = {
         "descending": homfly(word, DESCENDING),
         "ascending": homfly(word, ASCENDING),
         "jaeger": homfly_jaeger(word, STANDARD),
         "jaeger-dual": homfly_jaeger(word, DUAL),
+        "hecke": homfly_hecke(word),
     }
     reference = values["descending"]
     for name, poly in values.items():

@@ -40,7 +40,8 @@ from .checks import (
     check_skein,
     run_selftest,
 )
-from .invariants import alexander, braid_index_certificate
+from .hecke import homfly_hecke
+from .invariants import alexander, braid_index_certificate, link_polynomial
 from .jaeger import DUAL, STANDARD, homfly_jaeger
 from .polynomial import LaurentPoly2, SubstitutionError
 from .resolver import ASCENDING, DESCENDING, homfly
@@ -49,7 +50,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
 
-_METHODS = ("descending", "ascending", "jaeger", "jaeger-dual")
+_METHODS = ("descending", "ascending", "jaeger", "jaeger-dual", "hecke")
 
 
 def _compute_method(word: BraidWord, method: str) -> LaurentPoly2:
@@ -61,6 +62,8 @@ def _compute_method(word: BraidWord, method: str) -> LaurentPoly2:
         return homfly_jaeger(word, STANDARD)
     if method == "jaeger-dual":
         return homfly_jaeger(word, DUAL)
+    if method == "hecke":
+        return homfly_hecke(word)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -98,7 +101,7 @@ def _analyze_json(word: BraidWord) -> dict:
     flags = classify(word)
     profile = gap_profile(word)
     cert = braid_index_certificate(word)
-    poly = homfly(word, DESCENDING)
+    poly = link_polynomial(word)
     E, e, span = poly.a_degrees()
     alex = alexander(word)
     crossing_kinds = classify_crossings(ResolvedDiagram.all_kept(word))
@@ -294,11 +297,12 @@ def cmd_batch(args) -> int:
         for lineno, line in enumerate(lines, start=1)
         if line.split("#", 1)[0].strip()
     ]
-    if args.jobs > 1:
+    workers = min(args.jobs, len(items))
+    if workers > 1:
         # multiprocessing is a heavy import that only a parallel batch needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_line, items))
     else:
         results = [_batch_line(item) for item in items]

@@ -12,6 +12,10 @@ A third construction, ``u_prime``, produces the unique knot-like descending
 leaf of maximal smoothing (``gamma = 1``, ``t = c - n + 1``); its term
 dominates the Alexander specialization ``a = 1``, ``z = s - s^-1`` and forces
 a unit leading coefficient for every reduced alternating braid.
+
+Every invariant here reads the polynomial from :func:`link_polynomial`, which
+takes it from the Hecke trace or, on words with many active strands, from the
+descending tree.
 """
 
 from __future__ import annotations
@@ -33,8 +37,15 @@ from .braid import (
     walk,
     writhe,
 )
-from .polynomial import LaurentPoly1
+from .hecke import active_strands, homfly_hecke
+from .polynomial import LaurentPoly1, LaurentPoly2
 from .resolver import DESCENDING, homfly, leaf_membership_test
+
+# Above this many active strands (see :func:`braidpoly.hecke.active_strands`)
+# the polynomial comes from the descending tree instead of the Hecke trace.
+# It is the measured crossover: past it the trace already loses to the tree on
+# random words of 14 crossings (timings in the README).
+HECKE_MAX_STRANDS = 11
 
 
 class ConstructionError(ValueError):
@@ -61,13 +72,25 @@ class MfwReport:
     writhe: int
 
 
+def link_polynomial(word: BraidWord) -> LaurentPoly2:
+    """The closure's HOMFLY polynomial by the engine chosen from the word.
+
+    The Hecke trace is polynomial in the letter count for a fixed strand
+    count but grows with ``n!``; above :data:`HECKE_MAX_STRANDS` active
+    strands the descending tree is used instead.  Both give the same value.
+    """
+    if active_strands(word) > HECKE_MAX_STRANDS:
+        return homfly(word, DESCENDING)
+    return homfly_hecke(word)
+
+
 def mfw_bounds(word: BraidWord) -> MfwReport:
     """Compute the polynomial once and read off the MFW data.
 
     The degree window ``[1-n-w, n-1-w]`` is verified on the result; the span
     is asserted even before halving so the bound stays exact integer math.
     """
-    poly = homfly(word, DESCENDING)
+    poly = link_polynomial(word)
     n = word.strands
     w = writhe(word)
     E, e, span = poly.a_degrees()
@@ -322,7 +345,7 @@ def braid_index_certificate(word: BraidWord) -> BraidIndexCertificate:
             continue
         nb = block.strands
         wb = writhe(block)
-        Eb, eb, _ = homfly(block, DESCENDING).a_degrees()
+        Eb, eb, _ = link_polynomial(block).a_degrees()
         if Eb != nb - 1 - wb or eb != 1 - nb - wb:
             raise ConsistencyError(
                 f"block {block.text()!r} certifies but has degrees "
@@ -380,7 +403,7 @@ class AlexanderReport:
 
 def alexander(word: BraidWord) -> AlexanderReport:
     """Alexander polynomial of the closure via ``a = 1``, ``z = s - s^-1``."""
-    delta = homfly(word, DESCENDING).substitute_alexander()
+    delta = link_polynomial(word).substitute_alexander()
     if delta.is_zero():
         return AlexanderReport(delta, 0, False)
     _, coeff = delta.leading()

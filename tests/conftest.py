@@ -1,5 +1,6 @@
 import pytest
 
+import braidpoly.hecke
 import braidpoly.jaeger
 import braidpoly.resolver
 
@@ -16,4 +17,18 @@ def leaf_searches(monkeypatch):
 
     for module in (braidpoly.resolver, braidpoly.jaeger):
         monkeypatch.setattr(module, "leaf_stream", counted)
+    return calls
+
+
+@pytest.fixture
+def hecke_evaluations(monkeypatch):
+    """Record every Hecke trace run during the test as ``(tokens, strands)``."""
+    calls = []
+    trace = braidpoly.hecke.hecke_trace
+
+    def counted(word):
+        calls.append((word.tokens(), word.strands))
+        return trace(word)
+
+    monkeypatch.setattr(braidpoly.hecke, "hecke_trace", counted)
     return calls

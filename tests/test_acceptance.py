@@ -22,6 +22,7 @@ from braidpoly import (
     construct_v_star,
     enumerate_leaves,
     homfly,
+    homfly_hecke,
     homfly_jaeger,
     leaf_membership_test,
     markov_variants,
@@ -59,12 +60,14 @@ def report(number, name, start):
     print(f"ACCEPTANCE {number:02d} {name}: PASS ({time.perf_counter() - start:.2f}s)")
 
 
-def four_methods(word):
+def five_methods(word):
+    """The paper's four formulas, then the Hecke trace, an independent algorithm."""
     return (
         homfly(word, DESCENDING),
         homfly(word, ASCENDING),
         homfly_jaeger(word, "standard"),
         homfly_jaeger(word, "dual"),
+        homfly_hecke(word),
     )
 
 
@@ -82,20 +85,20 @@ def test_criterion_02_fixture_knots():
     for text, expected_text in FIXTURES.items():
         expected = LaurentPoly2.from_text(expected_text)
         word = parse_braid(text)
-        for value in four_methods(word):
+        for value in five_methods(word):
             assert value == expected, text
     assert time.perf_counter() - start < 1.0
-    report(2, "fixture knots, all four methods", start)
+    report(2, "fixture knots, all five methods", start)
 
 
 def test_criterion_03_four_method_equality(corpus):
     start = time.perf_counter()
     for word in corpus:
-        d, a, j, jd = four_methods(word)
-        assert d == a == j == jd, word.text()
+        d, a, j, jd, h = five_methods(word)
+        assert d == a == j == jd == h, word.text()
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
-    report(3, f"four-method equality on {len(corpus)} words", start)
+    report(3, f"tree, partition and Hecke equality on {len(corpus)} words", start)
 
 
 def test_criterion_04_leaf_identity(corpus):
@@ -222,7 +225,7 @@ def test_criterion_12_performance_and_determinism():
     start = time.perf_counter()
     word = parse_braid("1 -2 3 1 1 -2 -2 3 3 1 -2 3 1 -2")
     assert len(word) == 14 and word.strands == 4
-    values = four_methods(word)
+    values = five_methods(word)
     assert len(set(values)) == 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -230,7 +233,7 @@ def test_criterion_12_performance_and_determinism():
     # runs are bit-identical, and the leaf sum is order-independent:
     # accumulating the same contributions in shuffled order rebuilds the
     # identical polynomial (the contract any parallel schedule must meet)
-    assert four_methods(word) == values
+    assert five_methods(word) == values
     import random
 
     contributions = [
@@ -245,4 +248,4 @@ def test_criterion_12_performance_and_determinism():
             counts[key] = counts.get(key, 0) + sign
         rebuilt = assemble_tree_sum(counts, word.strands, writhe(word), False)
         assert rebuilt == values[0]
-    report(12, f"14-crossing word, four methods in {elapsed:.2f}s; deterministic", start)
+    report(12, f"14-crossing word, five methods in {elapsed:.2f}s; deterministic", start)

@@ -42,6 +42,31 @@ class TestCompute:
         assert TREFOIL in out
         assert "all methods agree" in out
 
+    def test_all_includes_the_hecke_trace(self, capsys):
+        argv = ["compute", "1 -2 3 -4 1 -2 3 -4", "--strands", "5", "--method", "all"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert [line.split(")")[0] for line in out.splitlines() if line.startswith("P (")] == [
+            "P (descending", "P (ascending", "P (jaeger", "P (jaeger-dual", "P (hecke",
+        ]
+        assert out.splitlines()[-1] == "all methods agree"
+        code, out, _ = run(capsys, *argv, "--json")
+        doc = json.loads(out)
+        assert list(doc["homfly"]) == ["descending", "ascending", "jaeger", "jaeger-dual", "hecke"]
+        assert doc["methods_agree"] is True
+
+    def test_hecke_method_alone(self, capsys):
+        code, out, _ = run(capsys, "compute", "1 1 1", "--method", "hecke")
+        assert code == 0
+        assert out.splitlines()[-1] == f"P (hecke): {TREFOIL}"
+
+    def test_hecke_disagreement_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(braidpoly.cli, "homfly_hecke", lambda word: LaurentPoly2.one())
+        code, out, err = run(capsys, "compute", "1 1 1", "--method", "all")
+        assert code == 3
+        assert "METHOD DISAGREEMENT" in out
+        assert "methods disagree" in err
+
     def test_trivial_link_exact_text(self, capsys):
         code, out, _ = run(capsys, "compute", "", "--strands", "3")
         assert code == 0
@@ -194,6 +219,27 @@ class TestBatch:
         code2, out2, _ = run(capsys, "batch", str(batch), "--json", "--jobs", "3")
         assert (code1, out1) == (code2, out2)
 
+    @pytest.mark.parametrize(
+        "text, pools",
+        [("1 1 1\n", []), ("# only a comment\n", []), ("1 1 1\n# note\n2 2 1\n", [2])],
+    )
+    def test_pool_is_no_larger_than_the_file(self, tmp_path, capsys, monkeypatch, text, pools):
+        import concurrent.futures
+
+        built = []
+        pool_class = concurrent.futures.ProcessPoolExecutor
+
+        def counted(max_workers=None, **kwargs):
+            built.append(max_workers)
+            return pool_class(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+        batch = tmp_path / "words.txt"
+        batch.write_text(text)
+        parallel = run(capsys, "batch", str(batch), "--json", "--jobs", "4")
+        assert built == pools
+        assert parallel == run(capsys, "batch", str(batch), "--json", "--jobs", "1")
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "batch", "/does/not/exist")
         assert code == 2
@@ -268,24 +314,32 @@ class TestSelftest:
 
 
 class TestSearchCounts:
-    """Leaf searches per CLI call: each word object is evaluated once per mode."""
+    """Evaluations per CLI call: each word object is evaluated once per engine.
+
+    ``analyze`` takes its polynomials from the Hecke trace within
+    ``HECKE_MAX_STRANDS`` active strands, so it runs no leaf search there.
+    """
 
     @pytest.mark.parametrize("word", ["1 2 -1 2", "1 -2 1 -2", "-1 2 -1 2 2"])
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
-    def test_analyze_single_block_searches_once(self, capsys, leaf_searches, word, json_flag):
+    def test_analyze_single_block_searches_once(
+        self, capsys, leaf_searches, hecke_evaluations, word, json_flag
+    ):
         code, _, _ = run(capsys, "analyze", word, *json_flag)
         assert code == 0
-        assert len(leaf_searches) == 1
+        assert leaf_searches == []
+        assert len(hecke_evaluations) == 1
 
     @pytest.mark.parametrize(
         "word, certifiable_blocks", [("1 1 -3 -3", 2), ("1 1 -3 -3 3", 1), ("1 -1 -3 3", 0)]
     )
     def test_analyze_multi_block_searches_each_certifiable_block(
-        self, capsys, leaf_searches, word, certifiable_blocks
+        self, capsys, leaf_searches, hecke_evaluations, word, certifiable_blocks
     ):
         code, _, _ = run(capsys, "analyze", word)
         assert code == 0
-        assert len(leaf_searches) == 1 + certifiable_blocks
+        assert leaf_searches == []
+        assert len(hecke_evaluations) == 1 + certifiable_blocks
 
     @pytest.mark.parametrize("word", ["1 1 1", "1 -2 1 2 2"])
     def test_verify_skein_searches_original_word_once(self, capsys, leaf_searches, word):
@@ -295,16 +349,19 @@ class TestSearchCounts:
 
 
     def test_selftest_searches_each_corpus_word_once_per_suite_and_mode(
-        self, capsys, leaf_searches, monkeypatch
+        self, capsys, leaf_searches, hecke_evaluations, monkeypatch
     ):
-        # leaf searches per suite, from the count before and after each one
+        # leaf searches and Hecke traces per suite, from the counts before and
+        # after each one
         per_suite = {}
+        hecke_per_suite = {}
         run_suite = braidpoly.checks._run
 
         def counted(name, words, checker):
-            before = len(leaf_searches)
+            before = len(leaf_searches), len(hecke_evaluations)
             result = run_suite(name, words, checker)
-            per_suite[name] = len(leaf_searches) - before
+            per_suite[name] = len(leaf_searches) - before[0]
+            hecke_per_suite[name] = len(hecke_evaluations) - before[1]
             return result
 
         monkeypatch.setattr(braidpoly.checks, "_run", counted)
@@ -323,6 +380,15 @@ class TestSearchCounts:
             "leaf/partition bijection": 2 * n,
             "mirror identity": n,
             "Markov-move invariance": 5 * n,
+        }
+        # the equality suite traces every corpus word once; the MFW suite
+        # reads the same word objects' memo
+        assert {k: v for k, v in hecke_per_suite.items() if k not in alternating} == {
+            "four-method equality": n,
+            "MFW degree window": 0,
+            "leaf/partition bijection": 0,
+            "mirror identity": 0,
+            "Markov-move invariance": 0,
         }
 
 
