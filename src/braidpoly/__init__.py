@@ -6,8 +6,9 @@ circuit-partition expansions, each computed by the same leaf search as its
 paired tree -- and by a fifth, independent algorithm, the Ocneanu trace on
 the Hecke algebra.  It derives Morton-Frank-Williams bounds, braid-index
 certificates for reduced alternating braids, and Alexander polynomials from
-the polynomial, which those take from the Hecke trace on words of up to
-``HECKE_MAX_STRANDS`` active strands and from the descending tree above.
+the polynomial, which those take from the Hecke trace on words whose split
+blocks have at most ``HECKE_MAX_STRANDS`` strands and from the descending
+tree otherwise.
 """
 
 from .braid import (

@@ -40,7 +40,7 @@ from .checks import (
     check_skein,
     run_selftest,
 )
-from .hecke import homfly_hecke
+from .hecke import HECKE_MAX_STRANDS, hecke_fits, homfly_hecke
 from .invariants import alexander, braid_index_certificate, link_polynomial
 from .jaeger import DUAL, STANDARD, homfly_jaeger
 from .polynomial import LaurentPoly2, SubstitutionError
@@ -176,7 +176,18 @@ def _cert_line(cert_json: dict) -> str:
 
 def cmd_compute(args) -> int:
     word = _parse_word_or_exit(args.word, args.strands)
-    methods = list(_METHODS) if args.method == "all" else [args.method]
+    if args.method == "all":
+        # past the trace's block limit, ``all`` compares the tree methods alone
+        methods = [m for m in _METHODS if m != "hecke" or hecke_fits(word)]
+    elif args.method == "hecke" and not hecke_fits(word):
+        print(
+            f"error: {word.text()!r} has a split block of more than {HECKE_MAX_STRANDS} "
+            f"strands, the most the Hecke trace takes; use another --method",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT
+    else:
+        methods = [args.method]
     values = {m: _compute_method(word, m) for m in methods}
     reference = values[methods[0]]
     agree = all(v == reference for v in values.values())

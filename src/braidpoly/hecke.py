@@ -24,8 +24,12 @@ largest entry removed and ``j`` that entry's position, so it contributes
 traced once per level.  The cost is polynomial in the number of letters for a
 fixed strand count and grows with ``n!`` otherwise.
 
-Strands that no letter touches, above the highest gap or below the lowest,
-are split-off unknots and are factored out as powers of ``delta``.
+A gap that no letter uses splits the closure: each maximal run of used gaps
+is traced on its own strands, and the split union of ``k`` blocks and free
+strands is ``delta^(k-1)`` times the product of their polynomials.  A block
+keeps one coefficient per permutation of its strands that the word reaches,
+up to ``m!`` of them, so the trace refuses blocks of more than
+``HECKE_MAX_STRANDS`` strands (see :func:`hecke_fits`).
 
 References: V. F. R. Jones, "Hecke algebra representations of braid groups
 and link polynomials", Ann. Math. 126 (1987); H. R. Morton and H. B. Short,
@@ -41,6 +45,11 @@ from .braid import BraidWord
 from .polynomial import LaurentPoly2
 
 HECKE = "hecke"
+
+# The largest split block the trace takes.  Above it the descending tree was
+# faster on random words whose letters use every gap (timings in the README),
+# and the tree's memory does not grow with the strand count.
+HECKE_MAX_STRANDS = 11
 
 Coeff = dict[tuple[int, int], int]  # (z-degree, a-degree) -> coefficient
 
@@ -106,29 +115,61 @@ def _restrict(elem: dict[tuple[int, ...], Coeff], m: int) -> dict[tuple[int, ...
     return out
 
 
-def active_strands(word: BraidWord) -> int:
-    """Strands from the lowest to the highest that a letter touches (1 if none)."""
-    gaps = word.gaps
-    return max(gaps) - min(gaps) + 2 if gaps else 1
-
-
 def _delta_power(k: int) -> LaurentPoly2:
-    """``delta^k = (a - a^-1)^k z^-k``."""
+    """``delta^k = (a - a^-1)^k z^-k``, expanded term by term.
+
+    ``LaurentPoly2.__pow__`` gives the same value by repeated squaring of ever
+    longer polynomials: about 0.6 s at ``k = 999``, which ``analyze 1
+    --strands 1000`` needs, where this takes milliseconds.
+    """
     return LaurentPoly2({(-k, k - 2 * j): comb(k, j) * (-1) ** j for j in range(k + 1)})
 
 
-def hecke_trace(word: BraidWord) -> LaurentPoly2:
-    """The HOMFLY polynomial of the closure, computed afresh by the trace."""
-    m = active_strands(word)
-    shift = min(word.gaps, default=1) - 1
+def _runs(word: BraidWord) -> dict[int, int]:
+    """The word's split blocks: maximal runs of used gaps, ``{first: last}``."""
+    runs: dict[int, int] = {}
+    last = -1
+    for g in sorted(set(word.gaps)):
+        if g != last + 1:
+            first = g
+        runs[first] = last = g
+    return runs
+
+
+def hecke_fits(word: BraidWord) -> bool:
+    """Whether no split block of ``word`` has more than ``HECKE_MAX_STRANDS`` strands."""
+    return all(last - first + 2 <= HECKE_MAX_STRANDS for first, last in _runs(word).items())
+
+
+def _block_trace(letters: list[int], m: int) -> LaurentPoly2:
+    """The trace of a word on ``m`` strands whose letters use every gap."""
     elem = {tuple(range(m)): {(0, 0): 1}}
-    for t in word.letters:
-        elem = _times(elem, t - shift if t > 0 else t + shift)
+    for t in letters:
+        elem = _times(elem, t)
     for level in range(m, 1, -1):
         elem = _restrict(elem, level)
-    poly = LaurentPoly2(elem.get((0,), {}))
-    free = word.strands - m
-    return poly * _delta_power(free) if free else poly
+    return LaurentPoly2(elem.get((0,), {}))
+
+
+def hecke_trace(word: BraidWord) -> LaurentPoly2:
+    """The HOMFLY polynomial of the closure, computed afresh by the trace.
+
+    Raises ``ValueError`` on a word that :func:`hecke_fits` rejects.
+    """
+    if not hecke_fits(word):
+        raise ValueError(
+            f"{word.text()!r} has a split block of more than {HECKE_MAX_STRANDS} strands, "
+            f"the most the Hecke trace takes"
+        )
+    runs = _runs(word)
+    poly = LaurentPoly2.one()
+    for first, last in runs.items():
+        shift = first - 1
+        letters = [t - shift if t > 0 else t + shift for t in word.letters if first <= abs(t) <= last]
+        poly = poly * _block_trace(letters, last - first + 2)
+    # a run of g used gaps joins g + 1 strands into one block
+    used = sum(last - first + 1 for first, last in runs.items())
+    return poly * _delta_power(word.strands - used - 1)
 
 
 def homfly_hecke(word: BraidWord) -> LaurentPoly2:

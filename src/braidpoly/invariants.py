@@ -14,8 +14,8 @@ dominates the Alexander specialization ``a = 1``, ``z = s - s^-1`` and forces
 a unit leading coefficient for every reduced alternating braid.
 
 Every invariant here reads the polynomial from :func:`link_polynomial`, which
-takes it from the Hecke trace or, on words with many active strands, from the
-descending tree.
+takes it from the Hecke trace or, on words with a split block of many strands,
+from the descending tree.
 """
 
 from __future__ import annotations
@@ -37,15 +37,9 @@ from .braid import (
     walk,
     writhe,
 )
-from .hecke import active_strands, homfly_hecke
+from .hecke import hecke_fits, homfly_hecke
 from .polynomial import LaurentPoly1, LaurentPoly2
 from .resolver import DESCENDING, homfly, leaf_membership_test
-
-# Above this many active strands (see :func:`braidpoly.hecke.active_strands`)
-# the polynomial comes from the descending tree instead of the Hecke trace.
-# It is the measured crossover: past it the trace already loses to the tree on
-# random words of 14 crossings (timings in the README).
-HECKE_MAX_STRANDS = 11
 
 
 class ConstructionError(ValueError):
@@ -75,13 +69,13 @@ class MfwReport:
 def link_polynomial(word: BraidWord) -> LaurentPoly2:
     """The closure's HOMFLY polynomial by the engine chosen from the word.
 
-    The Hecke trace is polynomial in the letter count for a fixed strand
-    count but grows with ``n!``; above :data:`HECKE_MAX_STRANDS` active
-    strands the descending tree is used instead.  Both give the same value.
+    The Hecke trace when no split block of the word has more than
+    :data:`~braidpoly.hecke.HECKE_MAX_STRANDS` strands, the descending tree
+    otherwise.  Both give the same value.
     """
-    if active_strands(word) > HECKE_MAX_STRANDS:
-        return homfly(word, DESCENDING)
-    return homfly_hecke(word)
+    if hecke_fits(word):
+        return homfly_hecke(word)
+    return homfly(word, DESCENDING)
 
 
 def mfw_bounds(word: BraidWord) -> MfwReport:

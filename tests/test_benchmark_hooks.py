@@ -3,7 +3,9 @@
 The benchmark patches callees where their callers bound them
 (``perfbench/tracing.py``) and imports a few library names directly
 (``perfbench/worker.py``, ``perfbench/gates.py``), so deleting or moving one
-of them breaks the benchmark, not the library.
+of them breaks the benchmark, not the library.  The last tests run each
+workload traced at the benchmark's tiny sizes and check the work counts it
+reports against what the library does.
 """
 
 import ast
@@ -22,14 +24,14 @@ from braidpoly.braid import BraidWord
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", PERFBENCH / "tracing.py")
+def _load(script):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{script}", PERFBENCH / f"{script}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACING = _tracing()
+TRACING = _load("tracing")
 
 
 @pytest.mark.parametrize("module, attr", [(m, a) for m, a, _, _ in TRACING.CALLS])
@@ -63,3 +65,20 @@ def test_imported_library_names_exist(script):
     assert imports
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), (script, module, name)
+
+
+@pytest.mark.parametrize("workload", ["ladder", "analyze", "verify"])
+def test_traced_tiny_workload_counts(workload):
+    run = _load("run")
+    result, _, failures, _ = run.run(workload, seed=1, seconds=0, trace=1, tiny=True)
+    # the run itself fails when the counts differ between its traced passes
+    assert result["correct"] and not failures, failures
+    assert {k: v["unit"] for k, v in result["metrics"].items()} == run.PER_LAYER
+    m = {k: v["value"] for k, v in result["metrics"].items()}
+    assert m["resolver.nodes"] == 2 * m["resolver.leaves"] - m["resolver.homfly_calls"]
+    if workload == "analyze":
+        # every tiny analyze word is within the Hecke trace's strand limit
+        assert m["resolver.homfly_calls"] == 0, m
+        assert m["jaeger.homfly_jaeger_calls"] == 0, m
+    else:
+        assert m["resolver.homfly_calls"] > 0, m

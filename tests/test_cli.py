@@ -13,6 +13,7 @@ import braidpoly.cli
 from braidpoly import LaurentPoly2, SubstitutionError, homfly, parse_braid
 from braidpoly.checks import CheckResult
 from braidpoly.cli import build_parser, main
+from braidpoly.hecke import HECKE_MAX_STRANDS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TREFOIL = "a^-2*z^2 + 2*a^-2 - a^-4"
@@ -59,6 +60,29 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", "1 1 1", "--method", "hecke")
         assert code == 0
         assert out.splitlines()[-1] == f"P (hecke): {TREFOIL}"
+
+    def test_all_leaves_out_the_trace_past_its_strand_limit(self, capsys, hecke_evaluations):
+        text = " ".join(str(g if g % 2 else -g) for g in range(1, HECKE_MAX_STRANDS + 1))
+        code, out, _ = run(capsys, "compute", text, "--method", "all")
+        assert code == 0
+        assert [line.split(")")[0] for line in out.splitlines() if line.startswith("P (")] == [
+            "P (descending", "P (ascending", "P (jaeger", "P (jaeger-dual",
+        ]
+        assert out.splitlines()[-1] == "all methods agree"
+        code, out, _ = run(capsys, "compute", text, "--method", "all", "--json")
+        assert list(json.loads(out)["homfly"]) == ["descending", "ascending", "jaeger", "jaeger-dual"]
+        assert hecke_evaluations == []
+
+    def test_hecke_past_its_strand_limit_exits_2(self, capsys, hecke_evaluations):
+        text = " ".join(str(g) for g in range(1, HECKE_MAX_STRANDS + 1))
+        code, out, err = run(capsys, "compute", text, "--method", "hecke")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {text!r} has a split block of more than {HECKE_MAX_STRANDS} strands, "
+            "the most the Hecke trace takes; use another --method\n"
+        )
+        assert hecke_evaluations == []
 
     def test_hecke_disagreement_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(braidpoly.cli, "homfly_hecke", lambda word: LaurentPoly2.one())
@@ -316,8 +340,9 @@ class TestSelftest:
 class TestSearchCounts:
     """Evaluations per CLI call: each word object is evaluated once per engine.
 
-    ``analyze`` takes its polynomials from the Hecke trace within
-    ``HECKE_MAX_STRANDS`` active strands, so it runs no leaf search there.
+    ``analyze`` takes its polynomials from the Hecke trace when no split block
+    has more than ``HECKE_MAX_STRANDS`` strands, so it runs no leaf search
+    there.
     """
 
     @pytest.mark.parametrize("word", ["1 2 -1 2", "1 -2 1 -2", "-1 2 -1 2 2"])

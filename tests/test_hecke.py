@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +19,7 @@ from braidpoly import (
 )
 from braidpoly.checks import check_methods_agree
 from braidpoly.cli import main
-from braidpoly.hecke import active_strands
-from braidpoly.invariants import HECKE_MAX_STRANDS
+from braidpoly.hecke import HECKE_MAX_STRANDS, hecke_fits, hecke_trace
 
 from _brute import brute_homfly, poly2_to_sympy, word_letters
 
@@ -73,9 +74,33 @@ class TestAgainstTree:
         for n in range(1, 6):
             assert homfly_hecke(BraidWord((), n)) == DELTA ** (n - 1)
 
-    def test_active_strands(self):
-        assert active_strands(BraidWord((), 4)) == 1
-        assert active_strands(BraidWord((2, -3, 2), 9)) == 3
+    def test_split_blocks_multiply_with_delta(self):
+        # gap 2 is empty: a trefoil on strands 1-2 and a figure eight on 3-5
+        word = BraidWord((1, 3, 1, -4, 3, 1, -4), 6)
+        expected = homfly_hecke(parse_braid("1 1 1")) * homfly_hecke(parse_braid("1 -2 1 -2"))
+        assert homfly_hecke(word) == expected * DELTA**2
+        assert homfly_hecke(word) == homfly(word)
+
+    def test_split_blocks_beyond_the_strand_constant(self):
+        # a 22-strand word whose empty gap 11 leaves two blocks of 11 strands
+        letters = tuple(range(1, 11)) + tuple(-g for g in range(12, 22))
+        word = BraidWord(letters, 22)
+        assert hecke_fits(word)
+        assert homfly_hecke(word) == homfly(word)
+
+
+class TestStrandLimit:
+    def test_fits_counts_the_widest_split_block(self):
+        assert hecke_fits(BraidWord((), 1000))
+        assert hecke_fits(BraidWord((1, 999), 1000))
+        assert hecke_fits(BraidWord(tuple(range(1, HECKE_MAX_STRANDS)), 40))
+        assert not hecke_fits(BraidWord(tuple(range(1, HECKE_MAX_STRANDS + 1)), 40))
+        assert not hecke_fits(BraidWord((5, 5 + HECKE_MAX_STRANDS - 1, *range(6, 15)), 40))
+
+    def test_the_trace_refuses_a_wider_block(self):
+        word = BraidWord(tuple(range(1, HECKE_MAX_STRANDS + 1)), HECKE_MAX_STRANDS + 1)
+        with pytest.raises(ValueError, match=f"more than {HECKE_MAX_STRANDS} strands"):
+            hecke_trace(word)
 
 
 def test_sigma1_power_closed_form_at_200():
@@ -96,8 +121,14 @@ def test_methods_check_compares_the_tree_with_the_trace(monkeypatch):
     assert message.startswith("method disagreement") and "hecke gave 1" in message
 
 
+def test_methods_check_past_the_strand_limit_skips_the_trace(hecke_evaluations):
+    word = BraidWord(tuple(range(1, HECKE_MAX_STRANDS + 1)), HECKE_MAX_STRANDS + 1)
+    assert check_methods_agree(word) is None
+    assert hecke_evaluations == []
+
+
 class TestEngineChoice:
-    """``analyze`` picks the engine from the word's active strand count."""
+    """``analyze`` picks the engine from the strand count of the word's widest split block."""
 
     def analyze_poly(self, capsys, *argv):
         assert main(["analyze", *argv, "--json"]) == 0
@@ -109,6 +140,12 @@ class TestEngineChoice:
         assert leaf_searches == []
         assert len(hecke_evaluations) == 1
         assert got == homfly(parse_braid("1", strands=1000))
+
+    def test_far_apart_letters_on_a_thousand_strands(self, capsys, leaf_searches, hecke_evaluations):
+        got = self.analyze_poly(capsys, "1 -999")
+        assert leaf_searches == []
+        assert len(hecke_evaluations) == 1
+        assert got == homfly(parse_braid("1 -999"))
 
     def test_at_the_strand_constant_the_trace_runs(self, capsys, leaf_searches, hecke_evaluations):
         text = " ".join(str(g) for g in range(1, HECKE_MAX_STRANDS))
@@ -122,7 +159,7 @@ class TestEngineChoice:
         got = self.analyze_poly(capsys, text)
         assert len(leaf_searches) == 1
         assert hecke_evaluations == []
-        assert got == homfly_hecke(parse_braid(text))
+        assert got == homfly(parse_braid(text))
 
 
 class TestMemo:
