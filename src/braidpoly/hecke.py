@@ -26,10 +26,13 @@ fixed strand count and grows with ``n!`` otherwise.
 
 A gap that no letter uses splits the closure: each maximal run of used gaps
 is traced on its own strands, and the split union of ``k`` blocks and free
-strands is ``delta^(k-1)`` times the product of their polynomials.  A block
-keeps one coefficient per permutation of its strands that the word reaches,
-up to ``m!`` of them, so the trace refuses blocks of more than
-``HECKE_MAX_STRANDS`` strands (see :func:`hecke_fits`).
+strands is ``delta^(k-1)`` times the product of their polynomials.  Before
+that, each block sheds every end gap that holds a single letter, by
+conjugation and Markov destabilization (see :func:`_blocks`), which keeps its
+link and its polynomial; ``sigma_1 sigma_2 ... sigma_(n-1)`` sheds them all.
+A block keeps one coefficient per permutation of its strands that the word
+reaches, up to ``m!`` of them, so the trace refuses blocks that still have
+more than ``HECKE_MAX_STRANDS`` strands (see :func:`hecke_fits`).
 
 References: V. F. R. Jones, "Hecke algebra representations of braid groups
 and link polynomials", Ann. Math. 126 (1987); H. R. Morton and H. B. Short,
@@ -46,9 +49,10 @@ from .polynomial import LaurentPoly2
 
 HECKE = "hecke"
 
-# The largest split block the trace takes.  Above it the descending tree was
-# faster on random words whose letters use every gap (timings in the README),
-# and the tree's memory does not grow with the strand count.
+# The largest destabilized split block the trace takes.  Above it the
+# descending tree was faster on random words whose letters use every gap
+# (timings in the README), and the tree's memory does not grow with the
+# strand count.
 HECKE_MAX_STRANDS = 11
 
 Coeff = dict[tuple[int, int], int]  # (z-degree, a-degree) -> coefficient
@@ -136,9 +140,34 @@ def _runs(word: BraidWord) -> dict[int, int]:
     return runs
 
 
+def _blocks(word: BraidWord) -> list[tuple[int, int]]:
+    """The word's split blocks after destabilization, as ``(first, last)`` gaps.
+
+    When a block's first or last gap holds exactly one letter, dropping that
+    letter and that outer strand keeps the closure: conjugation brings the
+    letter to the end of the word (and, for the first gap, the half twist
+    turns the strand order round), and a Markov destabilization removes it.
+    That repeats until neither end gap holds a single letter.  A block
+    emptied this way is an unknot, with polynomial 1, and is left out.
+    """
+    gaps = word.gaps
+    out = []
+    for first, last in _runs(word).items():
+        while first <= last:
+            if gaps.count(first) == 1:
+                first += 1
+            elif gaps.count(last) == 1:
+                last -= 1
+            else:
+                break
+        if first <= last:
+            out.append((first, last))
+    return out
+
+
 def hecke_fits(word: BraidWord) -> bool:
-    """Whether no split block of ``word`` has more than ``HECKE_MAX_STRANDS`` strands."""
-    return all(last - first + 2 <= HECKE_MAX_STRANDS for first, last in _runs(word).items())
+    """Whether no destabilized split block has more than ``HECKE_MAX_STRANDS`` strands."""
+    return all(last - first + 2 <= HECKE_MAX_STRANDS for first, last in _blocks(word))
 
 
 def _block_trace(letters: list[int], m: int) -> LaurentPoly2:
@@ -161,15 +190,15 @@ def hecke_trace(word: BraidWord) -> LaurentPoly2:
             f"{word.text()!r} has a split block of more than {HECKE_MAX_STRANDS} strands, "
             f"the most the Hecke trace takes"
         )
-    runs = _runs(word)
     poly = LaurentPoly2.one()
-    for first, last in runs.items():
+    for first, last in _blocks(word):
         shift = first - 1
         letters = [t - shift if t > 0 else t + shift for t in word.letters if first <= abs(t) <= last]
         poly = poly * _block_trace(letters, last - first + 2)
-    # a run of g used gaps joins g + 1 strands into one block
-    used = sum(last - first + 1 for first, last in runs.items())
-    return poly * _delta_power(word.strands - used - 1)
+    # counted on the blocks before destabilizing: a run of g used gaps joins
+    # g + 1 strands into one piece, each free strand is a piece, and k split
+    # pieces give delta^(k-1)
+    return poly * _delta_power(word.strands - len(set(word.gaps)) - 1)
 
 
 def homfly_hecke(word: BraidWord) -> LaurentPoly2:

@@ -69,9 +69,9 @@ class MfwReport:
 def link_polynomial(word: BraidWord) -> LaurentPoly2:
     """The closure's HOMFLY polynomial by the engine chosen from the word.
 
-    The Hecke trace when no split block of the word has more than
-    :data:`~braidpoly.hecke.HECKE_MAX_STRANDS` strands, the descending tree
-    otherwise.  Both give the same value.
+    The Hecke trace when no split block of the word, once destabilized, has
+    more than :data:`~braidpoly.hecke.HECKE_MAX_STRANDS` strands, the
+    descending tree otherwise.  Both give the same value.
     """
     if hecke_fits(word):
         return homfly_hecke(word)

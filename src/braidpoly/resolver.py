@@ -23,15 +23,18 @@ children share their parent's walk up to the split: a single resumable
 search (:func:`leaf_stream`) advances the walk and, at each crossing's first
 visit, either keeps the crossing (it already has the requested form) or
 branches into the flipped and the smoothed child.  That search is also the admissible
-circuit-partition enumeration of :mod:`braidpoly.jaeger`.  The step API
+circuit-partition enumeration of :mod:`braidpoly.jaeger`.  It walks a slot
+table built once per search, one entry per (letter, column) arrival, in
+which each step finds the next slot by a single list lookup.  The step API
 (:func:`first_violation`, :func:`split_at`) restarts the walk at every node
-instead, as the definition does, and serves as the reference the search is
-checked against.
+instead, as the definition does, on :func:`braidpoly.braid.walk`, which
+finds each next letter by bisection in :attr:`BraidWord.column_index` and
+shares nothing with the slot table; it serves as the reference the search
+is checked against.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Literal, Optional, Sequence
@@ -71,47 +74,70 @@ def leaf_stream(word: BraidWord, ascending: bool) -> Iterator[tuple[int, int, in
     ``ascending``) is kept; any other is a tree node whose flipped child the
     walk continues with and whose smoothed child is resumed later from a
     snapshot.  Leaves come out in tree order, flipped child first.
+
+    The walker moves over a slot table built once per search from
+    :attr:`BraidWord.column_index`.  Slot ``2i + side`` means "arriving at
+    letter ``i`` in its left (``side`` 0, column ``gaps[i]``) or right
+    (``side`` 1) column"; on ``m`` letters, ``2m + c`` is the bottom of
+    column ``c``.  ``below[s]`` is the next slot down the same column and
+    ``top[c]`` the first slot of column ``c`` (its bottom when no letter
+    touches it).  A smoothed letter continues at ``below[s]``, a kept or
+    flipped one crosses the gap and continues at ``below[s ^ 1]``, so every
+    step finds its next slot by one list lookup.
     """
     n = word.strands
     gaps = word.gaps
     signs = word.signs
-    adj = word.column_index
-    # snapshot: (decided, smoothed, flipped, visited labels, col, pos, pivot,
+    bottom = 2 * len(signs)
+    below = [0] * bottom
+    top = []
+    for c, lst in enumerate(word.column_index):
+        s = bottom + c
+        for i in reversed(lst):
+            slot = 2 * i + (gaps[i] != c)
+            below[slot] = s
+            s = slot
+        top.append(s)
+    # per slot: whether a first visit there branches instead of keeping the
+    # letter, and the letter's bit in the masks
+    branch = [(side == 0) == ((sign > 0) != ascending) for sign in signs for side in (0, 1)]
+    bits = [1 << (s >> 1) for s in range(bottom)]
+    # snapshot: (decided, smoothed, flipped, visited columns, slot, pivot,
     # gamma, t, t_neg); bit 0 of ``visited`` is always set so that its
     # lowest clear bit is the next pivot
-    stack = [(0, 0, 0, 3, 1, -1, 1, 0, 0, 0)]
+    stack = [(0, 0, 0, 3, top[1], 1, 0, 0, 0)]
     while stack:
-        decided, smoothed, flipped, visited, col, pos, pivot, gamma, t, t_neg = stack.pop()
+        decided, smoothed, flipped, visited, s, pivot, gamma, t, t_neg = stack.pop()
         while True:
-            lst = adj[col]
-            k = bisect_right(lst, pos)
-            if k == len(lst):
-                # bottom of the column: next strand, next component, or leaf
-                pos = -1
+            if s >= bottom:
+                # bottom of a column: next strand, next component, or leaf
+                col = s - bottom
                 if col != pivot:
                     visited |= 1 << col
+                    s = top[col]
                     continue
                 gamma += 1
                 low = ~visited & (visited + 1)
-                pivot = col = low.bit_length() - 1
+                pivot = low.bit_length() - 1
                 if pivot > n:
                     yield smoothed, flipped, gamma, t, t_neg
                     break
                 visited |= low
+                s = top[pivot]
                 continue
-            i = pos = lst[k]
-            bit = 1 << i
+            bit = bits[s]
             if smoothed & bit:
+                s = below[s]
                 continue
             if not decided & bit:
                 decided |= bit
-                if (col == gaps[i]) == ((signs[i] > 0) != ascending):
+                if branch[s]:
                     stack.append(
-                        (decided, smoothed | bit, flipped, visited, col, i, pivot,
-                         gamma, t + 1, t_neg + (signs[i] < 0))
+                        (decided, smoothed | bit, flipped, visited, below[s], pivot,
+                         gamma, t + 1, t_neg + (signs[s >> 1] < 0))
                     )
                     flipped |= bit
-            col = 2 * gaps[i] + 1 - col
+            s = below[s ^ 1]
 
 
 @dataclass(frozen=True)

@@ -56,13 +56,30 @@ class TestCompute:
         assert list(doc["homfly"]) == ["descending", "ascending", "jaeger", "jaeger-dual", "hecke"]
         assert doc["methods_agree"] is True
 
+    def test_all_on_a_word_with_letterless_columns(self, capsys):
+        # columns 3, 6 and 7 carry no letter
+        code, out, _ = run(capsys, "compute", "1 -1 4 4", "--strands", "7", "--method", "all")
+        assert code == 0
+        assert len([line for line in out.splitlines() if line.startswith("P (")]) == 5
+        assert out.splitlines()[-1] == "all methods agree"
+
+    def test_all_includes_the_trace_on_a_block_that_destabilizes(self, capsys, hecke_evaluations):
+        # one 13-strand block, but every gap holds one letter: the closure is the unknot
+        text = " ".join(str(g) for g in range(1, HECKE_MAX_STRANDS + 2))
+        code, out, _ = run(capsys, "compute", text, "--method", "all")
+        assert code == 0
+        assert "P (hecke): 1" in out.splitlines()
+        assert out.splitlines()[-1] == "all methods agree"
+        assert len(hecke_evaluations) == 1
+
     def test_hecke_method_alone(self, capsys):
         code, out, _ = run(capsys, "compute", "1 1 1", "--method", "hecke")
         assert code == 0
         assert out.splitlines()[-1] == f"P (hecke): {TREFOIL}"
 
     def test_all_leaves_out_the_trace_past_its_strand_limit(self, capsys, hecke_evaluations):
-        text = " ".join(str(g if g % 2 else -g) for g in range(1, HECKE_MAX_STRANDS + 1))
+        # every gap holds two letters, so destabilizing cannot narrow the block
+        text = " ".join(f"{g} {g}" if g % 2 else f"{-g} {-g}" for g in range(1, HECKE_MAX_STRANDS + 1))
         code, out, _ = run(capsys, "compute", text, "--method", "all")
         assert code == 0
         assert [line.split(")")[0] for line in out.splitlines() if line.startswith("P (")] == [
@@ -74,7 +91,7 @@ class TestCompute:
         assert hecke_evaluations == []
 
     def test_hecke_past_its_strand_limit_exits_2(self, capsys, hecke_evaluations):
-        text = " ".join(str(g) for g in range(1, HECKE_MAX_STRANDS + 1))
+        text = " ".join(f"{g} {g}" for g in range(1, HECKE_MAX_STRANDS + 1))
         code, out, err = run(capsys, "compute", text, "--method", "hecke")
         assert code == 2
         assert out == ""

@@ -26,6 +26,11 @@ from _brute import brute_homfly, poly2_to_sympy, word_letters
 DELTA = LaurentPoly2.from_text("a*z^-1 - a^-1*z^-1")
 
 
+def doubled(tokens):
+    """Each letter twice in a row, so that no gap holds a single letter."""
+    return tuple(t for t in tokens for _ in (0, 1))
+
+
 @st.composite
 def words(draw, max_len=7, max_gap=4):
     """Random words, often on more strands than their letters need."""
@@ -89,16 +94,76 @@ class TestAgainstTree:
         assert homfly_hecke(word) == homfly(word)
 
 
+@st.composite
+def destabilizable_words(draw, max_strands=8, max_extra=3):
+    """One split block whose first gap, and maybe more end gaps, hold one letter.
+
+    The block spans gaps ``lo..hi``; the gaps outside a core ``ilo..ihi``
+    hold one letter each, the core holds one letter per gap plus up to
+    ``max_extra`` more.  Strands outside the block are free, as a strand
+    override leaves them.
+    """
+    strands = draw(st.integers(2, max_strands))
+    lo = draw(st.integers(1, strands - 1))
+    hi = draw(st.integers(lo, strands - 1))
+    ilo = draw(st.integers(lo + 1, hi + 1))
+    ihi = draw(st.integers(ilo - 1, hi))
+    gaps = list(range(lo, hi + 1))
+    if ilo <= ihi:
+        gaps += draw(st.lists(st.integers(ilo, ihi), max_size=max_extra))
+    tokens = [g * draw(st.sampled_from([1, -1])) for g in gaps]
+    return BraidWord(tuple(draw(st.permutations(tokens))), strands)
+
+
+class TestDestabilization:
+    """Single-letter end gaps are dropped before the block is measured and traced."""
+
+    @given(destabilizable_words())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_descending_tree(self, word):
+        assert hecke_trace(word) == homfly(word)
+
+    @given(destabilizable_words(max_strands=6, max_extra=2))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_brute_oracle(self, word):
+        expected = brute_homfly(word.strands, word_letters(word))
+        assert poly2_to_sympy(hecke_trace(word)) == expected
+
+    def test_the_block_is_measured_after_destabilizing(self):
+        # single letters at gaps 1 and 12 around a doubled core of 10 gaps (11 strands)
+        core = doubled(range(2, HECKE_MAX_STRANDS + 1))
+        word = BraidWord((1, *core, -(HECKE_MAX_STRANDS + 1)), HECKE_MAX_STRANDS + 2)
+        assert hecke_fits(word)
+        assert hecke_trace(word) == homfly(word)
+        assert not hecke_fits(BraidWord((1, 1, *core, -(HECKE_MAX_STRANDS + 1)), word.strands))
+
+    def test_staircase_on_22_strands_runs_no_leaf_search(self, capsys, leaf_searches):
+        text = " ".join(str(g) for g in range(1, 22))
+        assert main(["analyze", text]) == 0
+        assert "P: 1" in capsys.readouterr().out.splitlines()
+        assert leaf_searches == []
+
+    def test_a_block_still_too_wide_goes_to_the_tree(self, capsys, leaf_searches, hecke_evaluations):
+        # gaps 1 and 2 destabilize, which leaves a doubled block of 13 strands
+        core = doubled(g if g % 2 else -g for g in range(3, HECKE_MAX_STRANDS + 4))
+        text = " ".join(map(str, (1, -2, *core)))
+        assert main(["analyze", text, "--json"]) == 0
+        assert len(leaf_searches) == 1
+        assert hecke_evaluations == []
+        doc = json.loads(capsys.readouterr().out)
+        assert LaurentPoly2.from_json_terms(doc["homfly"]["descending"]) == homfly(parse_braid(text))
+
+
 class TestStrandLimit:
     def test_fits_counts_the_widest_split_block(self):
         assert hecke_fits(BraidWord((), 1000))
         assert hecke_fits(BraidWord((1, 999), 1000))
-        assert hecke_fits(BraidWord(tuple(range(1, HECKE_MAX_STRANDS)), 40))
-        assert not hecke_fits(BraidWord(tuple(range(1, HECKE_MAX_STRANDS + 1)), 40))
-        assert not hecke_fits(BraidWord((5, 5 + HECKE_MAX_STRANDS - 1, *range(6, 15)), 40))
+        assert hecke_fits(BraidWord(doubled(range(1, HECKE_MAX_STRANDS)), 40))
+        assert not hecke_fits(BraidWord(doubled(range(1, HECKE_MAX_STRANDS + 1)), 40))
+        assert not hecke_fits(BraidWord(doubled((5, 5 + HECKE_MAX_STRANDS - 1, *range(6, 15))), 40))
 
     def test_the_trace_refuses_a_wider_block(self):
-        word = BraidWord(tuple(range(1, HECKE_MAX_STRANDS + 1)), HECKE_MAX_STRANDS + 1)
+        word = BraidWord(doubled(range(1, HECKE_MAX_STRANDS + 1)), HECKE_MAX_STRANDS + 1)
         with pytest.raises(ValueError, match=f"more than {HECKE_MAX_STRANDS} strands"):
             hecke_trace(word)
 
@@ -122,13 +187,13 @@ def test_methods_check_compares_the_tree_with_the_trace(monkeypatch):
 
 
 def test_methods_check_past_the_strand_limit_skips_the_trace(hecke_evaluations):
-    word = BraidWord(tuple(range(1, HECKE_MAX_STRANDS + 1)), HECKE_MAX_STRANDS + 1)
+    word = BraidWord(doubled(range(1, HECKE_MAX_STRANDS + 1)), HECKE_MAX_STRANDS + 1)
     assert check_methods_agree(word) is None
     assert hecke_evaluations == []
 
 
 class TestEngineChoice:
-    """``analyze`` picks the engine from the strand count of the word's widest split block."""
+    """``analyze`` picks the engine from the strand count of the widest destabilized block."""
 
     def analyze_poly(self, capsys, *argv):
         assert main(["analyze", *argv, "--json"]) == 0
@@ -155,7 +220,7 @@ class TestEngineChoice:
         assert got == homfly(parse_braid(text))
 
     def test_above_the_strand_constant_the_tree_runs(self, capsys, leaf_searches, hecke_evaluations):
-        text = " ".join(str(g if g % 2 else -g) for g in range(1, HECKE_MAX_STRANDS + 1))
+        text = " ".join(map(str, doubled(g if g % 2 else -g for g in range(1, HECKE_MAX_STRANDS + 1))))
         got = self.analyze_poly(capsys, text)
         assert len(leaf_searches) == 1
         assert hecke_evaluations == []

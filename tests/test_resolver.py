@@ -42,6 +42,20 @@ def leaf_string(leaf) -> str:
     return "".join(STATE_CHAR[s] for s in leaf.states)
 
 
+def sparse_words(max_len):
+    """Words in which some column carries no letter.
+
+    Empty words on 1-4 strands, words whose middle gap is unused, and words
+    with free strands from a strand override, on the left or the right.
+    """
+    for strands in range(1, 5):
+        yield BraidWord((), strands)
+    for alphabet, strands in (((1, -1, 3, -3), 4), ((1, -1, 2, -2), 5), ((2, -2, 3, -3), 5)):
+        for length in range(1, max_len + 1):
+            for tokens in itertools.product(alphabet, repeat=length):
+                yield BraidWord(tokens, strands)
+
+
 class TestFirstViolation:
     def test_running_example(self):
         d = ResolvedDiagram.all_kept(parse_braid(EXAMPLE_WORD))
@@ -278,13 +292,12 @@ class TestBruteForceOracle:
     """Exhaustive independent recomputation for every small word."""
 
     def all_small_words(self):
-        import itertools
-
         for strands in (2, 3):
             alphabet = [g * s for g in range(1, strands) for s in (1, -1)]
             for length in range(0, 4):
                 for tokens in itertools.product(alphabet, repeat=length):
                     yield BraidWord.from_tokens(tokens, strands)
+        yield from sparse_words(max_len=3)
 
     def test_leaf_sets_match(self):
         for word in self.all_small_words():
@@ -331,23 +344,29 @@ class TestBruteForceOracle:
 class TestLeafStreamIsTheTree:
     """The leaf search against the tree expanded node by node."""
 
+    def assert_same_leaves_in_order(self, word):
+        for mode in (DESCENDING, ASCENDING):
+            expected = []
+            stack = [ResolvedDiagram.all_kept(word)]
+            while stack:
+                d = stack.pop()
+                i = first_violation(d, mode)
+                if i is None:
+                    expected.append((d.states, len(d.permutation().cycles)))
+                else:
+                    flipped, smoothed = split_at(d, i)
+                    stack += [smoothed, flipped]  # flipped child first
+            got = [(leaf.states, leaf.gamma) for leaf in enumerate_leaves(word, mode)]
+            assert got == expected, (word.text(), word.strands, mode)
+
     def test_same_leaves_in_order_on_small_three_strand_words(self):
         for length in range(6):
             for tokens in itertools.product((1, -1, 2, -2), repeat=length):
-                word = BraidWord.from_tokens(tokens, 3)
-                for mode in (DESCENDING, ASCENDING):
-                    expected = []
-                    stack = [ResolvedDiagram.all_kept(word)]
-                    while stack:
-                        d = stack.pop()
-                        i = first_violation(d, mode)
-                        if i is None:
-                            expected.append((d.states, len(d.permutation().cycles)))
-                        else:
-                            flipped, smoothed = split_at(d, i)
-                            stack += [smoothed, flipped]  # flipped child first
-                    got = [(leaf.states, leaf.gamma) for leaf in enumerate_leaves(word, mode)]
-                    assert got == expected, (word.text(), mode)
+                self.assert_same_leaves_in_order(BraidWord.from_tokens(tokens, 3))
+
+    def test_same_leaves_in_order_where_a_column_has_no_letter(self):
+        for word in sparse_words(max_len=4):
+            self.assert_same_leaves_in_order(word)
 
 
 class TestLeafStatistics:
