@@ -42,6 +42,7 @@ J. Algorithms 11 (1990).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 from .braid import BraidWord
@@ -165,9 +166,23 @@ def _blocks(word: BraidWord) -> list[tuple[int, int]]:
     return out
 
 
+@lru_cache(maxsize=1)
+def _last_blocks(word: BraidWord) -> tuple[tuple[int, int], ...]:
+    """:func:`_blocks` of the word last asked about.
+
+    Every caller that traces a word first asks :func:`hecke_fits`, so the
+    :func:`hecke_trace` that follows reuses the same blocks.
+    """
+    return tuple(_blocks(word))
+
+
+def _fits(blocks: tuple[tuple[int, int], ...]) -> bool:
+    return all(last - first + 2 <= HECKE_MAX_STRANDS for first, last in blocks)
+
+
 def hecke_fits(word: BraidWord) -> bool:
     """Whether no destabilized split block has more than ``HECKE_MAX_STRANDS`` strands."""
-    return all(last - first + 2 <= HECKE_MAX_STRANDS for first, last in _blocks(word))
+    return _fits(_last_blocks(word))
 
 
 def _block_trace(letters: list[int], m: int) -> LaurentPoly2:
@@ -185,13 +200,14 @@ def hecke_trace(word: BraidWord) -> LaurentPoly2:
 
     Raises ``ValueError`` on a word that :func:`hecke_fits` rejects.
     """
-    if not hecke_fits(word):
+    blocks = _last_blocks(word)
+    if not _fits(blocks):
         raise ValueError(
             f"{word.text()!r} has a split block of more than {HECKE_MAX_STRANDS} strands, "
             f"the most the Hecke trace takes"
         )
     poly = LaurentPoly2.one()
-    for first, last in _blocks(word):
+    for first, last in blocks:
         shift = first - 1
         letters = [t - shift if t > 0 else t + shift for t in word.letters if first <= abs(t) <= last]
         poly = poly * _block_trace(letters, last - first + 2)

@@ -69,10 +69,14 @@ class MfwReport:
 def link_polynomial(word: BraidWord) -> LaurentPoly2:
     """The closure's HOMFLY polynomial by the engine chosen from the word.
 
-    The Hecke trace when no split block of the word, once destabilized, has
-    more than :data:`~braidpoly.hecke.HECKE_MAX_STRANDS` strands, the
-    descending tree otherwise.  Both give the same value.
+    A polynomial already in the word's memo, whichever engine computed it;
+    otherwise the Hecke trace when no split block of the word, once
+    destabilized, has more than :data:`~braidpoly.hecke.HECKE_MAX_STRANDS`
+    strands, the descending tree when one has.  All give the same value.
     """
+    memo = word.homfly_memo
+    if memo:
+        return next(iter(memo.values()))
     if hecke_fits(word):
         return homfly_hecke(word)
     return homfly(word, DESCENDING)

@@ -24,8 +24,11 @@ search (:func:`leaf_stream`) advances the walk and, at each crossing's first
 visit, either keeps the crossing (it already has the requested form) or
 branches into the flipped and the smoothed child.  That search is also the admissible
 circuit-partition enumeration of :mod:`braidpoly.jaeger`.  It walks a slot
-table built once per search, one entry per (letter, column) arrival, in
-which each step finds the next slot by a single list lookup.  The step API
+table built once per search, one entry per (letter, column) arrival, and a
+next-slot table that records, for each letter already decided on the
+current path, where its one arrival still to come continues; passing such a
+letter is a single list lookup.  An undo trail resets the entries decided
+after a split when the search backtracks to the smoothed child.  The step API
 (:func:`first_violation`, :func:`split_at`) restarts the walk at every node
 instead, as the definition does, on :func:`braidpoly.braid.walk`, which
 finds each next letter by bisection in :attr:`BraidWord.column_index` and
@@ -82,8 +85,17 @@ def leaf_stream(word: BraidWord, ascending: bool) -> Iterator[tuple[int, int, in
     column ``c``.  ``below[s]`` is the next slot down the same column and
     ``top[c]`` the first slot of column ``c`` (its bottom when no letter
     touches it).  A smoothed letter continues at ``below[s]``, a kept or
-    flipped one crosses the gap and continues at ``below[s ^ 1]``, so every
-    step finds its next slot by one list lookup.
+    flipped one crosses the gap and continues at ``below[s ^ 1]``.
+
+    A closed walk arrives at every slot once, so after the first visit to a
+    letter at slot ``s`` only the arrival at ``s ^ 1`` is still to come.  The
+    next-slot table ``nxt`` holds where that arrival goes: ``below[s]`` for a
+    kept or flipped letter, ``below[s ^ 1]`` for a smoothed one.  An entry is
+    ``-1`` while its letter is undecided and ``-2`` at a column bottom, so
+    passing a decided letter is the one lookup ``s = nxt[s]``.  Every entry
+    set is pushed on an undo trail; a smoothed child's snapshot keeps the
+    trail length after its split and the slot it must set, and resuming it
+    first resets every entry set since to ``-1``.
     """
     n = word.strands
     gaps = word.gaps
@@ -99,45 +111,54 @@ def leaf_stream(word: BraidWord, ascending: bool) -> Iterator[tuple[int, int, in
             s = slot
         top.append(s)
     # per slot: whether a first visit there branches instead of keeping the
-    # letter, and the letter's bit in the masks
+    # letter
     branch = [(side == 0) == ((sign > 0) != ascending) for sign in signs for side in (0, 1)]
-    bits = [1 << (s >> 1) for s in range(bottom)]
-    # snapshot: (decided, smoothed, flipped, visited columns, slot, pivot,
-    # gamma, t, t_neg); bit 0 of ``visited`` is always set so that its
-    # lowest clear bit is the next pivot
-    stack = [(0, 0, 0, 3, top[1], 1, 0, 0, 0)]
-    while stack:
-        decided, smoothed, flipped, visited, s, pivot, gamma, t, t_neg = stack.pop()
+    nxt = [-1] * bottom + [-2] * (n + 1)
+    trail: list[int] = []
+    # snapshot: (trail length, slot to set, smoothed, flipped, visited
+    # columns, slot, pivot, gamma, t, t_neg); bit 0 of ``visited`` is always
+    # set so that its lowest clear bit is the next pivot
+    stack = []
+    smoothed = flipped = gamma = t = t_neg = 0
+    visited, s, pivot = 3, top[1], 1
+    while True:
         while True:
-            if s >= bottom:
-                # bottom of a column: next strand, next component, or leaf
-                col = s - bottom
-                if col != pivot:
-                    visited |= 1 << col
-                    s = top[col]
-                    continue
-                gamma += 1
-                low = ~visited & (visited + 1)
-                pivot = low.bit_length() - 1
-                if pivot > n:
-                    yield smoothed, flipped, gamma, t, t_neg
-                    break
-                visited |= low
-                s = top[pivot]
-                continue
-            bit = bits[s]
-            if smoothed & bit:
-                s = below[s]
-                continue
-            if not decided & bit:
-                decided |= bit
+            while (u := nxt[s]) >= 0:
+                s = u
+            if u == -1:
+                # first visit to letter s >> 1
+                o = s ^ 1
+                nxt[o] = below[s]
+                trail.append(o)
                 if branch[s]:
+                    bit = 1 << (s >> 1)
                     stack.append(
-                        (decided, smoothed | bit, flipped, visited, below[s], pivot,
+                        (len(trail), o, smoothed | bit, flipped, visited, below[s], pivot,
                          gamma, t + 1, t_neg + (signs[s >> 1] < 0))
                     )
                     flipped |= bit
-            s = below[s ^ 1]
+                s = below[o]
+                continue
+            # bottom of a column: next strand, next component, or leaf
+            col = s - bottom
+            if col != pivot:
+                visited |= 1 << col
+                s = top[col]
+                continue
+            gamma += 1
+            low = ~visited & (visited + 1)
+            pivot = low.bit_length() - 1
+            if pivot > n:
+                yield smoothed, flipped, gamma, t, t_neg
+                break
+            visited |= low
+            s = top[pivot]
+        if not stack:
+            return
+        mark, o, smoothed, flipped, visited, s, pivot, gamma, t, t_neg = stack.pop()
+        while len(trail) > mark:
+            nxt[trail.pop()] = -1
+        nxt[o] = below[o]
 
 
 @dataclass(frozen=True)

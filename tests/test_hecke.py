@@ -1,6 +1,7 @@
 """The Hecke-algebra trace against the resolving tree and the brute oracle."""
 
 import json
+import random
 
 import pytest
 
@@ -8,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidpoly.checks
+import braidpoly.hecke
 from braidpoly import (
     BraidWord,
     LaurentPoly2,
     homfly,
     homfly_hecke,
+    link_polynomial,
     markov_variants,
     mirror,
     parse_braid,
@@ -239,3 +242,41 @@ class TestMemo:
         word = parse_braid("1 1 1")
         assert homfly_hecke(word) == homfly(word)
         assert len(leaf_searches) == 1 and len(hecke_evaluations) == 1
+
+
+@pytest.fixture
+def block_builds(monkeypatch):
+    """Record the word object of every split-block computation during the test."""
+    calls = []
+    blocks = braidpoly.hecke._blocks
+
+    def counted(word):
+        calls.append(word)
+        return blocks(word)
+
+    monkeypatch.setattr(braidpoly.hecke, "_blocks", counted)
+    return calls
+
+
+class TestBlocksBuiltOnce:
+    def test_analyze_builds_the_blocks_at_most_once_per_word_object(self, capsys, block_builds):
+        rng = random.Random(8124)
+        texts = ["1 1 -3 -3", "1 1 -3 -3 3", " ".join(map(str, doubled(range(1, HECKE_MAX_STRANDS + 1))))]
+        for strands in (3, 4, 5):
+            for _ in range(8):
+                tokens = [rng.randint(1, strands - 1) * rng.choice((1, -1)) for _ in range(rng.randint(8, 14))]
+                texts.append(" ".join(map(str, tokens)))
+        for text in texts:
+            block_builds.clear()
+            assert main(["analyze", text, "--json"]) == 0
+            capsys.readouterr()
+            assert len({id(word) for word in block_builds}) == len(block_builds), text
+
+    def test_a_second_call_on_the_same_word_builds_no_blocks(self, block_builds):
+        word = parse_braid("1 -2 1 -2 3 -3")
+        first = link_polynomial(word)
+        assert len(block_builds) <= 1
+        assert hecke_fits(parse_braid("1 1"))  # another word in between
+        block_builds.clear()
+        assert link_polynomial(word) is first
+        assert block_builds == []

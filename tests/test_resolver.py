@@ -1,6 +1,8 @@
 import itertools
 import random
+import signal
 import time
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -341,6 +343,22 @@ class TestBruteForceOracle:
                 assert (expected - poly2_to_sympy(got)).expand() == 0, word.text()
 
 
+@contextmanager
+def deadline(seconds):
+    """Raise ``TimeoutError`` in the block after ``seconds``, so a cycling walk fails."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestLeafStreamIsTheTree:
     """The leaf search against the tree expanded node by node."""
 
@@ -356,7 +374,8 @@ class TestLeafStreamIsTheTree:
                 else:
                     flipped, smoothed = split_at(d, i)
                     stack += [smoothed, flipped]  # flipped child first
-            got = [(leaf.states, leaf.gamma) for leaf in enumerate_leaves(word, mode)]
+            with deadline(10):
+                got = [(leaf.states, leaf.gamma) for leaf in enumerate_leaves(word, mode)]
             assert got == expected, (word.text(), word.strands, mode)
 
     def test_same_leaves_in_order_on_small_three_strand_words(self):
@@ -367,6 +386,16 @@ class TestLeafStreamIsTheTree:
     def test_same_leaves_in_order_where_a_column_has_no_letter(self):
         for word in sparse_words(max_len=4):
             self.assert_same_leaves_in_order(word)
+
+    def test_same_leaves_in_order_on_deeply_backtracking_words(self):
+        # on 4-6 strands a letter decided in a flipped subtree is often
+        # reached from its other side in the smoothed sibling, so the search
+        # must undo every decision made after the split
+        rng = random.Random(2024)
+        for _ in range(200):
+            n = rng.randint(4, 6)
+            tokens = [rng.randint(1, n - 1) * rng.choice((1, -1)) for _ in range(rng.randint(6, 10))]
+            self.assert_same_leaves_in_order(BraidWord(tuple(tokens), n + rng.randint(0, 2)))
 
 
 class TestLeafStatistics:
