@@ -7,8 +7,9 @@ paired tree -- and by a fifth, independent algorithm, the Ocneanu trace on
 the Hecke algebra.  It derives Morton-Frank-Williams bounds, braid-index
 certificates for reduced alternating braids, and Alexander polynomials from
 the polynomial, which those take from the Hecke trace on words whose split
-blocks, once destabilized, have at most ``HECKE_MAX_STRANDS`` strands and
-from the descending tree otherwise.
+blocks (``BraidWord.split_blocks``, which the certificate shares), once
+destabilized, have at most ``HECKE_MAX_STRANDS`` strands and from the
+descending tree otherwise.
 """
 
 from .braid import (
@@ -48,7 +49,6 @@ from .invariants import (
     construct_v_star,
     link_polynomial,
     mfw_bounds,
-    split_blocks,
 )
 from .jaeger import (
     CircuitPartition,

@@ -118,15 +118,45 @@ class BraidWord:
             cols[g + 1].append(i)
         return tuple(tuple(c) for c in cols)
 
+    def sub_braid(self, first: int, last: int) -> "BraidWord":
+        """The letters at gaps ``first..last``, re-indexed to start at gap 1.
+
+        The result lives on strands ``first..last+1`` of this word, renumbered
+        from 1; ``last = first - 1`` gives one strand and no letters.
+        """
+        shift = first - 1
+        letters = tuple(
+            t - shift if t > 0 else t + shift for t in self.letters if first <= abs(t) <= last
+        )
+        return BraidWord(letters, last - first + 2)
+
+    @cached_property
+    def split_blocks(self) -> tuple[tuple[int, "BraidWord"], ...]:
+        """The closure's split blocks as ``(first_strand, block_word)`` pairs.
+
+        A gap that no letter uses splits the closure.  The blocks cover strands
+        ``1..n`` in order, each re-indexed to start at gap 1 (see
+        :meth:`sub_braid`); a strand between two empty gaps is a block with
+        the empty word.  A word with no empty gap is its own single block,
+        returned as is, so the block shares the word's memoized polynomials.
+        """
+        used = set(self.gaps)
+        firsts = [1] + [g + 1 for g in range(1, self.strands) if g not in used]
+        if len(firsts) == 1:
+            return ((1, self),)
+        # each block ends one gap before the empty gap that precedes the next
+        lasts = [f - 2 for f in firsts[1:]] + [self.strands - 1]
+        return tuple((f, self.sub_braid(f, last)) for f, last in zip(firsts, lasts))
+
     @cached_property
     def homfly_memo(self) -> dict:
         """This word's HOMFLY polynomials computed so far, keyed by engine.
 
         Filled by :func:`braidpoly.resolver.homfly` (one key per tree mode)
-        and :func:`braidpoly.hecke.homfly_hecke` (key ``"hecke"``), so every
-        caller holding this object shares one evaluation per engine.  The memo
-        belongs to the instance: an equal word parsed separately evaluates
-        afresh.
+        and :func:`braidpoly.hecke.homfly_hecke` (key ``"hecke"``, also on each
+        of :attr:`split_blocks`), so every caller holding this object shares
+        one evaluation per engine.  The memo belongs to the instance: an equal
+        word parsed separately evaluates afresh.
         """
         return {}
 

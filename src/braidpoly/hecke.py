@@ -24,11 +24,13 @@ largest entry removed and ``j`` that entry's position, so it contributes
 traced once per level.  The cost is polynomial in the number of letters for a
 fixed strand count and grows with ``n!`` otherwise.
 
-A gap that no letter uses splits the closure: each maximal run of used gaps
-is traced on its own strands, and the split union of ``k`` blocks and free
-strands is ``delta^(k-1)`` times the product of their polynomials.  Before
-that, each block sheds every end gap that holds a single letter, by
-conjugation and Markov destabilization (see :func:`_blocks`), which keeps its
+A gap that no letter uses splits the closure into the word's
+:attr:`~braidpoly.braid.BraidWord.split_blocks`: maximal runs of used gaps,
+each traced on its own strands and memoized on the block word, and free
+strands, each with polynomial 1.  The split union of ``k`` blocks is
+``delta^(k-1)`` times the product of their polynomials.  Before it is
+traced, each block sheds every end gap that holds a single letter, by
+conjugation and Markov destabilization (see :func:`_core`), which keeps its
 link and its polynomial; ``sigma_1 sigma_2 ... sigma_(n-1)`` sheds them all.
 A block keeps one coefficient per permutation of its strands that the word
 reaches, up to ``m!`` of them, so the trace refuses blocks that still have
@@ -42,7 +44,6 @@ J. Algorithms 11 (1990).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from .braid import BraidWord
@@ -130,65 +131,41 @@ def _delta_power(k: int) -> LaurentPoly2:
     return LaurentPoly2({(-k, k - 2 * j): comb(k, j) * (-1) ** j for j in range(k + 1)})
 
 
-def _runs(word: BraidWord) -> dict[int, int]:
-    """The word's split blocks: maximal runs of used gaps, ``{first: last}``."""
-    runs: dict[int, int] = {}
-    last = -1
-    for g in sorted(set(word.gaps)):
-        if g != last + 1:
-            first = g
-        runs[first] = last = g
-    return runs
-
-
-def _blocks(word: BraidWord) -> list[tuple[int, int]]:
-    """The word's split blocks after destabilization, as ``(first, last)`` gaps.
+def _core(block: BraidWord) -> BraidWord:
+    """The split block ``block`` with its single-letter end gaps dropped.
 
     When a block's first or last gap holds exactly one letter, dropping that
     letter and that outer strand keeps the closure: conjugation brings the
     letter to the end of the word (and, for the first gap, the half twist
     turns the strand order round), and a Markov destabilization removes it.
     That repeats until neither end gap holds a single letter.  A block
-    emptied this way is an unknot, with polynomial 1, and is left out.
+    emptied this way is an unknot on one strand, with polynomial 1.  A
+    reduced block (no gap with a single letter) is returned as it is.
     """
-    gaps = word.gaps
-    out = []
-    for first, last in _runs(word).items():
-        while first <= last:
-            if gaps.count(first) == 1:
-                first += 1
-            elif gaps.count(last) == 1:
-                last -= 1
-            else:
-                break
-        if first <= last:
-            out.append((first, last))
-    return out
-
-
-@lru_cache(maxsize=1)
-def _last_blocks(word: BraidWord) -> tuple[tuple[int, int], ...]:
-    """:func:`_blocks` of the word last asked about.
-
-    Every caller that traces a word first asks :func:`hecke_fits`, so the
-    :func:`hecke_trace` that follows reuses the same blocks.
-    """
-    return tuple(_blocks(word))
-
-
-def _fits(blocks: tuple[tuple[int, int], ...]) -> bool:
-    return all(last - first + 2 <= HECKE_MAX_STRANDS for first, last in blocks)
+    gaps = block.gaps
+    first, last = 1, block.strands - 1
+    while first <= last:
+        if gaps.count(first) == 1:
+            first += 1
+        elif gaps.count(last) == 1:
+            last -= 1
+        else:
+            break
+    if (first, last) == (1, block.strands - 1):
+        return block
+    return block.sub_braid(first, last)
 
 
 def hecke_fits(word: BraidWord) -> bool:
     """Whether no destabilized split block has more than ``HECKE_MAX_STRANDS`` strands."""
-    return _fits(_last_blocks(word))
+    return all(_core(block).strands <= HECKE_MAX_STRANDS for _, block in word.split_blocks)
 
 
-def _block_trace(letters: list[int], m: int) -> LaurentPoly2:
-    """The trace of a word on ``m`` strands whose letters use every gap."""
+def _block_trace(core: BraidWord) -> LaurentPoly2:
+    """The trace of a word whose letters use every gap."""
+    m = core.strands
     elem = {tuple(range(m)): {(0, 0): 1}}
-    for t in letters:
+    for t in core.letters:
         elem = _times(elem, t)
     for level in range(m, 1, -1):
         elem = _restrict(elem, level)
@@ -198,23 +175,24 @@ def _block_trace(letters: list[int], m: int) -> LaurentPoly2:
 def hecke_trace(word: BraidWord) -> LaurentPoly2:
     """The HOMFLY polynomial of the closure, computed afresh by the trace.
 
-    Raises ``ValueError`` on a word that :func:`hecke_fits` rejects.
+    A word of ``k`` split blocks, free strands included, gives
+    ``delta^(k-1)`` times the product of the blocks' memoized polynomials
+    (:func:`homfly_hecke`).  Raises ``ValueError`` on a word that
+    :func:`hecke_fits` rejects.
     """
-    blocks = _last_blocks(word)
-    if not _fits(blocks):
+    if not hecke_fits(word):
         raise ValueError(
             f"{word.text()!r} has a split block of more than {HECKE_MAX_STRANDS} strands, "
             f"the most the Hecke trace takes"
         )
+    blocks = word.split_blocks
+    if len(blocks) == 1:
+        return _block_trace(_core(word))
     poly = LaurentPoly2.one()
-    for first, last in blocks:
-        shift = first - 1
-        letters = [t - shift if t > 0 else t + shift for t in word.letters if first <= abs(t) <= last]
-        poly = poly * _block_trace(letters, last - first + 2)
-    # counted on the blocks before destabilizing: a run of g used gaps joins
-    # g + 1 strands into one piece, each free strand is a piece, and k split
-    # pieces give delta^(k-1)
-    return poly * _delta_power(word.strands - len(set(word.gaps)) - 1)
+    for _, block in blocks:
+        if block.letters:  # a free strand's polynomial is 1
+            poly = poly * homfly_hecke(block)
+    return poly * _delta_power(len(blocks) - 1)
 
 
 def homfly_hecke(word: BraidWord) -> LaurentPoly2:

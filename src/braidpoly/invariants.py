@@ -287,35 +287,6 @@ class BraidIndexCertificate:
         return self.blocks[0].v_star if len(self.blocks) == 1 else None
 
 
-def split_blocks(word: BraidWord) -> list[tuple[int, BraidWord]]:
-    """Split at empty gaps into independent blocks, re-indexed to gap 1.
-
-    Returns ``(first_strand, block_word)`` pairs covering all strands; a
-    block with a single strand is an unknot component with the empty word.
-    A word with no empty gap is its own single block, returned as is.
-    """
-    profile = gap_profile(word)
-    blocks = []
-    start = 1
-    for g in range(1, word.strands):
-        if profile.tally(g).count == 0:
-            blocks.append((start, g))
-            start = g + 1
-    blocks.append((start, word.strands))
-    if len(blocks) == 1:
-        return [(1, word)]  # the word itself, so its memoized polynomial is shared
-    out = []
-    for start, stop in blocks:
-        shift = start - 1
-        letters = tuple(
-            t - shift if t > 0 else t + shift
-            for t in word.letters
-            if start <= abs(t) < stop
-        )
-        out.append((start, BraidWord(letters, stop - start + 1)))
-    return out
-
-
 def braid_index_certificate(word: BraidWord) -> BraidIndexCertificate:
     """Certify the braid index when the hypotheses allow, else bound it.
 
@@ -323,13 +294,14 @@ def braid_index_certificate(word: BraidWord) -> BraidIndexCertificate:
     crossings in each of its gaps; then each block's braid index is its strand
     count, and indices add over split components.  The degree laws are checked
     per block and a violation raises :class:`ConsistencyError` rather than
-    returning a wrong certificate.
+    returning a wrong certificate.  The blocks are the word's
+    :attr:`~braidpoly.braid.BraidWord.split_blocks`, which the Hecke trace
+    has already traced and memoized when it took the whole word.
     """
     whole = mfw_bounds(word)
-    block_words = split_blocks(word)
     block_certs: list[BlockCertificate] = []
     all_certifiable = True
-    for first_strand, block in block_words:
+    for first_strand, block in word.split_blocks:
         flags = classify(block)
         certifiable = flags.alternating and flags.reduced and flags.non_split
         all_certifiable = all_certifiable and certifiable

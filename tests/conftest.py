@@ -22,13 +22,13 @@ def leaf_searches(monkeypatch):
 
 @pytest.fixture
 def hecke_evaluations(monkeypatch):
-    """Record every Hecke trace run during the test as ``(tokens, strands)``."""
+    """Record every destabilized split block the Hecke trace runs on as ``(tokens, strands)``."""
     calls = []
-    trace = braidpoly.hecke.hecke_trace
+    trace = braidpoly.hecke._block_trace
 
-    def counted(word):
-        calls.append((word.tokens(), word.strands))
-        return trace(word)
+    def counted(core):
+        calls.append((core.tokens(), core.strands))
+        return trace(core)
 
-    monkeypatch.setattr(braidpoly.hecke, "hecke_trace", counted)
+    monkeypatch.setattr(braidpoly.hecke, "_block_trace", counted)
     return calls

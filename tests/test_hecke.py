@@ -1,9 +1,11 @@
 """The Hecke-algebra trace against the resolving tree and the brute oracle."""
 
+import functools
 import json
 import random
 
 import pytest
+import sympy as sp
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,9 +24,9 @@ from braidpoly import (
 )
 from braidpoly.checks import check_methods_agree
 from braidpoly.cli import main
-from braidpoly.hecke import HECKE_MAX_STRANDS, hecke_fits, hecke_trace
+from braidpoly.hecke import HECKE_MAX_STRANDS, _core, hecke_fits, hecke_trace
 
-from _brute import brute_homfly, poly2_to_sympy, word_letters
+from _brute import A, Z, brute_homfly, brute_walk, poly2_to_sympy, word_letters
 
 DELTA = LaurentPoly2.from_text("a*z^-1 - a^-1*z^-1")
 
@@ -45,6 +47,68 @@ def words(draw, max_len=7, max_gap=4):
     )
     least = max((abs(t) + 1 for t in tokens), default=1)
     return BraidWord(tuple(tokens), least + draw(st.integers(0, 2)))
+
+
+@st.composite
+def split_words(draw):
+    """Words of two or three split blocks side by side, often with free strands."""
+    parts = draw(st.lists(words(max_len=4, max_gap=2), min_size=2, max_size=3))
+    letters, offset = [], 0
+    for part in parts:
+        letters += [t + offset if t > 0 else t - offset for t in part.letters]
+        offset += part.strands
+    return BraidWord(tuple(draw(st.permutations(letters))), offset)
+
+
+class TestSplitBlocks:
+    @given(words(max_len=9, max_gap=5))
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_cover_the_strands_with_the_letters_of_their_gaps(self, word):
+        blocks = word.split_blocks
+        assert blocks[0][0] == 1
+        assert sum(block.strands for _, block in blocks) == word.strands
+        for (first, block), (following, _) in zip(blocks, blocks[1:]):
+            assert following == first + block.strands
+        for first, block in blocks:
+            last_gap = first + block.strands - 2
+            assert block.letters == tuple(
+                t - first + 1 if t > 0 else t + first - 1
+                for t in word.letters
+                if first <= abs(t) <= last_gap
+            )
+            # no block has an empty gap of its own
+            assert set(block.gaps) == set(range(1, block.strands))
+        assert len(blocks) == 1 + sum(g not in word.gaps for g in range(1, word.strands))
+        if len(blocks) == 1:
+            assert blocks[0][1] is word
+
+    @given(words(max_len=9, max_gap=5))
+    @settings(max_examples=150, deadline=None)
+    def test_a_reduced_block_is_its_own_core(self, word):
+        for _, block in word.split_blocks:
+            if all(block.gaps.count(g) != 1 for g in range(1, block.strands)):
+                assert _core(block) is block
+
+
+class TestDeltaExponent:
+    """``P(a, a - a^-1) = 1`` and ``P(a, a^-1 - a) = (-1)^(c-1)`` on a ``c``-component closure.
+
+    At ``z = a^-1 - a`` each factor ``delta`` is ``-1``, so a block count that
+    is off by one flips the sign.
+    """
+
+    @given(split_words())
+    @settings(max_examples=60, deadline=None)
+    def test_every_engine_on_split_words(self, word):
+        _, components = brute_walk(word.strands, word_letters(word), "K" * len(word))
+        for engine in (homfly_hecke, link_polynomial, homfly):
+            # a fresh word object per engine, so that no engine reads another's memo
+            poly = engine(BraidWord(word.letters, word.strands))
+            # times z^k, so that both sides are Laurent polynomials in a
+            k = -min(dz for (dz, _), _ in poly.terms())
+            cleared = sp.expand(poly2_to_sympy(poly) * Z**k)
+            for z, value in ((A - 1 / A, 1), (1 / A - A, (-1) ** (components - 1))):
+                assert sp.expand(cleared.subs(Z, z) - value * z**k) == 0, engine.__name__
 
 
 class TestAgainstTree:
@@ -206,13 +270,15 @@ class TestEngineChoice:
     def test_one_crossing_on_a_thousand_strands(self, capsys, leaf_searches, hecke_evaluations):
         got = self.analyze_poly(capsys, "1", "--strands", "1000")
         assert leaf_searches == []
-        assert len(hecke_evaluations) == 1
+        # the crossing's block destabilizes to one strand; 998 free strands are not traced
+        assert hecke_evaluations == [((), 1)]
         assert got == homfly(parse_braid("1", strands=1000))
 
     def test_far_apart_letters_on_a_thousand_strands(self, capsys, leaf_searches, hecke_evaluations):
         got = self.analyze_poly(capsys, "1 -999")
         assert leaf_searches == []
-        assert len(hecke_evaluations) == 1
+        # two one-crossing blocks around 996 free strands
+        assert hecke_evaluations == [((), 1), ((), 1)]
         assert got == homfly(parse_braid("1 -999"))
 
     def test_at_the_strand_constant_the_trace_runs(self, capsys, leaf_searches, hecke_evaluations):
@@ -246,15 +312,17 @@ class TestMemo:
 
 @pytest.fixture
 def block_builds(monkeypatch):
-    """Record the word object of every split-block computation during the test."""
+    """Record the word object of every split-block decomposition built during the test."""
     calls = []
-    blocks = braidpoly.hecke._blocks
+    build = BraidWord.split_blocks.func
 
     def counted(word):
         calls.append(word)
-        return blocks(word)
+        return build(word)
 
-    monkeypatch.setattr(braidpoly.hecke, "_blocks", counted)
+    counted_property = functools.cached_property(counted)
+    counted_property.__set_name__(BraidWord, "split_blocks")
+    monkeypatch.setattr(BraidWord, "split_blocks", counted_property)
     return calls
 
 

@@ -19,7 +19,6 @@ from braidpoly import (
     mfw_bounds,
     mirror,
     parse_braid,
-    split_blocks,
     writhe,
 )
 from braidpoly.corpus import alternating_words
@@ -83,13 +82,13 @@ class TestCertificate:
             )
 
     def test_split_blocks_reindexing(self):
-        blocks = split_blocks(parse_braid("1 1 4 4"))
+        blocks = parse_braid("1 1 4 4").split_blocks
         assert [(start, b.text(), b.strands) for start, b in blocks] == [
             (1, "1 1", 2),
             (3, "", 1),
             (4, "1 1", 2),
         ]
-        blocks = split_blocks(parse_braid("1 -1 -4 4 -5"))
+        blocks = parse_braid("1 -1 -4 4 -5").split_blocks
         assert [(start, b.text(), b.strands) for start, b in blocks] == [
             (1, "1 -1", 2),
             (3, "", 1),
