@@ -44,10 +44,8 @@ J. Algorithms 11 (1990).
 
 from __future__ import annotations
 
-from math import comb
-
 from .braid import BraidWord
-from .polynomial import LaurentPoly2
+from .polynomial import LaurentPoly2, binomial_row
 
 HECKE = "hecke"
 
@@ -128,7 +126,9 @@ def _delta_power(k: int) -> LaurentPoly2:
     longer polynomials: about 0.6 s at ``k = 999``, which ``analyze 1
     --strands 1000`` needs, where this takes milliseconds.
     """
-    return LaurentPoly2({(-k, k - 2 * j): comb(k, j) * (-1) ** j for j in range(k + 1)})
+    return LaurentPoly2(
+        {(-k, k - 2 * j): -b if j & 1 else b for j, b in enumerate(binomial_row(k))}
+    )
 
 
 def _core(block: BraidWord) -> BraidWord:

@@ -26,8 +26,8 @@ leaf search, :func:`braidpoly.resolver.leaf_stream`: its keep and smooth
 choices at each crossing's first visit are the admissibility test, and an
 inadmissible first passage can never be repaired by later choices.
 :func:`verify_bijection` checks that search against the resolving tree
-expanded literally, one restarted walk per node, and checks that each leaf of
-the search closes to a trivial link.
+expanded literally, one restarted walk per node, and checks that each leaf
+closes to a trivial link.
 """
 
 from __future__ import annotations
@@ -130,9 +130,11 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     distinct smoothed sets, which makes those sets a family of partitions,
     and must match the leaf search that enumerates the admissible partitions
     (:func:`enumerate_leaves`) in full state vector, gamma, t and t'.  Every
-    leaf of that search must also close to a trivial link: gamma - w = n on
-    the descending tree, gamma + w = n on the ascending one, with ``w`` the
-    leaf's own writhe.
+    leaf must also close to a trivial link: gamma - w = n on the descending
+    tree, gamma + w = n on the ascending one, with ``w`` the leaf's own
+    writhe.  On the literal tree gamma is the leaf's cycle count, so this is
+    a check of the identity; the search reads its gamma off the writhe, so
+    there it checks the search's bookkeeping.
     """
     mode = _paired_mode(variant)
     sign = 1 if mode == ASCENDING else -1
@@ -149,8 +151,12 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
         if cut in smoothed_sets:
             return False  # two leaves sharing a smoothed set breaks the pairing
         smoothed_sets.add(cut)
+        gamma = len(diagram.permutation().cycles)
+        w = sum(diagram.effective_sign(j) for j in range(len(word)) if j not in cut)
+        if gamma + sign * w != word.strands:
+            return False
         t_neg = sum(1 for j in cut if word.signs[j] < 0)
-        tree.add((diagram.states, len(diagram.permutation().cycles), len(cut), t_neg))
+        tree.add((diagram.states, gamma, len(cut), t_neg))
     stream = []
     for leaf in enumerate_leaves(word, mode):
         if leaf.gamma + sign * leaf.writhe != word.strands:

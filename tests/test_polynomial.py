@@ -11,8 +11,10 @@ from braidpoly.polynomial import (
     LaurentPoly2,
     SubstitutionError,
     ZeroPolynomialError,
+    binomial_row,
 )
-from braidpoly.resolver import homfly
+from braidpoly.hecke import _delta_power
+from braidpoly.resolver import assemble_tree_sum, homfly
 
 
 def P(text):
@@ -207,3 +209,43 @@ class TestAlexanderSympyOracle:
     def test_corpus_words(self):
         for word in random_words(100, max_crossings=7, max_strands=4, seed=17):
             assert alexander(word).delta == self.sympy_alexander(homfly(word)), word.text()
+
+
+class TestBinomialRow:
+    """Each binomial row, and each expansion built from one, against sympy."""
+
+    KS = range(41)
+
+    def test_rows_are_the_binomial_coefficients(self):
+        import sympy as sp
+
+        x = sp.Symbol("x")
+        for k in self.KS:
+            assert binomial_row(k) == sp.Poly((1 + x) ** k, x).all_coeffs()[::-1]
+
+    def test_delta_powers(self):
+        import sympy as sp
+        from _brute import A, Z, poly2_to_sympy
+
+        for k in self.KS:
+            assert poly2_to_sympy(_delta_power(k)) == sp.expand(((A - 1 / A) / Z) ** k)
+
+    def test_tree_sum_powers(self):
+        import sympy as sp
+        from _brute import A, Z, poly2_to_sympy
+
+        for k in self.KS:
+            # one leaf with gamma = k + 1 on 2 strands of writhe 1
+            down = assemble_tree_sum({(k + 1, 0): 1}, 2, 1, False)
+            up = assemble_tree_sum({(k + 1, 0): 1}, 2, 1, True)
+            assert poly2_to_sympy(down) == sp.expand(A**-2 * ((A**2 - 1) / Z) ** k)
+            assert poly2_to_sympy(up) == sp.expand(((1 - A**-2) / Z) ** k)
+
+    def test_alexander_powers(self):
+        import sympy as sp
+
+        s = sp.Symbol("s")
+        for k in self.KS:
+            expected = sp.Poly(sp.expand((s - 1 / s) ** k * s**k), s)
+            terms = {e - k: int(c) for (e,), c in expected.terms()}
+            assert LaurentPoly2({(k, 0): 1}).substitute_alexander() == LaurentPoly1(terms)

@@ -26,7 +26,7 @@ from braidpoly import (
     split_at,
     writhe,
 )
-from braidpoly.resolver import ASCENDING, DESCENDING, assemble_tree_sum
+from braidpoly.resolver import ASCENDING, DESCENDING, assemble_tree_sum, leaf_stream
 
 from _brute import brute_homfly, brute_leaves, poly2_to_sympy, word_letters
 
@@ -42,6 +42,19 @@ def words(max_len=6, max_gap=3):
 
 def leaf_string(leaf) -> str:
     return "".join(STATE_CHAR[s] for s in leaf.states)
+
+
+def literal_leaves(word, mode):
+    """Leaves of the tree expanded node by node, flipped child first."""
+    stack = [ResolvedDiagram.all_kept(word)]
+    while stack:
+        d = stack.pop()
+        i = first_violation(d, mode)
+        if i is None:
+            yield d
+        else:
+            flipped, smoothed = split_at(d, i)
+            stack += [smoothed, flipped]
 
 
 def sparse_words(max_len):
@@ -122,14 +135,37 @@ class TestLeafEnumeration:
         assert len(leaves) == 1
         assert leaves[0].gamma == 4
 
+    def test_empty_word_is_one_leaf_of_free_strands(self):
+        for n in range(1, 7):
+            for ascending in (False, True):
+                assert list(leaf_stream(BraidWord((), n), ascending)) == [(0, 0, n, 0, 0)]
+
+    def test_untouched_override_strands_count_as_components(self):
+        # the stream stops at its last letter, before the walk reaches the
+        # free strands on the right, so their components come from the
+        # writhe alone
+        assert list(leaf_stream(BraidWord((1,), 5), False)) == [(0, 1, 4, 0, 0), (1, 0, 5, 1, 0)]
+        assert list(leaf_stream(BraidWord((1,), 5), True)) == [(0, 0, 4, 0, 0)]
+        assert list(leaf_stream(BraidWord((-2, -2), 6), False)) == [
+            (0, 2, 6, 0, 0), (2, 0, 5, 1, 1)
+        ]
+        assert list(leaf_stream(BraidWord((-2, -2), 6), True)) == [
+            (0, 1, 6, 0, 0), (1, 2, 5, 1, 1), (3, 0, 6, 2, 2)
+        ]
+
     @given(words(max_len=6))
     @settings(max_examples=80, deadline=None)
     def test_component_writhe_identity(self, word):
+        # the search reads gamma off the leaf's writhe, so the identity is
+        # tested on the literal tree, whose gamma is a cycle count
         n = word.strands
-        for leaf in enumerate_leaves(word, DESCENDING):
-            assert leaf.gamma - leaf.writhe == n
-        for leaf in enumerate_leaves(word, ASCENDING):
-            assert leaf.gamma + leaf.writhe == n
+        for mode, sign in ((DESCENDING, -1), (ASCENDING, 1)):
+            for d in literal_leaves(word, mode):
+                cut = d.smoothed
+                w = sum(d.effective_sign(j) for j in range(len(word)) if j not in cut)
+                assert len(d.permutation().cycles) + sign * w == n
+            for leaf in enumerate_leaves(word, mode):
+                assert leaf.gamma + sign * leaf.writhe == n
 
     @given(words(max_len=5))
     @settings(max_examples=50, deadline=None)
@@ -364,16 +400,7 @@ class TestLeafStreamIsTheTree:
 
     def assert_same_leaves_in_order(self, word):
         for mode in (DESCENDING, ASCENDING):
-            expected = []
-            stack = [ResolvedDiagram.all_kept(word)]
-            while stack:
-                d = stack.pop()
-                i = first_violation(d, mode)
-                if i is None:
-                    expected.append((d.states, len(d.permutation().cycles)))
-                else:
-                    flipped, smoothed = split_at(d, i)
-                    stack += [smoothed, flipped]  # flipped child first
+            expected = [(d.states, len(d.permutation().cycles)) for d in literal_leaves(word, mode)]
             with deadline(10):
                 got = [(leaf.states, leaf.gamma) for leaf in enumerate_leaves(word, mode)]
             assert got == expected, (word.text(), word.strands, mode)
