@@ -351,32 +351,25 @@ class DiagramClass:
 
 
 def classify(word: BraidWord) -> DiagramClass:
-    profile = gap_profile(word)
-    reduced = all(t.count != 1 for t in profile.gaps)
-    non_split = all(t.count >= 1 for t in profile.gaps)
-    leading_sign = 0  # sign the odd gaps would carry, if alternating
-    alternating = True
-    for t in profile.gaps:
-        if t.count == 0:
-            continue
-        if t.positive and t.negative:
-            alternating = False
-            break
-        sign_here = 1 if t.positive else -1
-        odd_sign = sign_here if t.gap % 2 == 1 else -sign_here
-        if leading_sign == 0:
-            leading_sign = odd_sign
-        elif leading_sign != odd_sign:
-            alternating = False
-            break
-    if not alternating:
-        leading_sign = 0
+    """The :class:`DiagramClass` flags, from one pass over the letters.
+
+    Each letter asks the odd gaps for a sign: its own sign on an odd gap, the
+    opposite sign on an even one.  The word alternates when its letters ask
+    at most one sign, and that sign leads.
+    """
+    counts = [0] * word.strands  # letters per gap, index 0 unused
+    odd_signs: set[int] = set()
+    for t in word.letters:
+        g = abs(t)
+        counts[g] += 1
+        odd_signs.add(1 if (t > 0) == (g % 2 == 1) else -1)
+    del counts[0]
     return DiagramClass(
-        alternating=alternating,
-        positive_leading=alternating and leading_sign == 1,
-        negative_leading=alternating and leading_sign == -1,
-        reduced=reduced,
-        non_split=non_split,
+        alternating=len(odd_signs) <= 1,
+        positive_leading=odd_signs == {1},
+        negative_leading=odd_signs == {-1},
+        reduced=1 not in counts,
+        non_split=0 not in counts,
     )
 
 
@@ -467,32 +460,76 @@ class MarkovVariant:
     moves: tuple[str, ...]
 
 
-def _far_commute_sites(tokens: list[int]) -> list[int]:
+def _braid_relation_sites(tokens: list[int]) -> list[int]:
+    """Positions ``i`` where ``a^e b^d a^h`` may become ``b^h a^d b^e``.
+
+    Gaps ``a`` and ``b`` are adjacent; the rewrite holds except when
+    ``e == h == -d``.
+    """
     return [
         i
-        for i in range(len(tokens) - 1)
-        if abs(abs(tokens[i]) - abs(tokens[i + 1])) >= 2
+        for i in range(len(tokens) - 2)
+        if abs(tokens[i]) == abs(tokens[i + 2])
+        and abs(abs(tokens[i]) - abs(tokens[i + 1])) == 1
+        and (tokens[i] != tokens[i + 2] or (tokens[i] > 0) == (tokens[i + 1] > 0))
     ]
 
 
-def _braid_relation_sites(tokens: list[int]) -> list[int]:
-    sites = []
-    for i in range(len(tokens) - 2):
-        a, b, c = abs(tokens[i]), abs(tokens[i + 1]), abs(tokens[i + 2])
-        if a == c and abs(a - b) == 1:
-            e, d, h = (
-                1 if tokens[i] > 0 else -1,
-                1 if tokens[i + 1] > 0 else -1,
-                1 if tokens[i + 2] > 0 else -1,
-            )
-            # a^e b^d a^h <-> b^h a^d b^e holds except when e == h == -d.
-            if not (e == h and d == -e):
-                sites.append(i)
-    return sites
+# Each move rewrites ``tokens`` in place and returns the new strand count and
+# the move's label, or ``None`` when the word has no site for it.
 
 
-def _cancel_sites(tokens: list[int]) -> list[int]:
-    return [i for i in range(len(tokens) - 1) if tokens[i] == -tokens[i + 1]]
+def _rotate(tokens: list[int], strands: int, rng: random.Random) -> tuple[int, str]:
+    k = rng.randint(0, len(tokens)) if tokens else 0
+    tokens += tokens[:k]
+    del tokens[:k]
+    return strands, f"rotate({k})"
+
+
+def _commute(tokens: list[int], strands: int, rng: random.Random) -> Optional[tuple[int, str]]:
+    sites = [
+        i for i in range(len(tokens) - 1) if abs(abs(tokens[i]) - abs(tokens[i + 1])) >= 2
+    ]
+    if not sites:
+        return None
+    i = rng.choice(sites)
+    tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+    return strands, f"commute@{i}"
+
+
+def _braid(tokens: list[int], strands: int, rng: random.Random) -> Optional[tuple[int, str]]:
+    sites = _braid_relation_sites(tokens)
+    if not sites:
+        return None
+    i = rng.choice(sites)
+    a, b, c = tokens[i : i + 3]
+    e, d, h = (1 if t > 0 else -1 for t in (a, b, c))
+    tokens[i : i + 3] = [h * abs(b), d * abs(a), e * abs(b)]
+    return strands, f"braid@{i}"
+
+
+def _cancel(tokens: list[int], strands: int, rng: random.Random) -> Optional[tuple[int, str]]:
+    sites = [i for i in range(len(tokens) - 1) if tokens[i] == -tokens[i + 1]]
+    if not sites:
+        return None
+    i = rng.choice(sites)
+    del tokens[i : i + 2]
+    return strands, f"cancel@{i}"
+
+
+def _insert(tokens: list[int], strands: int, rng: random.Random) -> Optional[tuple[int, str]]:
+    if strands < 2:
+        return None
+    t = rng.randint(1, strands - 1) * rng.choice((1, -1))
+    i = rng.randint(0, len(tokens))
+    tokens[i:i] = [t, -t]
+    return strands, f"insert({t})@{i}"
+
+
+def _stabilize(tokens: list[int], strands: int, rng: random.Random) -> tuple[int, str]:
+    s = rng.choice((1, -1))
+    tokens.append(strands * s)
+    return strands + 1, f"stabilize({'+' if s > 0 else '-'})"
 
 
 def markov_variants(
@@ -501,85 +538,34 @@ def markov_variants(
     """Deterministic pseudo-random words with the same closure link type.
 
     Each variant applies one to three moves to the input word, drawn from:
-    far commutation of letters whose gaps differ by at least two, sign-aware
-    braid-relation rewrites on three adjacent letters, cancellation or
-    insertion of an adjacent inverse pair, cyclic rotation (conjugation of the
-    closure), and stabilization (append a crossing in a fresh last gap on one
-    more strand).  Growth is bounded: at most one insertion and one
-    stabilization per variant, so invariance checks stay cheap.
+    cyclic rotation (conjugation of the closure), far commutation of letters
+    whose gaps differ by at least two, sign-aware braid-relation rewrites on
+    three adjacent letters, cancellation or insertion of an adjacent inverse
+    pair, and stabilization (append a crossing in a fresh last gap on one
+    more strand).  A drawn move that finds no site in the word rotates it
+    instead.  Growth is bounded: insertion and stabilization leave the draw
+    once applied, so a variant has at most one of each and invariance checks
+    stay cheap.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     rng = random.Random(seed)
     variants: list[MarkovVariant] = []
     for _ in range(count):
-        tokens = list(word.tokens())
+        tokens = list(word.letters)
         strands = word.strands
         moves: list[str] = []
-        grown = False
-        stabilized = False
+        options = [_rotate, _commute, _braid, _cancel, _insert, _stabilize]
         for _ in range(rng.randint(1, 3)):
-            options = ["rotate", "commute", "braid", "cancel"]
-            if not grown:
-                options.append("insert")
-            if not stabilized:
-                options.append("stabilize")
             move = rng.choice(options)
-            if move == "commute":
-                sites = _far_commute_sites(tokens)
-                if not sites:
-                    move = "rotate"
-                else:
-                    i = rng.choice(sites)
-                    tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
-                    moves.append(f"commute@{i}")
-                    continue
-            if move == "braid":
-                sites = _braid_relation_sites(tokens)
-                if not sites:
-                    move = "rotate"
-                else:
-                    i = rng.choice(sites)
-                    a, b, c = tokens[i], tokens[i + 1], tokens[i + 2]
-                    ga, gb = abs(a), abs(b)
-                    e = 1 if a > 0 else -1
-                    d = 1 if b > 0 else -1
-                    h = 1 if c > 0 else -1
-                    tokens[i : i + 3] = [h * gb, d * ga, e * gb]
-                    moves.append(f"braid@{i}")
-                    continue
-            if move == "cancel":
-                sites = _cancel_sites(tokens)
-                if not sites:
-                    move = "rotate"
-                else:
-                    i = rng.choice(sites)
-                    del tokens[i : i + 2]
-                    moves.append(f"cancel@{i}")
-                    continue
-            if move == "insert":
-                if strands < 2:
-                    move = "rotate"
-                else:
-                    g = rng.randint(1, strands - 1)
-                    s = rng.choice((1, -1))
-                    i = rng.randint(0, len(tokens))
-                    tokens[i:i] = [g * s, -g * s]
-                    grown = True
-                    moves.append(f"insert({g * s})@{i}")
-                    continue
-            if move == "stabilize":
-                s = rng.choice((1, -1))
-                tokens.append(strands * s)
-                strands += 1
-                stabilized = True
-                moves.append(f"stabilize({'+' if s > 0 else '-'})")
-                continue
-            # rotate, also the fallback when a chosen move has no site
-            k = rng.randint(0, len(tokens)) if tokens else 0
-            tokens = tokens[k:] + tokens[:k]
-            moves.append(f"rotate({k})")
+            step = move(tokens, strands, rng)
+            if step is None:
+                step = _rotate(tokens, strands, rng)
+            elif move is _insert or move is _stabilize:
+                options.remove(move)
+            strands, label = step
+            moves.append(label)
         variants.append(
-            MarkovVariant(BraidWord.from_tokens(tokens, strands), tuple(moves))
+            MarkovVariant(BraidWord(tuple(tokens), strands), tuple(moves))
         )
     return variants

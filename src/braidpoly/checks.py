@@ -197,11 +197,7 @@ def selftest_corpus(
 
 
 def run_selftest(
-    *,
-    max_crossings: int = 8,
-    max_strands: int = 4,
-    samples: int = 500,
-    seed: int = 1,
+    *, max_crossings: int, max_strands: int, samples: int, seed: int
 ) -> list[CheckResult]:
     """Run every property suite on a deterministic corpus."""
     corpus = selftest_corpus(max_crossings, max_strands, samples, seed)

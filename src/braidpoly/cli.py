@@ -44,7 +44,7 @@ from .hecke import hecke_fits, homfly_hecke
 from .invariants import alexander, braid_index_certificate, link_polynomial
 from .jaeger import DUAL, STANDARD, homfly_jaeger
 from .polynomial import LaurentPoly2, SubstitutionError
-from .resolver import ASCENDING, DESCENDING, homfly
+from .resolver import homfly
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -54,17 +54,12 @@ _METHODS = ("descending", "ascending", "jaeger", "jaeger-dual", "hecke")
 
 
 def _compute_method(word: BraidWord, method: str) -> LaurentPoly2:
-    if method == "descending":
-        return homfly(word, DESCENDING)
-    if method == "ascending":
-        return homfly(word, ASCENDING)
-    if method == "jaeger":
-        return homfly_jaeger(word, STANDARD)
-    if method == "jaeger-dual":
-        return homfly_jaeger(word, DUAL)
+    """The polynomial by one ``--method``; the tree modes are named as the methods."""
     if method == "hecke":
         return homfly_hecke(word)
-    raise ValueError(f"unknown method {method!r}")
+    if method.startswith("jaeger"):
+        return homfly_jaeger(word, DUAL if method == "jaeger-dual" else STANDARD)
+    return homfly(word, method)
 
 
 def _certificate_json(cert) -> dict:
@@ -186,16 +181,19 @@ def cmd_compute(args) -> int:
     except ValueError as exc:  # the Hecke trace refuses a block past its limit
         print(f"error: {exc}; use another --method", file=sys.stderr)
         return EXIT_INPUT
-    reference = values[methods[0]]
-    agree = all(v == reference for v in values.values())
+    # printing big coefficients can cost more than computing them, so each
+    # distinct polynomial is formatted once
+    texts = {v: v.to_text() for v in set(values.values())}
+    agree = len(texts) == 1
     if args.json:
+        terms = {v: v.to_json_terms() for v in texts}
         doc = {
             "word": word.text(),
             "strands": word.strands,
             "writhe": writhe(word),
             "method": args.method,
-            "homfly": {m: v.to_json_terms() for m, v in values.items()},
-            "homfly_text": {m: v.to_text() for m, v in values.items()},
+            "homfly": {m: terms[v] for m, v in values.items()},
+            "homfly_text": {m: texts[v] for m, v in values.items()},
             "methods_agree": agree,
         }
         print(json.dumps(doc, indent=2))
@@ -203,7 +201,7 @@ def cmd_compute(args) -> int:
         print(f"word: {word.text() or '(empty)'}")
         print(f"strands: {word.strands}  writhe: {writhe(word)}")
         for m in methods:
-            print(f"P ({m}): {values[m].to_text()}")
+            print(f"P ({m}): {texts[values[m]]}")
         if args.method == "all":
             print("all methods agree" if agree else "METHOD DISAGREEMENT")
     if not agree:

@@ -158,7 +158,9 @@ def _core(block: BraidWord) -> BraidWord:
 
 def hecke_fits(word: BraidWord) -> bool:
     """Whether no destabilized split block has more than ``HECKE_MAX_STRANDS`` strands."""
-    return all(_core(block).strands <= HECKE_MAX_STRANDS for _, block in word.split_blocks)
+    # a block with no letters is a free strand, which always fits
+    blocks = (block for _, block in word.split_blocks if block.letters)
+    return all(_core(block).strands <= HECKE_MAX_STRANDS for block in blocks)
 
 
 def _block_trace(core: BraidWord) -> LaurentPoly2:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidpoly import (
@@ -198,6 +198,39 @@ class TestGapProfile:
         assert sum(t.count for t in profile.gaps) == len(word)
 
 
+@st.composite
+def gap_signed_words(draw):
+    """Words whose letters take the sign their gap's parity gives a leading
+    sign, with at most one letter flipped; gaps may stay empty."""
+    strands = draw(st.integers(1, 6))
+    leading = draw(st.sampled_from((1, -1)))
+    gaps = draw(st.lists(st.integers(1, strands - 1), max_size=8)) if strands > 1 else []
+    tokens = [g * (leading if g % 2 else -leading) for g in gaps]
+    if tokens and draw(st.booleans()):
+        i = draw(st.integers(0, len(tokens) - 1))
+        tokens[i] = -tokens[i]
+    return BraidWord(tuple(tokens), strands)
+
+
+def reference_flags(word):
+    """``classify``'s flags gap by gap, read off ``gap_profile``."""
+    profile = gap_profile(word)
+    odd_signs = []  # per nonempty gap: the sign it asks of the odd gaps, 0 if mixed
+    for t in profile.gaps:
+        if t.count:
+            sign = 0 if t.positive and t.negative else 1 if t.positive else -1
+            odd_signs.append(sign if t.gap % 2 else -sign)
+    alternating = 0 not in odd_signs and len(set(odd_signs)) <= 1
+    leading = odd_signs[0] if alternating and odd_signs else 0
+    return (
+        alternating,
+        leading == 1,
+        leading == -1,
+        all(t.count != 1 for t in profile.gaps),
+        all(t.count >= 1 for t in profile.gaps),
+    )
+
+
 class TestClassification:
     def test_figure_eight_flags(self):
         flags = classify(parse_braid("1 -2 1 -2"))
@@ -237,6 +270,22 @@ class TestClassification:
         assert (flags.reduced and flags.non_split) == all(
             t.count >= 2 for t in profile.gaps
         )
+
+    @given(gap_signed_words())
+    @settings(max_examples=300)
+    @example(BraidWord((), 1))
+    @example(BraidWord((), 4))
+    @example(BraidWord((-1, 2, 2, -5, -1), 6))
+    @example(BraidWord((1, 3, -2, -2, 1), 5))
+    def test_matches_per_gap_reference(self, word):
+        flags = classify(word)
+        assert (
+            flags.alternating,
+            flags.positive_leading,
+            flags.negative_leading,
+            flags.reduced,
+            flags.non_split,
+        ) == reference_flags(word)
 
     @given(words())
     @settings(max_examples=80)
@@ -331,6 +380,60 @@ class TestMarkovVariants:
 
         assert _braid_relation_sites([1, 2, 1]) == [0]
         assert _braid_relation_sites([1, -2, 1]) == []  # the excluded sign pattern
+
+    @pytest.mark.parametrize(
+        "text, strands, seed, variants",
+        [
+            # insertion drawn on one strand rotates instead; stabilizing
+            # then lets a later insertion apply
+            (
+                "",
+                1,
+                3,
+                [
+                    ((), 1, ("rotate(0)",)),
+                    ((), 1, ("rotate(0)", "rotate(0)", "rotate(0)")),
+                    ((1, -1, 1), 2, ("stabilize(+)", "insert(-1)@1")),
+                ],
+            ),
+            # the draw after an insertion no longer offers insertion
+            (
+                "1 -1 1",
+                2,
+                5,
+                [
+                    ((1, 2), 3, ("rotate(2)", "stabilize(+)", "cancel@1")),
+                    ((1,), 2, ("rotate(1)", "rotate(2)", "cancel@0")),
+                    ((-1, 1, 1, -1, 1), 2, ("insert(1)@0", "rotate(3)")),
+                ],
+            ),
+            # the draw after a stabilization no longer offers stabilization
+            (
+                "1 2 1 -3 2",
+                4,
+                241,
+                [
+                    ((-3, 2, -1, 1, 1, 2, 1, 4), 5, ("insert(-1)@5", "rotate(3)", "stabilize(+)")),
+                    ((2, 1, 2, -3, -4, 2), 5, ("braid@0", "stabilize(-)", "commute@4")),
+                    ((1, 2, 1, -3, 2, 4), 5, ("stabilize(+)",)),
+                ],
+            ),
+            # no braid-relation or commutation site: both rotate instead
+            (
+                "1 -2 1",
+                3,
+                2,
+                [
+                    ((1, -2, 1), 3, ("rotate(0)",)),
+                    ((1, -2, 1), 3, ("rotate(2)", "rotate(1)")),
+                    ((-2, 1, 1, -3), 4, ("rotate(1)", "rotate(3)", "stabilize(-)")),
+                ],
+            ),
+        ],
+    )
+    def test_pinned_variants(self, text, strands, seed, variants):
+        out = markov_variants(parse_braid(text, strands), seed=seed, count=3)
+        assert [(v.word.letters, v.word.strands, v.moves) for v in out] == variants
 
     def test_deterministic(self):
         w = parse_braid("1 2 -1")
