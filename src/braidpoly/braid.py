@@ -141,12 +141,25 @@ class BraidWord:
         returned as is, so the block shares the word's memoized polynomials.
         """
         used = set(self.gaps)
-        firsts = [1] + [g + 1 for g in range(1, self.strands) if g not in used]
+        firsts = [1]
+        block_of = [0] * self.strands  # the block of each gap in use
+        for g in range(1, self.strands):
+            if g not in used:
+                firsts.append(g + 1)
+            block_of[g] = len(firsts) - 1
         if len(firsts) == 1:
             return ((1, self),)
-        # each block ends one gap before the empty gap that precedes the next
-        lasts = [f - 2 for f in firsts[1:]] + [self.strands - 1]
-        return tuple((f, self.sub_braid(f, last)) for f, last in zip(firsts, lasts))
+        # one pass buckets the letters by block, re-indexed as in ``sub_braid``
+        blocks: list[list[int]] = [[] for _ in firsts]
+        for t in self.letters:
+            b = block_of[abs(t)]
+            shift = firsts[b] - 1
+            blocks[b].append(t - shift if t > 0 else t + shift)
+        ends = firsts[1:] + [self.strands + 1]
+        return tuple(
+            (f, BraidWord(tuple(letters), end - f))
+            for f, end, letters in zip(firsts, ends, blocks)
+        )
 
     @cached_property
     def homfly_memo(self) -> dict:

@@ -97,7 +97,6 @@ def _analyze_json(word: BraidWord) -> dict:
     profile = gap_profile(word)
     cert = braid_index_certificate(word)
     poly = link_polynomial(word)
-    E, e, span = poly.a_degrees()
     alex = alexander(word)
     crossing_kinds = classify_crossings(ResolvedDiagram.all_kept(word))
     return {
@@ -129,8 +128,8 @@ def _analyze_json(word: BraidWord) -> dict:
         },
         "homfly": {"descending": poly.to_json_terms()},
         "homfly_text": poly.to_text(),
-        "degrees": {"E": E, "e": e, "span": span},
-        "mfw_lower_bound": span // 2 + 1,
+        "degrees": {"E": cert.E, "e": cert.e, "span": cert.E - cert.e},
+        "mfw_lower_bound": cert.lower_bound,
         "braid_index": _certificate_json(cert),
         "alexander": {
             "delta": alex.delta.to_json_terms(),

@@ -2,11 +2,18 @@
 
 For any closed braid the a-degrees of the HOMFLY polynomial are confined to
 ``[1-n-w, n-1-w]``, so ``a-span/2 + 1`` bounds the braid index from below
-(the Morton-Frank-Williams inequality).  For a reduced alternating braid with
-no empty gaps the bound is sharp: the extreme degrees are attained exactly,
-the a-span is ``2(n-1)``, and the braid index is therefore ``n``.  Sharpness
-is witnessed by two explicit resolving-tree leaves (``u_star`` descending,
-``v_star`` ascending) whose closures keep all ``n`` components.
+(the Morton-Frank-Williams inequality); :func:`mfw_bounds` is the one place
+that reads it off.  For a reduced alternating braid with no empty gaps the
+bound is sharp: the extreme degrees are attained exactly, the a-span is
+``2(n-1)``, and the braid index is therefore ``n``.  Sharpness is witnessed by
+two explicit resolving-tree leaves (``u_star`` descending, ``v_star``
+ascending) whose closures keep all ``n`` components.
+
+The certificate applies one rule to each split block: a block is certified
+when it is reduced, alternating and has no empty gap, and the engine is then
+held to ``mfw_bounds(block).lower_bound == strands`` (the whole word likewise
+when every block is certified).  Inside the window that :func:`mfw_bounds`
+enforces, that equality holds exactly when both extreme degrees are reached.
 
 A third construction, ``u_prime``, produces the unique knot-like descending
 leaf of maximal smoothing (``gamma = 1``, ``t = c - n + 1``); its term
@@ -238,18 +245,16 @@ def construct_u_prime(word: BraidWord) -> ResolvedDiagram:
 class BlockCertificate:
     """Certificate data for one empty-gap-separated block of the word.
 
-    The block word is re-indexed to start at gap 1.  For a certifiable block
-    the extreme degrees of its own polynomial are verified against
-    ``n - 1 - w`` and ``1 - n - w``; the witnesses live on the block word, or
-    on its mirror when the block is negative-leading (``mirrored`` set).
+    The block word is re-indexed to start at gap 1.  A certifiable block with
+    letters has been held to ``mfw_bounds(block).lower_bound == strands``;
+    its witnesses live on the block word, or on its mirror when the block is
+    negative-leading (``mirrored`` set).
     """
 
     first_strand: int
     word: BraidWord
     flags: DiagramClass
     certified: bool
-    E: Optional[int]
-    e: Optional[int]
     u_star: Optional[ResolvedDiagram]
     v_star: Optional[ResolvedDiagram]
     mirrored: bool
@@ -287,59 +292,46 @@ class BraidIndexCertificate:
         return self.blocks[0].v_star if len(self.blocks) == 1 else None
 
 
+def _require_sharp(word: BraidWord, report: MfwReport) -> None:
+    """Raise :class:`ConsistencyError` unless a certified word reaches its MFW bound."""
+    if report.lower_bound != word.strands:
+        raise ConsistencyError(
+            f"word {word.text()!r} certifies but its MFW bound is "
+            f"{report.lower_bound}, not its {word.strands} strands"
+        )
+
+
+def _block_certificate(first_strand: int, block: BraidWord) -> BlockCertificate:
+    flags = classify(block)
+    certified = flags.alternating and flags.reduced and flags.non_split
+    if not certified or len(block) == 0:
+        return BlockCertificate(first_strand, block, flags, certified, None, None, False)
+    _require_sharp(block, mfw_bounds(block))
+    mirrored = flags.negative_leading
+    witness_word = mirror(block) if mirrored else block
+    return BlockCertificate(
+        first_strand, block, flags, True,
+        construct_u_star(witness_word), construct_v_star(witness_word), mirrored,
+    )
+
+
 def braid_index_certificate(word: BraidWord) -> BraidIndexCertificate:
     """Certify the braid index when the hypotheses allow, else bound it.
 
-    Every empty-gap-separated block must be alternating with at least two
-    crossings in each of its gaps; then each block's braid index is its strand
-    count, and indices add over split components.  The degree laws are checked
-    per block and a violation raises :class:`ConsistencyError` rather than
-    returning a wrong certificate.  The blocks are the word's
+    A block is certified when it is reduced and alternating and has no empty
+    gap; its braid index is then its strand count, and indices add over split
+    components.  The engine is held to that: each certified block, and then a
+    certified word as a whole, must have ``mfw_bounds(...).lower_bound ==
+    strands``, or :class:`ConsistencyError` is raised rather than a wrong
+    certificate returned.  The blocks are the word's
     :attr:`~braidpoly.braid.BraidWord.split_blocks`, which the Hecke trace
     has already traced and memoized when it took the whole word.
     """
     whole = mfw_bounds(word)
-    block_certs: list[BlockCertificate] = []
-    all_certifiable = True
-    for first_strand, block in word.split_blocks:
-        flags = classify(block)
-        certifiable = flags.alternating and flags.reduced and flags.non_split
-        all_certifiable = all_certifiable and certifiable
-        if not certifiable or len(block) == 0:
-            block_certs.append(
-                BlockCertificate(
-                    first_strand, block, flags, certifiable,
-                    None, None, None, None, False,
-                )
-            )
-            continue
-        nb = block.strands
-        wb = writhe(block)
-        Eb, eb, _ = link_polynomial(block).a_degrees()
-        if Eb != nb - 1 - wb or eb != 1 - nb - wb:
-            raise ConsistencyError(
-                f"block {block.text()!r} certifies but has degrees "
-                f"[{eb}, {Eb}] instead of [{1 - nb - wb}, {nb - 1 - wb}]"
-            )
-        mirrored = flags.negative_leading
-        witness_word = mirror(block) if mirrored else block
-        block_certs.append(
-            BlockCertificate(
-                first_strand, block, flags, True, Eb, eb,
-                construct_u_star(witness_word),
-                construct_v_star(witness_word),
-                mirrored,
-            )
-        )
-    certified = all_certifiable
-    if certified and (
-        whole.E != word.strands - 1 - whole.writhe
-        or whole.e != 1 - word.strands - whole.writhe
-    ):
-        raise ConsistencyError(
-            f"word {word.text()!r} certifies blockwise but whole-word degrees "
-            f"disagree with the strand count"
-        )
+    blocks = tuple(_block_certificate(f, block) for f, block in word.split_blocks)
+    certified = all(b.certified for b in blocks)
+    if certified:
+        _require_sharp(word, whole)
     return BraidIndexCertificate(
         certified=certified,
         braid_index=word.strands if certified else None,
@@ -348,7 +340,7 @@ def braid_index_certificate(word: BraidWord) -> BraidIndexCertificate:
         writhe=whole.writhe,
         E=whole.E,
         e=whole.e,
-        blocks=tuple(block_certs),
+        blocks=blocks,
     )
 
 

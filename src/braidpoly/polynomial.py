@@ -109,9 +109,10 @@ class LaurentPoly2:
 
     Internally a map from ``(z_degree, a_degree)`` pairs to nonzero integers.
     Instances are immutable and hashable; all operations return new values.
+    The hash is computed on first use and kept.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         clean = {}
@@ -221,7 +222,11 @@ class LaurentPoly2:
         return isinstance(other, LaurentPoly2) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        try:
+            return self._hash
+        except AttributeError:  # not hashed yet
+            self._hash = hash(frozenset(self._terms.items()))
+            return self._hash
 
     def terms(self) -> Iterator[tuple[tuple[int, int], int]]:
         """Terms in canonical order: a-degree descending, then z-degree descending."""

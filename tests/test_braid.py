@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -294,6 +296,39 @@ class TestClassification:
         assert not (flags.positive_leading and flags.negative_leading)
         if flags.positive_leading or flags.negative_leading:
             assert flags.alternating
+
+
+def sub_braid_blocks(word):
+    """``split_blocks`` rebuilt block by block with ``sub_braid``."""
+    used = set(word.gaps)
+    firsts = [1] + [g + 1 for g in range(1, word.strands) if g not in used]
+    lasts = [f - 2 for f in firsts[1:]] + [word.strands - 1]
+    return tuple((f, word.sub_braid(f, last)) for f, last in zip(firsts, lasts))
+
+
+class TestSplitBlocks:
+    def test_non_split_word_is_its_own_block(self):
+        word = parse_braid("1 -2 1 -2")
+        assert word.split_blocks == ((1, word),)
+        assert word.split_blocks[0][1] is word
+
+    def test_matches_per_block_reference(self):
+        rng = random.Random(11)
+        split = 0
+        for _ in range(400):
+            strands = rng.randint(1, 9)
+            # letters on a random subset of the gaps, so some gaps stay empty
+            gaps = [g for g in range(1, strands) if rng.random() < 0.6]
+            letters = tuple(
+                rng.choice(gaps) * rng.choice((1, -1))
+                for _ in range(rng.randint(0, 10) if gaps else 0)
+            )
+            word = BraidWord(letters, strands)
+            blocks = word.split_blocks
+            if len(blocks) > 1:
+                split += 1
+                assert blocks == sub_braid_blocks(word), word
+        assert split > 300
 
 
 class TestMirror:

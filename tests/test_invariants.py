@@ -1,6 +1,7 @@
 import pytest
 
 from braidpoly import (
+    ConsistencyError,
     ConstructionError,
     FLIPPED,
     KEPT,
@@ -21,6 +22,7 @@ from braidpoly import (
     parse_braid,
     writhe,
 )
+from braidpoly import invariants
 from braidpoly.corpus import alternating_words
 from braidpoly.resolver import ASCENDING, DESCENDING
 
@@ -94,6 +96,30 @@ class TestCertificate:
             (3, "", 1),
             (4, "-1 1 -2", 3),
         ]
+
+
+class TestConsistencyGuard:
+    """A certifiable word whose polynomial stays inside the MFW window but
+    falls short of the bound must raise, not certify."""
+
+    def test_block_guard(self, monkeypatch):
+        # trefoil window is [-4, -2]; a^-2 alone fits it with span 0
+        fake = LaurentPoly2.from_text("a^-2")
+        monkeypatch.setattr(invariants, "link_polynomial", lambda w: fake)
+        with pytest.raises(ConsistencyError):
+            braid_index_certificate(parse_braid("1 1 1"))
+
+    def test_whole_word_guard(self, monkeypatch):
+        # window [-5, -1] on 3 strands; the trefoil block keeps its polynomial
+        word = parse_braid("1 1 1", strands=3)
+        fake = LaurentPoly2.from_text("a^-2")
+        real = invariants.link_polynomial
+        monkeypatch.setattr(
+            invariants, "link_polynomial", lambda w: fake if w is word else real(w)
+        )
+        assert braid_index_certificate(parse_braid("1 1 1")).certified
+        with pytest.raises(ConsistencyError):
+            braid_index_certificate(word)
 
 
 class TestUStar:

@@ -13,7 +13,8 @@ from braidpoly.polynomial import (
     ZeroPolynomialError,
     binomial_row,
 )
-from braidpoly.hecke import _delta_power
+from braidpoly.braid import parse_braid
+from braidpoly.hecke import _delta_power, homfly_hecke
 from braidpoly.resolver import assemble_tree_sum, homfly
 
 
@@ -104,6 +105,18 @@ class TestDegrees:
         E, e, span = p.a_degrees()
         E2, e2, span2 = p.scale_monomial(da=k).a_degrees()
         assert (E2, e2, span2) == (E + k, e + k, span)
+
+
+class TestHash:
+    @pytest.mark.parametrize("text", ["1 -2 1 -2", "1 1 1", "1 2 -1 -3 2 2"])
+    def test_equal_values_from_every_route_hash_equal(self, text):
+        tree = homfly(parse_braid(text))
+        trace = homfly_hecke(parse_braid(text))
+        parsed = P(tree.to_text())
+        summed = parsed + LaurentPoly2.zero()
+        assert tree == trace == parsed == summed
+        assert hash(tree) == hash(trace) == hash(parsed) == hash(summed)
+        assert len({tree, trace, parsed, summed}) == 1
 
 
 class TestCanonicalText:
