@@ -23,10 +23,11 @@ Conventions fixed here and relied on everywhere else:
   closure of a single positive crossing evaluates to 1, and descending
   closures satisfy components - writhe = strands.  An import-time self check
   in the package root asserts the first two.
-* A crossing is *descending* when the over-strand's label precedes the
-  under-strand's label in the return order, *ascending* otherwise.
-  Equivalently: the natural traversal first arrives at a descending crossing
-  on its over-strand.
+* A crossing is *descending* when the natural traversal first arrives at it
+  on its over-arm, *ascending* otherwise (:func:`classify_crossings`).  The
+  walk starts the strands in return order, so this is the paper's statement
+  by labels: the over-strand's label precedes the under-strand's in the
+  return order.  The tests check the code against that rank-based statement.
 
 Letter positions are 0-based throughout the API.
 """
@@ -162,6 +163,34 @@ class BraidWord:
         )
 
     @cached_property
+    def destabilized(self) -> "BraidWord":
+        """This word with its single-letter end gaps dropped; the closure is the same.
+
+        When the first or last gap holds exactly one letter, dropping that
+        letter and that outer strand keeps the closure: conjugation brings the
+        letter to the end of the word (and, for the first gap, the half twist
+        turns the strand order round), and a Markov destabilization removes
+        it.  That repeats until neither end gap holds a single letter.  A
+        word emptied this way is an unknot on one strand.  A word with no
+        single-letter end gap is returned as it is.  Computed once per word
+        object, from one count of the letters in each gap.
+        """
+        counts = [0] * self.strands  # letters per gap, index 0 unused
+        for g in self.gaps:
+            counts[g] += 1
+        first, last = 1, self.strands - 1
+        while first <= last:
+            if counts[first] == 1:
+                first += 1
+            elif counts[last] == 1:
+                last -= 1
+            else:
+                break
+        if (first, last) == (1, self.strands - 1):
+            return self
+        return self.sub_braid(first, last)
+
+    @cached_property
     def homfly_memo(self) -> dict:
         """This word's HOMFLY polynomials computed so far, keyed by engine.
 
@@ -214,11 +243,13 @@ class ResolvedDiagram:
         Its standard-form cycles are the strand labels in the order the
         natural traversal starts them, one cycle per closure component.
         """
-        cycles: list[tuple[int, ...]] = []
+        cycles: list[list[int]] = []
         for i, col, first in walk(self.word, self.states):
             if i < 0:
-                cycles.append((col,) if first else cycles.pop() + (col,))
-        return StrandPermutation(tuple(cycles))
+                if first:
+                    cycles.append([])
+                cycles[-1].append(col)
+        return StrandPermutation(tuple(map(tuple, cycles)))
 
 
 # ---------------------------------------------------------------------------
@@ -436,30 +467,47 @@ def walk(
                 break
 
 
+def _under_columns(word: BraidWord) -> list[int]:
+    """The column from which the walker reaches each letter on its original under-arm.
+
+    By the drawing convention the under-arm of a positive crossing arrives
+    from the left, in the gap column, and that of a negative one from the
+    right; arriving from the other column is arriving on the over-arm.
+    """
+    return [t if t > 0 else 1 - t for t in word.letters]
+
+
+def _violations(
+    word: BraidWord, states: Sequence[CrossingState], ascending: bool
+) -> Iterator[int]:
+    """Letters breaking the requested form at their first visit, in walk order.
+
+    For the descending form a kept letter must be reached on its over-arm,
+    and a flipped or smoothed letter on the under-arm of its original
+    crossing (a flip swaps the arms); the ascending form swaps both arms.
+    This is the one first-visit test: :func:`classify_crossings`, the step
+    API and leaf test of :mod:`braidpoly.resolver` and the admissibility
+    test of :mod:`braidpoly.jaeger` all read it.
+    """
+    under = _under_columns(word)
+    for i, col, first in walk(word, states):
+        if first and i >= 0 and ((col == under[i]) == ascending) != (states[i] is KEPT):
+            yield i
+
+
 def classify_crossings(diagram: ResolvedDiagram) -> tuple[Optional[str], ...]:
     """Label each non-smoothed letter ``"descending"`` or ``"ascending"``.
 
-    The over- and under-strand labels at each letter are compared in the
-    diagram's own return order (computed on the non-smoothed letters).  The
-    over-strand is read off the effective sign: positive means the strand
-    arriving in the right column passes over.  Smoothed letters get ``None``.
+    A letter is ascending exactly when it breaks the descending form at its
+    first visit (:func:`_violations`): the walk of the diagram, smoothed
+    letters acting as the identity, first reaches it on the under-arm of its
+    crossing as it stands.  Smoothed letters get ``None``.
     """
-    word = diagram.word
-    rank = diagram.permutation().rank
-    columns = list(range(word.strands + 1))  # columns[c] = label currently in column c
-    out: list[Optional[str]] = []
-    for i, g in enumerate(word.gaps):
-        left_label, right_label = columns[g], columns[g + 1]
-        if diagram.states[i] is SMOOTHED:
-            out.append(None)
-            continue
-        eff = diagram.effective_sign(i)
-        over, under = (
-            (right_label, left_label) if eff > 0 else (left_label, right_label)
-        )
-        out.append("descending" if rank[over] < rank[under] else "ascending")
-        columns[g], columns[g + 1] = right_label, left_label
-    return tuple(out)
+    ascending = set(_violations(diagram.word, diagram.states, False))
+    return tuple(
+        None if st is SMOOTHED else "ascending" if i in ascending else "descending"
+        for i, st in enumerate(diagram.states)
+    )
 
 
 # ---------------------------------------------------------------------------

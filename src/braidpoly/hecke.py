@@ -30,7 +30,8 @@ each traced on its own strands and memoized on the block word, and free
 strands, each with polynomial 1.  The split union of ``k`` blocks is
 ``delta^(k-1)`` times the product of their polynomials.  Before it is
 traced, each block sheds every end gap that holds a single letter, by
-conjugation and Markov destabilization (see :func:`_core`), which keeps its
+conjugation and Markov destabilization
+(:attr:`~braidpoly.braid.BraidWord.destabilized`), which keeps its
 link and its polynomial; ``sigma_1 sigma_2 ... sigma_(n-1)`` sheds them all.
 A block keeps one coefficient per permutation of its strands that the word
 reaches, up to ``m!`` of them, so the trace refuses blocks that still have
@@ -45,7 +46,7 @@ J. Algorithms 11 (1990).
 from __future__ import annotations
 
 from .braid import BraidWord
-from .polynomial import LaurentPoly2, binomial_row
+from .polynomial import LaurentPoly2, difference_power
 
 HECKE = "hecke"
 
@@ -126,41 +127,14 @@ def _delta_power(k: int) -> LaurentPoly2:
     longer polynomials: about 0.6 s at ``k = 999``, which ``analyze 1
     --strands 1000`` needs, where this takes milliseconds.
     """
-    return LaurentPoly2(
-        {(-k, k - 2 * j): -b if j & 1 else b for j, b in enumerate(binomial_row(k))}
-    )
-
-
-def _core(block: BraidWord) -> BraidWord:
-    """The split block ``block`` with its single-letter end gaps dropped.
-
-    When a block's first or last gap holds exactly one letter, dropping that
-    letter and that outer strand keeps the closure: conjugation brings the
-    letter to the end of the word (and, for the first gap, the half twist
-    turns the strand order round), and a Markov destabilization removes it.
-    That repeats until neither end gap holds a single letter.  A block
-    emptied this way is an unknot on one strand, with polynomial 1.  A
-    reduced block (no gap with a single letter) is returned as it is.
-    """
-    gaps = block.gaps
-    first, last = 1, block.strands - 1
-    while first <= last:
-        if gaps.count(first) == 1:
-            first += 1
-        elif gaps.count(last) == 1:
-            last -= 1
-        else:
-            break
-    if (first, last) == (1, block.strands - 1):
-        return block
-    return block.sub_braid(first, last)
+    return LaurentPoly2({(-k, e): c for e, c in difference_power(k)})
 
 
 def hecke_fits(word: BraidWord) -> bool:
     """Whether no destabilized split block has more than ``HECKE_MAX_STRANDS`` strands."""
     # a block with no letters is a free strand, which always fits
     blocks = (block for _, block in word.split_blocks if block.letters)
-    return all(_core(block).strands <= HECKE_MAX_STRANDS for block in blocks)
+    return all(block.destabilized.strands <= HECKE_MAX_STRANDS for block in blocks)
 
 
 def _block_trace(core: BraidWord) -> LaurentPoly2:
@@ -178,8 +152,9 @@ def hecke_trace(word: BraidWord) -> LaurentPoly2:
     """The HOMFLY polynomial of the closure, computed afresh by the trace.
 
     A word of ``k`` split blocks, free strands included, gives
-    ``delta^(k-1)`` times the product of the blocks' memoized polynomials
-    (:func:`homfly_hecke`).  Raises ``ValueError`` on a word that
+    ``delta^(k-1)`` times the product of the blocks' polynomials, each
+    traced on its destabilized block and memoized on the block word as
+    :func:`homfly_hecke` does.  Raises ``ValueError`` on a word that
     :func:`hecke_fits` rejects.
     """
     if not hecke_fits(word):
@@ -189,11 +164,14 @@ def hecke_trace(word: BraidWord) -> LaurentPoly2:
         )
     blocks = word.split_blocks
     if len(blocks) == 1:
-        return _block_trace(_core(word))
+        return _block_trace(word.destabilized)
     poly = LaurentPoly2.one()
     for _, block in blocks:
         if block.letters:  # a free strand's polynomial is 1
-            poly = poly * homfly_hecke(block)
+            memo = block.homfly_memo
+            if HECKE not in memo:
+                memo[HECKE] = _block_trace(block.destabilized)
+            poly = poly * memo[HECKE]
     return poly * _delta_power(len(blocks) - 1)
 
 

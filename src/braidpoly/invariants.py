@@ -38,6 +38,7 @@ from .braid import (
     KEPT,
     ResolvedDiagram,
     SMOOTHED,
+    _under_columns,
     classify,
     gap_profile,
     mirror,
@@ -184,7 +185,7 @@ def construct_u_prime(word: BraidWord) -> ResolvedDiagram:
     _require_positive_leading(word)
     n = word.strands
     gaps = word.gaps
-    signs = word.signs
+    under = _under_columns(word)
     profile = gap_profile(word)
     states: list[Optional[CrossingState]] = [None] * len(gaps)
 
@@ -198,7 +199,7 @@ def construct_u_prime(word: BraidWord) -> ResolvedDiagram:
         if not first:
             continue
         new_col = 2 * gaps[i] + 1 - col
-        if (col == gaps[i]) != (signs[i] > 0):
+        if col != under[i]:
             # arrival on the over-arm forces a keep; rightward keeps steer
             # the outbound walk
             states[i] = KEPT

@@ -35,13 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .braid import KEPT, SMOOTHED, BraidWord, ResolvedDiagram
+from .braid import KEPT, SMOOTHED, BraidWord, ResolvedDiagram, _violations
 from .polynomial import LaurentPoly2
 from .resolver import (
     ASCENDING,
     DESCENDING,
     Mode,
-    _violations,
     enumerate_leaves,
     first_violation,
     homfly,
@@ -92,7 +91,7 @@ def is_admissible(partition: CircuitPartition, variant: Variant = STANDARD) -> b
     Standard: each smoothed crossing is first passed on its original
     under-arm (left tangence at a positive crossing, right at a negative);
     dual: on the over-arm.  These are the smoothed-letter tests of the paired
-    tree's leaf form, so the walk is :func:`braidpoly.resolver._violations`,
+    tree's leaf form, so the walk is :func:`braidpoly.braid._violations`,
     with its verdicts on unsmoothed letters ignored.
     """
     dual = _paired_mode(variant) == ASCENDING

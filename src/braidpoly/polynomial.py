@@ -36,18 +36,24 @@ class SubstitutionError(ValueError):
     """
 
 
-def binomial_row(k: int) -> list[int]:
-    """``[C(k, 0), C(k, 1), ..., C(k, k)]``, each entry from the one before.
+def difference_power(k: int) -> list[tuple[int, int]]:
+    """``(x - x^-1)^k`` as ``(exponent, coefficient)`` pairs, exponents descending.
 
-    ``C(k, j + 1) = C(k, j) * (k - j) / (j + 1)`` costs one multiplication
-    and one exact division per entry.  A fresh ``math.comb(k, j)`` per entry
-    grows much faster with ``k``: ``delta^3998`` took 1.2 s that way against
-    12 ms this way (2 CPUs, Python 3.11.7).
+    The term ``x^(k - 2j)`` has coefficient ``(-1)^j C(k, j)``, and each
+    binomial comes from the one before: ``C(k, j + 1) = C(k, j) * (k - j) /
+    (j + 1)`` costs one multiplication and one exact division.  A fresh
+    ``math.comb(k, j)`` per term grows much faster with ``k``: ``delta^3998``
+    took 1.2 s that way against 12 ms this way (2 CPUs, Python 3.11.7).
+    Every weight of the package is one of these: ``delta^k = (a - a^-1)^k
+    z^-k``, the resolving-tree weights ``a^(+-k) delta^k`` and the
+    Alexander substitution's ``(s - s^-1)^k``.
     """
-    row = [1]
-    for j in range(k):
-        row.append(row[j] * (k - j) // (j + 1))
-    return row
+    terms = []
+    b = 1
+    for j in range(k + 1):
+        terms.append((k - 2 * j, -b if j & 1 else b))
+        b = b * (k - j) // (j + 1)
+    return terms
 
 
 def _format_terms(terms, var_names):
@@ -261,7 +267,7 @@ class LaurentPoly2:
         divides a nonzero polynomial in it of degree below ``m``, so the value
         is a Laurent polynomial in ``s`` exactly when every ``q_k`` with
         ``k < 0`` vanishes; otherwise :class:`SubstitutionError` is raised.
-        The rest is expanded by the binomial theorem.
+        The rest is expanded term by term (:func:`difference_power`).
         """
         q: dict[int, int] = {}
         for (dz, _), c in self._terms.items():
@@ -270,10 +276,8 @@ class LaurentPoly2:
             raise SubstitutionError("a negative power of z survives a = 1")
         acc: dict[int, int] = {}
         for k, c in q.items():
-            # (s - s^-1)^k = sum_j (-1)^j C(k, j) s^(k - 2j)
-            for j, b in enumerate(binomial_row(k)):
-                v = c * b
-                acc[k - 2 * j] = acc.get(k - 2 * j, 0) + (-v if j & 1 else v)
+            for e, b in difference_power(k):
+                acc[e] = acc.get(e, 0) + c * b
         return LaurentPoly1(acc)
 
 

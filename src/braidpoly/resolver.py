@@ -36,18 +36,20 @@ and closes components, and the leaf's ``gamma`` follows from the identity
 above and the leaf's writhe, tracked along the path.  On the benchmark's
 ``ladder`` words that cut the slot lookups per leaf from 18.4 to 3.6.
 
-The step API (:func:`first_violation`, :func:`split_at`) restarts the walk
-at every node instead, as the definition does, on
-:func:`braidpoly.braid.walk`, which finds each next letter by bisection in
-:attr:`BraidWord.column_index` and shares nothing with the slot table; it
-serves as the reference the search is checked against, and its leaves get
-their ``gamma`` by counting the closure's components.
+The step API (:func:`first_violation`, :func:`split_at`) and
+:func:`leaf_membership_test` restart the walk at every node instead, as the
+definition does: they read the first-visit test
+:func:`braidpoly.braid._violations` on :func:`braidpoly.braid.walk`, which
+finds each next letter by bisection in :attr:`BraidWord.column_index` and
+shares nothing with the slot table.  That walk serves as the reference the
+search is checked against, and its leaves get their ``gamma`` by counting
+the closure's components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal, Optional, Sequence
+from typing import Iterator, Literal, Optional
 
 from .braid import (
     FLIPPED,
@@ -56,10 +58,10 @@ from .braid import (
     BraidWord,
     CrossingState,
     ResolvedDiagram,
-    walk,
+    _violations,
     writhe,
 )
-from .polynomial import LaurentPoly2, binomial_row
+from .polynomial import LaurentPoly2, difference_power
 
 Mode = Literal["descending", "ascending"]
 
@@ -204,35 +206,14 @@ class LeafSummary:
         return frozenset(i for i, st in enumerate(self.states) if st is SMOOTHED)
 
 
-def _violations(
-    word: BraidWord, states: Sequence[CrossingState], ascending: bool
-) -> Iterator[int]:
-    """Letters breaking the requested form at their first visit, in walk order.
-
-    For the descending form a kept or flipped letter must be reached on the
-    over-arm of its live crossing and a smoothed letter on the under-arm of
-    its original crossing; the ascending form swaps both arms.
-    """
-    gaps = word.gaps
-    signs = word.signs
-    for i, col, first in walk(word, states):
-        if i < 0 or not first:
-            continue
-        arrives_under = (col == gaps[i]) == (signs[i] > 0)
-        if states[i] is SMOOTHED:
-            if arrives_under == ascending:
-                yield i
-        elif (arrives_under != (states[i] is FLIPPED)) != ascending:
-            yield i
-
-
 def first_violation(diagram: ResolvedDiagram, mode: Mode = DESCENDING) -> Optional[int]:
     """Index of the first crossing breaking the requested form, if any.
 
     Travelling the resolved diagram naturally, the first non-smoothed crossing
     that is ascending (``mode="descending"``) or descending
-    (``mode="ascending"``) in the diagram's own return order is reported;
-    ``None`` means the diagram already has the requested form.
+    (``mode="ascending"``) at its first visit is reported, by
+    :func:`braidpoly.braid._violations`; ``None`` means the diagram already
+    has the requested form.
     """
     ascending = _ascending(mode)
     for i in _violations(diagram.word, diagram.states, ascending):
@@ -284,7 +265,8 @@ def leaf_membership_test(
     crossing, a kept or flipped letter on the over-arm of the crossing as it
     stands in the candidate.  Passing all checks is equivalent to being a
     leaf of the descending tree (``mode="ascending"`` swaps both arm tests
-    and characterizes ascending-tree leaves).
+    and characterizes ascending-tree leaves).  The test is
+    :func:`braidpoly.braid._violations`.
     """
     ascending = _ascending(mode)
     diagram = ResolvedDiagram(word, tuple(states))
@@ -310,7 +292,7 @@ def assemble_tree_sum(
     Only the powers ``k = gamma - 1`` that occur are expanded, once each.
     """
     prefactor = (strands - 1 - total_writhe) if ascending else (1 - strands - total_writhe)
-    powers: dict[int, list[tuple[int, int, int]]] = {}
+    powers: dict[int, list[tuple[int, int]]] = {}
     acc: dict[tuple[int, int], int] = {}
     for (gamma, t), mult in counts.items():
         if mult == 0:
@@ -318,15 +300,12 @@ def assemble_tree_sum(
         k = gamma - 1
         terms = powers.get(k)
         if terms is None:
-            # ((a^2-1) z^-1)^k or ((1-a^-2) z^-1)^k as (dz, da, coeff) terms
-            row = enumerate(binomial_row(k))
-            if ascending:
-                terms = [(-k, -2 * j, -b if j & 1 else b) for j, b in row]
-            else:
-                terms = [(-k, 2 * j, -b if (k - j) & 1 else b) for j, b in row]
-            powers[k] = terms
-        for dz, da, c in terms:
-            key = (dz + t, da + prefactor)
+            # ((a^2-1) z^-1)^k = a^k delta^k and ((1-a^-2) z^-1)^k = a^-k delta^k,
+            # with delta^k = (a - a^-1)^k z^-k, as (a-degree, coeff) terms
+            shift = prefactor - k if ascending else prefactor + k
+            terms = powers[k] = [(e + shift, c) for e, c in difference_power(k)]
+        for da, c in terms:
+            key = (t - k, da)
             v = acc.get(key, 0) + mult * c
             if v:
                 acc[key] = v

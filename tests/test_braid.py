@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from braidpoly import (
     BraidParseError,
     BraidWord,
+    FLIPPED,
     KEPT,
     ResolvedDiagram,
     SMOOTHED,
@@ -29,6 +30,30 @@ def words(max_len=6, max_gap=3):
         lambda g: st.sampled_from([g, -g])
     )
     return st.lists(token, max_size=max_len).map(BraidWord.from_tokens)
+
+
+def rank_classification(diagram):
+    """The crossing kinds by the return-order rank, the convention as first stated.
+
+    The strand labels are dragged through the letters (a smoothed letter
+    keeps both labels in place), and a crossing is descending when its
+    over-strand's label precedes its under-strand's in the diagram's own
+    return order.  The over-strand is read off the effective sign: positive
+    means the strand arriving in the right column passes over.
+    """
+    word = diagram.word
+    rank = diagram.permutation().rank
+    columns = list(range(word.strands + 1))  # columns[c] = label now in column c
+    out = []
+    for i, g in enumerate(word.gaps):
+        left, right = columns[g], columns[g + 1]
+        if diagram.states[i] is SMOOTHED:
+            out.append(None)
+            continue
+        over, under = (right, left) if diagram.effective_sign(i) > 0 else (left, right)
+        out.append("descending" if rank[over] < rank[under] else "ascending")
+        columns[g], columns[g + 1] = right, left
+    return tuple(out)
 
 
 def arm(word, i, col):
@@ -121,6 +146,7 @@ class TestPermutation:
 
     @given(words())
     @settings(max_examples=80)
+    @example(BraidWord(tuple(range(1, 3000)), 3000))  # one cycle of 3,000 labels
     def test_matches_column_simulation(self, word):
         # independent route: drag the column contents through the letters
         columns = list(range(word.strands + 1))
@@ -176,6 +202,22 @@ class TestCrossingClassification:
                 continue
             expected = "descending" if arm(word, i, col) == "over" else "ascending"
             assert kinds[i] == expected
+
+    @given(words(max_len=7, max_gap=4), st.randoms(use_true_random=False))
+    @settings(max_examples=200)
+    def test_agrees_with_the_rank_on_resolved_diagrams(self, word, rng):
+        # kept, flipped and smoothed letters: smoothing changes the return
+        # order, flipping the over-strand
+        states = tuple(rng.choice((KEPT, FLIPPED, SMOOTHED)) for _ in word.letters)
+        d = ResolvedDiagram(word, states)
+        assert classify_crossings(d) == rank_classification(d)
+
+    def test_running_example_agrees_with_the_rank_on_every_state_vector(self):
+        word = parse_braid(EXAMPLE_WORD)
+        for code in range(3 ** len(word)):
+            states = tuple((KEPT, FLIPPED, SMOOTHED)[code // 3**i % 3] for i in range(len(word)))
+            d = ResolvedDiagram(word, states)
+            assert classify_crossings(d) == rank_classification(d), states
 
 
 class TestGapProfile:

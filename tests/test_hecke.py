@@ -24,7 +24,7 @@ from braidpoly import (
 )
 from braidpoly.checks import check_methods_agree
 from braidpoly.cli import main
-from braidpoly.hecke import HECKE_MAX_STRANDS, _core, hecke_fits, hecke_trace
+from braidpoly.hecke import HECKE_MAX_STRANDS, hecke_fits, hecke_trace
 
 from _brute import A, Z, brute_homfly, brute_walk, poly2_to_sympy, word_letters
 
@@ -87,7 +87,7 @@ class TestSplitBlocks:
     def test_a_reduced_block_is_its_own_core(self, word):
         for _, block in word.split_blocks:
             if all(block.gaps.count(g) != 1 for g in range(1, block.strands)):
-                assert _core(block) is block
+                assert block.destabilized is block
 
 
 class TestDeltaExponent:
@@ -348,3 +348,48 @@ class TestBlocksBuiltOnce:
         block_builds.clear()
         assert link_polynomial(word) is first
         assert block_builds == []
+
+
+@pytest.fixture
+def core_builds(monkeypatch):
+    """Record the word object of every destabilization built during the test."""
+    calls = []
+    build = BraidWord.destabilized.func
+
+    def counted(word):
+        calls.append(word)
+        return build(word)
+
+    counted_property = functools.cached_property(counted)
+    counted_property.__set_name__(BraidWord, "destabilized")
+    monkeypatch.setattr(BraidWord, "destabilized", counted_property)
+    return calls
+
+
+class TestDestabilizedOnce:
+    """``analyze`` destabilizes each split block with letters once."""
+
+    TEXTS = [
+        "1 1 -3 -3",
+        "1 1 -3 -3 3",
+        "1 -2 1 -2",
+        " ".join(map(str, range(1, 40))),  # one block that sheds every gap
+        " ".join(map(str, range(1, 100, 2))),  # 50 one-letter blocks
+        "2 2 2 -5 6 -5 6 -5",
+        "-1 3 -2 -4 -4 -4 1 -3",
+        # a certified trefoil block beside a block the trace refuses, so
+        # that the word goes to the tree and the certificate asks for the
+        # trefoil's polynomial on its own
+        " ".join(map(str, (1, 1, 1, *(t + 3 for t in doubled(range(1, HECKE_MAX_STRANDS + 1)))))),
+    ]
+
+    def test_analyze_destabilizes_each_block_once(self, capsys, core_builds):
+        for text in self.TEXTS:
+            core_builds.clear()
+            assert main(["analyze", text, "--json"]) == 0
+            capsys.readouterr()
+            lettered = [b for _, b in parse_braid(text).split_blocks if b.letters]
+            assert len(core_builds) == len(lettered), text
+            assert [(b.letters, b.strands) for b in core_builds] == [
+                (b.letters, b.strands) for b in lettered
+            ], text

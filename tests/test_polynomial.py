@@ -11,7 +11,7 @@ from braidpoly.polynomial import (
     LaurentPoly2,
     SubstitutionError,
     ZeroPolynomialError,
-    binomial_row,
+    difference_power,
 )
 from braidpoly.braid import parse_braid
 from braidpoly.hecke import _delta_power, homfly_hecke
@@ -225,7 +225,7 @@ class TestAlexanderSympyOracle:
 
 
 class TestBinomialRow:
-    """Each binomial row, and each expansion built from one, against sympy."""
+    """The one expansion of ``(x - x^-1)^k``, and each weight built from it, against sympy."""
 
     KS = range(41)
 
@@ -234,7 +234,12 @@ class TestBinomialRow:
 
         x = sp.Symbol("x")
         for k in self.KS:
-            assert binomial_row(k) == sp.Poly((1 + x) ** k, x).all_coeffs()[::-1]
+            terms = difference_power(k)
+            row = sp.Poly((1 + x) ** k, x).all_coeffs()[::-1]
+            assert [c for _, c in terms] == [(-1) ** j * b for j, b in enumerate(row)]
+            expected = sp.Poly(sp.expand((x - 1 / x) ** k * x**k), x)
+            assert dict(terms) == {e - k: int(c) for (e,), c in expected.terms()}
+            assert [e for e, _ in terms] == list(range(k, -k - 1, -2))
 
     def test_delta_powers(self):
         import sympy as sp
