@@ -478,7 +478,10 @@ def _under_columns(word: BraidWord) -> list[int]:
 
 
 def _violations(
-    word: BraidWord, states: Sequence[CrossingState], ascending: bool
+    word: BraidWord,
+    states: Sequence[CrossingState],
+    ascending: bool,
+    cycles: Optional[list[list[int]]] = None,
 ) -> Iterator[int]:
     """Letters breaking the requested form at their first visit, in walk order.
 
@@ -487,12 +490,32 @@ def _violations(
     crossing (a flip swaps the arms); the ascending form swaps both arms.
     This is the one first-visit test: :func:`classify_crossings`, the step
     API and leaf test of :mod:`braidpoly.resolver` and the admissibility
-    test of :mod:`braidpoly.jaeger` all read it.
+    test of :mod:`braidpoly.jaeger` all read it.  When ``cycles`` is a list,
+    the same walk appends to it the cycles of
+    :meth:`ResolvedDiagram.permutation`, one list per component.
     """
     under = _under_columns(word)
     for i, col, first in walk(word, states):
-        if first and i >= 0 and ((col == under[i]) == ascending) != (states[i] is KEPT):
+        if i < 0:
+            if cycles is not None:
+                if first:
+                    cycles.append([])
+                cycles[-1].append(col)
+        elif first and ((col == under[i]) == ascending) != (states[i] is KEPT):
             yield i
+
+
+def permutation_and_kinds(
+    diagram: ResolvedDiagram,
+) -> tuple[StrandPermutation, tuple[Optional[str], ...]]:
+    """:meth:`ResolvedDiagram.permutation` and :func:`classify_crossings`, from one walk."""
+    cycles: list[list[int]] = []
+    ascending = set(_violations(diagram.word, diagram.states, False, cycles))
+    kinds = tuple(
+        None if st is SMOOTHED else "ascending" if i in ascending else "descending"
+        for i, st in enumerate(diagram.states)
+    )
+    return StrandPermutation(tuple(map(tuple, cycles))), kinds
 
 
 def classify_crossings(diagram: ResolvedDiagram) -> tuple[Optional[str], ...]:
@@ -503,11 +526,7 @@ def classify_crossings(diagram: ResolvedDiagram) -> tuple[Optional[str], ...]:
     letters acting as the identity, first reaches it on the under-arm of its
     crossing as it stands.  Smoothed letters get ``None``.
     """
-    ascending = set(_violations(diagram.word, diagram.states, False))
-    return tuple(
-        None if st is SMOOTHED else "ascending" if i in ascending else "descending"
-        for i, st in enumerate(diagram.states)
-    )
+    return permutation_and_kinds(diagram)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,15 @@ from .braid import (
     BraidWord,
     ResolvedDiagram,
     classify,
-    classify_crossings,
     gap_profile,
     parse_braid,
-    permutation,
+    permutation_and_kinds,
     writhe,
 )
+
+# ``perfbench/tracing.py`` wraps these two by their names here, so they stay
+# bound; ``analyze`` reads both from one walk (``permutation_and_kinds``).
+from .braid import classify_crossings, permutation  # noqa: F401
 from .checks import (
     check_bijection,
     check_markov,
@@ -92,13 +95,12 @@ def _certificate_json(cert) -> dict:
 
 
 def _analyze_json(word: BraidWord) -> dict:
-    perm = permutation(word)
+    perm, crossing_kinds = permutation_and_kinds(ResolvedDiagram.all_kept(word))
     flags = classify(word)
     profile = gap_profile(word)
     cert = braid_index_certificate(word)
     poly = link_polynomial(word)
     alex = alexander(word)
-    crossing_kinds = classify_crossings(ResolvedDiagram.all_kept(word))
     return {
         "word": word.text(),
         "strands": word.strands,

@@ -16,13 +16,26 @@ when it lowers it.  Every coefficient update is a monomial shift.
 The polynomial of the closure is the Ocneanu trace of the word, normalized by
 ``tr(1_n) = delta^(n-1)`` with ``delta = (a - a^-1) z^-1`` and the Markov
 property ``tr(x g_(n-1) y) = tr_(n-1)(x y)`` for ``x, y`` in ``H_(n-1)``.
-The trace is taken one strand at a time: a basis element that fixes the last
-strand contributes ``delta`` times its restriction, and any other one is
-``T_pi = T_x g_(n-1) g_(n-2) ... g_j`` with ``x`` the permutation with its
-largest entry removed and ``j`` that entry's position, so it contributes
-``T_x g_(n-2) ... g_j``.  Equal permutations merge at every level, so each is
-traced once per level.  The cost is polynomial in the number of letters for a
-fixed strand count and grows with ``n!`` otherwise.
+The trace is taken one strand at a time, through the conditional
+expectation ``E: H_m -> H_(m-1)`` with ``tr_m = tr_(m-1) E``: a basis element
+that fixes the last strand maps to ``delta`` times its restriction, and any
+other one is ``T_pi = T_x g_(m-1) g_(m-2) ... g_j`` with ``x`` the
+permutation with its largest entry removed and ``j`` that entry's position,
+so it maps to ``T_x g_(m-2) ... g_j``.  Equal permutations merge at every
+level.
+
+``E`` is a map of ``H_(m-1)``-bimodules, ``E(h y) = E(h) y`` for ``y`` in
+``H_(m-1)``, so ``tr_m(h y) = tr_(m-1)(E(h) y)``: once no remaining letter
+uses the top gap, the top strand is traced out there and then, and the rest
+of the word is multiplied in at one strand fewer.  The element then keeps
+only the permutations of the strands that the rest of the word still
+touches; ``sigma_1^2 sigma_2^2 ... sigma_(n-1)^2`` never holds more than two.
+The closure, and with it the trace, is the same for every rotation of the
+word (a conjugation) and under the flip ``sigma_i -> sigma_(n-i)``
+(conjugation by the half twist), so a block of more than three strands is
+first turned to whichever of a few such orders lets go of its strands
+soonest.  The cost is polynomial in the number of letters for a fixed strand
+count and grows with ``n!`` otherwise.
 
 A gap that no letter uses splits the closure into the word's
 :attr:`~braidpoly.braid.BraidWord.split_blocks`: maximal runs of used gaps,
@@ -45,16 +58,23 @@ J. Algorithms 11 (1990).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .braid import BraidWord
 from .polynomial import LaurentPoly2, difference_power
 
 HECKE = "hecke"
 
 # The largest destabilized split block the trace takes.  Above it the
-# descending tree was faster on random words whose letters use every gap
-# (timings in the README), and the tree's memory does not grow with the
-# strand count.
+# descending tree was faster than the trace that traced out only at the end,
+# on random words whose letters use every gap, and the tree's memory does not
+# grow with the strand count.  The README has those timings and re-times the
+# early trace-out, which moved the crossover above 12 strands.
 HECKE_MAX_STRANDS = 11
+
+# The widest block traced with its letters as they stand: on the ``analyze``
+# benchmark's 3-strand blocks, choosing a rotation cost more than it saved.
+_AS_THEY_STAND = 3
 
 Coeff = dict[tuple[int, int], int]  # (z-degree, a-degree) -> coefficient
 
@@ -137,14 +157,64 @@ def hecke_fits(word: BraidWord) -> bool:
     return all(block.destabilized.strands <= HECKE_MAX_STRANDS for block in blocks)
 
 
-def _block_trace(core: BraidWord) -> LaurentPoly2:
-    """The trace of a word whose letters use every gap."""
+def _live_widths(letters: Sequence[int]) -> list[int]:
+    """For each letter, the strands that it and the letters after it touch.
+
+    That is one more than the largest gap among them, and it is the width at
+    which the trace multiplies the letter in.  One more entry, 1, closes the
+    list: after the last letter every strand is traced out.
+    """
+    widths = [1] * (len(letters) + 1)
+    for k in range(len(letters) - 1, -1, -1):
+        widths[k] = max(widths[k + 1], abs(letters[k]) + 1)
+    return widths
+
+
+def _finishing_rotation(letters: Sequence[int], gap: int) -> int:
+    """The start of the shortest cyclic window that holds every letter at ``gap``."""
+    where = [k for k, t in enumerate(letters) if abs(t) == gap]
+    # it starts at the letter that ends the longest cyclic run without one
+    j = max(range(len(where)), key=lambda j: (where[j] - where[j - 1]) % len(letters))
+    return where[j]
+
+
+def _cheapest_order(core: BraidWord) -> Sequence[int]:
+    """A conjugate of the letters, maybe flipped, whose top gaps finish early.
+
+    The candidates are the word as it stands and the rotation that starts
+    the shortest cyclic window holding every top-gap letter, each also under
+    the flip ``sigma_i -> sigma_(m-i)``.  The one whose live widths
+    (:func:`_live_widths`) sum least wins; ties keep the earlier candidate.
+    """
     m = core.strands
+    letters = core.letters
+    flipped = tuple(m - t if t > 0 else -m - t for t in letters)
+    candidates = []
+    for order in (letters, flipped):
+        k = _finishing_rotation(order, m - 1)
+        candidates += [order, order[k:] + order[:k]]
+    return min(candidates, key=lambda order: sum(_live_widths(order)))
+
+
+def _block_trace(core: BraidWord) -> LaurentPoly2:
+    """The trace of a word whose letters use every gap.
+
+    The top strand is traced out by :func:`_restrict` as soon as no
+    remaining letter touches it: ``E`` commutes with right multiplication by
+    the rest of the word, which lives in the smaller algebra, so the trace
+    is the same as tracing out at the end.  A block of more than
+    ``_AS_THEY_STAND`` strands is first put in :func:`_cheapest_order`, a
+    conjugate of the same closure.
+    """
+    m = core.strands
+    letters = _cheapest_order(core) if m > _AS_THEY_STAND else core.letters
     elem = {tuple(range(m)): {(0, 0): 1}}
-    for t in core.letters:
-        elem = _times(elem, t)
-    for level in range(m, 1, -1):
-        elem = _restrict(elem, level)
+    for k, width in enumerate(_live_widths(letters)):
+        for level in range(m, width, -1):
+            elem = _restrict(elem, level)
+        m = width
+        if k < len(letters):
+            elem = _times(elem, letters[k])
     return LaurentPoly2(elem.get((0,), {}))
 
 

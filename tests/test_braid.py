@@ -20,7 +20,7 @@ from braidpoly import (
     permutation,
     writhe,
 )
-from braidpoly.braid import walk
+from braidpoly.braid import permutation_and_kinds, walk
 
 EXAMPLE_WORD = "-1 3 -2 -4 -4 -4 1 -3"
 
@@ -211,6 +211,15 @@ class TestCrossingClassification:
         states = tuple(rng.choice((KEPT, FLIPPED, SMOOTHED)) for _ in word.letters)
         d = ResolvedDiagram(word, states)
         assert classify_crossings(d) == rank_classification(d)
+
+    @given(words(max_len=7, max_gap=4), st.randoms(use_true_random=False))
+    @settings(max_examples=100)
+    def test_one_walk_gives_the_permutation_and_the_kinds(self, word, rng):
+        states = tuple(rng.choice((KEPT, FLIPPED, SMOOTHED)) for _ in word.letters)
+        d = ResolvedDiagram(word, states)
+        perm, kinds = permutation_and_kinds(d)
+        assert perm == d.permutation()
+        assert kinds == rank_classification(d)
 
     def test_running_example_agrees_with_the_rank_on_every_state_vector(self):
         word = parse_braid(EXAMPLE_WORD)

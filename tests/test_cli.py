@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import braidpoly.braid
 import braidpoly.checks
 import braidpoly.cli
 import braidpoly.hecke
@@ -164,6 +165,22 @@ class TestAnalyze:
     def test_parse_error_exits_2(self, capsys):
         code, _, _ = run(capsys, "analyze", "1 junk")
         assert code == 2
+
+    def test_json_report_walks_the_diagram_once(self, capsys, monkeypatch):
+        walks = []
+        walk = braidpoly.braid.walk
+
+        def counted(word, states):
+            walks.append(word.letters)
+            return walk(word, states)
+
+        monkeypatch.setattr(braidpoly.braid, "walk", counted)
+        code, out, _ = run(capsys, "analyze", "-1 3 -2 -4 -4 -4 1 -3", "--json")
+        assert code == 0
+        assert walks == [(-1, 3, -2, -4, -4, -4, 1, -3)]
+        doc = json.loads(out)
+        assert doc["permutation"]["cycles"] == "(1 4)(2)(3 5)"
+        assert doc["crossing_kinds"] == ["descending"] * 4 + ["ascending"] + ["descending"] * 3
 
 
 class TestVerify:

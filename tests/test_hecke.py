@@ -221,6 +221,82 @@ class TestDestabilization:
         assert LaurentPoly2.from_json_terms(doc["homfly"]["descending"]) == homfly(parse_braid(text))
 
 
+@st.composite
+def clustered_words(draw, max_strands=6, max_extra=3):
+    """One block of 4 or more strands whose top-gap letters sit together.
+
+    The cluster lands anywhere in the cyclic word: at the start (the top
+    strand is traced out early), at the end (late), or across the end of the
+    word, where only a rotation brings it together.  Half of the words are
+    flipped, ``sigma_i -> sigma_(m-i)``, so that gap 1 clusters instead and
+    the top gap finishes early only in a flipped order.
+    """
+    m = draw(st.integers(4, max_strands))
+    body = [g for g in range(1, m - 1) for _ in (0, 1)]
+    body += draw(st.lists(st.integers(1, m - 2), max_size=max_extra))
+    body = draw(st.permutations(body))
+    at = draw(st.integers(0, len(body)))
+    gaps = body[:at] + [m - 1] * draw(st.integers(2, 3)) + body[at:]
+    turn = draw(st.integers(0, len(gaps) - 1))
+    gaps = gaps[turn:] + gaps[:turn]
+    if draw(st.booleans()):
+        gaps = [m - g for g in gaps]
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(gaps), max_size=len(gaps)))
+    return BraidWord(tuple(g * s for g, s in zip(gaps, signs)), m)
+
+
+class TestEarlyTraceOut:
+    """Each strand is traced out once no later letter uses it, in the cheapest order."""
+
+    # (letters on 5 strands, the order the trace multiplies them in)
+    ORDERS = [
+        # the top gap finishes first as the word stands
+        ((4, -4, 3, 3, -2, 2, 1, -1), (4, -4, 3, 3, -2, 2, 1, -1)),
+        # a rotation brings the top gap to the front
+        ((1, 4, -4, 2, 3, -2, 3, 1), (4, -4, 2, 3, -2, 3, 1, 1)),
+        # the flip turns the word so that its top gap finishes first
+        ((1, 1, -2, 2, 3, 3, -4, 4), (4, 4, -3, 3, 2, 2, -1, 1)),
+        # the flip, then a rotation
+        ((4, 1, -1, 2, -2, 3, 3, 4), (4, -4, 3, -3, 2, 2, 1, 1)),
+    ]
+
+    @pytest.mark.parametrize("letters, order", ORDERS)
+    def test_the_cheapest_order_wins(self, letters, order):
+        word = BraidWord(letters, 5)
+        assert braidpoly.hecke._cheapest_order(word) == order
+        assert hecke_trace(word) == homfly(word)
+        assert poly2_to_sympy(hecke_trace(word)) == brute_homfly(5, word_letters(word))
+
+    @given(clustered_words())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_descending_tree(self, word):
+        assert hecke_trace(word) == homfly(word)
+
+    @given(clustered_words(max_strands=5, max_extra=0))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_brute_oracle(self, word):
+        expected = brute_homfly(word.strands, word_letters(word))
+        assert poly2_to_sympy(hecke_trace(word)) == expected
+
+    @pytest.mark.parametrize("signs", [(1,) * 10, (1, -1) * 5], ids=["positive", "alternating"])
+    def test_doubled_word_keeps_a_small_basis(self, monkeypatch, signs):
+        # traced out at the end, these words reach 1,024 permutations of 11 strands
+        sizes = []
+        times = braidpoly.hecke._times
+
+        def counted(elem, t):
+            out = times(elem, t)
+            sizes.extend((len(elem), len(out)))
+            return out
+
+        monkeypatch.setattr(braidpoly.hecke, "_times", counted)
+        word = BraidWord(doubled(g * s for g, s in zip(range(1, 11), signs)), 11)
+        poly = hecke_trace(word)
+        assert 0 < max(sizes) <= 4
+        monkeypatch.undo()
+        assert poly == homfly(word)
+
+
 class TestStrandLimit:
     def test_fits_counts_the_widest_split_block(self):
         assert hecke_fits(BraidWord((), 1000))
