@@ -241,14 +241,12 @@ class ResolvedDiagram:
         """Strand permutation with smoothed letters acting as the identity.
 
         Its standard-form cycles are the strand labels in the order the
-        natural traversal starts them, one cycle per closure component.
+        natural traversal starts them, one cycle per closure component,
+        collected by :func:`_violations`, whose verdicts are dropped.
         """
         cycles: list[list[int]] = []
-        for i, col, first in walk(self.word, self.states):
-            if i < 0:
-                if first:
-                    cycles.append([])
-                cycles[-1].append(col)
+        for _ in _violations(self.word, self.states, False, cycles):
+            pass
         return StrandPermutation(tuple(map(tuple, cycles)))
 
 
@@ -491,8 +489,12 @@ def _violations(
     This is the one first-visit test: :func:`classify_crossings`, the step
     API and leaf test of :mod:`braidpoly.resolver` and the admissibility
     test of :mod:`braidpoly.jaeger` all read it.  When ``cycles`` is a list,
-    the same walk appends to it the cycles of
-    :meth:`ResolvedDiagram.permutation`, one list per component.
+    the same walk appends to it the strand labels of each closure component
+    in the order the walk starts them, one list per component.  This is the
+    one cycle collector: :meth:`ResolvedDiagram.permutation`,
+    :func:`permutation_and_kinds` and the leaves of
+    :func:`braidpoly.jaeger.verify_bijection` read it.  The list is whole
+    only once the walk is exhausted.
     """
     under = _under_columns(word)
     for i, col, first in walk(word, states):

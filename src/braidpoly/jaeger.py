@@ -27,7 +27,11 @@ choices at each crossing's first visit are the admissibility test, and an
 inadmissible first passage can never be repaired by later choices.
 :func:`verify_bijection` checks that search against the resolving tree
 expanded literally, one restarted walk per node, and checks that each leaf
-closes to a trivial link.
+closes to a trivial link.  Each node's walk is also its component count: a
+leaf's walk goes round the whole closure to find no violation, so its gamma
+comes from that same walk.  Both sides reduce a leaf to the ints
+``(smoothed, flipped, gamma, t, t')``, with the two sets as bit masks; the
+search side reads them straight from :func:`leaf_stream`.
 """
 
 from __future__ import annotations
@@ -35,18 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .braid import KEPT, SMOOTHED, BraidWord, ResolvedDiagram, _violations
+from .braid import FLIPPED, KEPT, SMOOTHED, BraidWord, ResolvedDiagram, _violations
 from .polynomial import LaurentPoly2
-from .resolver import (
-    ASCENDING,
-    DESCENDING,
-    Mode,
-    enumerate_leaves,
-    first_violation,
-    homfly,
-    leaf_stream,
-    split_at,
-)
+from .resolver import ASCENDING, DESCENDING, Mode, homfly, leaf_stream, split_at
+
+# ``perfbench/tracing.py`` wraps this by its name here, so it stays bound
+from .resolver import enumerate_leaves  # noqa: F401
 
 Variant = Literal["standard", "dual"]
 
@@ -124,41 +122,68 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     """Check the leaf/partition correspondence exhaustively for one word.
 
     The paired resolving tree (descending for the standard variant, ascending
-    for the dual) is expanded literally with :func:`first_violation` and
-    :func:`split_at`, restarting the walk at every node.  Its leaves must have
-    distinct smoothed sets, which makes those sets a family of partitions,
-    and must match the leaf search that enumerates the admissible partitions
-    (:func:`enumerate_leaves`) in full state vector, gamma, t and t'.  Every
+    for the dual) is expanded literally with :func:`split_at`, restarting the
+    walk at every node.  One run of :func:`braidpoly.braid._violations` finds
+    the node's first violation on an unsmoothed letter, as
+    :func:`braidpoly.resolver.first_violation` does; at a leaf it finds none
+    only after going round the whole closure, so the cycles it collected on
+    the way give the leaf's gamma.  One pass over the leaf's states gives its
+    record ``(smoothed, flipped, gamma, t, t')`` of ints, the two sets as bit
+    masks over letter positions, and its writhe ``w``.
+
+    The leaves must have distinct smoothed sets, which makes those sets a
+    family of partitions, and their records must equal, as a multiset, those
+    of the leaf search that enumerates the admissible partitions
+    (:func:`leaf_stream`, read directly, ``w`` taken from the masks).  Every
     leaf must also close to a trivial link: gamma - w = n on the descending
-    tree, gamma + w = n on the ascending one, with ``w`` the leaf's own
-    writhe.  On the literal tree gamma is the leaf's cycle count, so this is
-    a check of the identity; the search reads its gamma off the writhe, so
+    tree, gamma + w = n on the ascending one.  The literal tree never touches
+    the search's slot table and its gamma is a component count, so there this
+    is a check of the identity; the search reads its gamma off the writhe, so
     there it checks the search's bookkeeping.
     """
-    mode = _paired_mode(variant)
-    sign = 1 if mode == ASCENDING else -1
+    ascending = _paired_mode(variant) == ASCENDING
+    sign = 1 if ascending else -1
+    n = word.strands
+    signs = word.signs
     tree = set()
     smoothed_sets = set()
     stack = [ResolvedDiagram.all_kept(word)]
     while stack:
         diagram = stack.pop()
-        i = first_violation(diagram, mode)
-        if i is not None:
-            stack += split_at(diagram, i)
-            continue
-        cut = diagram.smoothed
-        if cut in smoothed_sets:
-            return False  # two leaves sharing a smoothed set breaks the pairing
-        smoothed_sets.add(cut)
-        gamma = len(diagram.permutation().cycles)
-        w = sum(diagram.effective_sign(j) for j in range(len(word)) if j not in cut)
-        if gamma + sign * w != word.strands:
-            return False
-        t_neg = sum(1 for j in cut if word.signs[j] < 0)
-        tree.add((diagram.states, gamma, len(cut), t_neg))
+        states = diagram.states
+        cycles: list[list[int]] = []
+        for i in _violations(word, states, ascending, cycles):
+            if states[i] is not SMOOTHED:
+                stack += split_at(diagram, i)
+                break
+        else:
+            smoothed = flipped = t = t_neg = w = 0
+            for j, (state, s) in enumerate(zip(states, signs)):
+                if state is KEPT:
+                    w += s
+                elif state is FLIPPED:
+                    flipped |= 1 << j
+                    w -= s
+                else:
+                    smoothed |= 1 << j
+                    t += 1
+                    t_neg += s < 0
+            if smoothed in smoothed_sets:
+                return False  # two leaves sharing a smoothed set breaks the pairing
+            smoothed_sets.add(smoothed)
+            gamma = len(cycles)
+            if gamma + sign * w != n:
+                return False
+            tree.add((smoothed, flipped, gamma, t, t_neg))
+    positive = sum(1 << i for i, s in enumerate(signs) if s > 0)
+    everything = (1 << len(signs)) - 1
     stream = []
-    for leaf in enumerate_leaves(word, mode):
-        if leaf.gamma + sign * leaf.writhe != word.strands:
+    for leaf in leaf_stream(word, ascending):
+        smoothed, flipped, gamma = leaf[:3]
+        unsmoothed = everything & ~smoothed
+        # an unsmoothed letter counts +1 when it is positive or flipped, not both
+        w = 2 * ((positive ^ flipped) & unsmoothed).bit_count() - unsmoothed.bit_count()
+        if gamma + sign * w != n:
             return False
-        stream.append((leaf.states, leaf.gamma, leaf.t, leaf.t_neg))
+        stream.append(leaf)
     return len(stream) == len(tree) and set(stream) == tree

@@ -43,7 +43,7 @@ definition does: they read the first-visit test
 finds each next letter by bisection in :attr:`BraidWord.column_index` and
 shares nothing with the slot table.  That walk serves as the reference the
 search is checked against, and its leaves get their ``gamma`` by counting
-the closure's components.
+the closure's components in that same walk.
 """
 
 from __future__ import annotations

@@ -161,6 +161,30 @@ class TestPermutation:
             for k, label in enumerate(cycle):
                 assert end_column[label] == cycle[(k + 1) % len(cycle)]
 
+    @given(words(max_len=8, max_gap=4), st.randoms(use_true_random=False))
+    @settings(max_examples=150)
+    def test_resolved_cycles_match_composed_transpositions(self, word, rng):
+        # independent route: compose the transpositions of the unsmoothed
+        # letters, then follow each label to its end column
+        states = tuple(rng.choice((KEPT, FLIPPED, SMOOTHED)) for _ in word.letters)
+        columns = list(range(word.strands + 1))
+        for g, state in zip(word.gaps, states):
+            if state is not SMOOTHED:
+                columns[g], columns[g + 1] = columns[g + 1], columns[g]
+        end_column = {columns[col]: col for col in range(1, word.strands + 1)}
+        expected = set()
+        unseen = set(range(1, word.strands + 1))
+        while unseen:
+            label, cycle = min(unseen), set()
+            while label in unseen:
+                unseen.remove(label)
+                cycle.add(label)
+                label = end_column[label]
+            expected.add(frozenset(cycle))
+        cycles = ResolvedDiagram(word, states).permutation().cycles
+        assert sum(map(len, cycles)) == word.strands
+        assert {frozenset(cycle) for cycle in cycles} == expected
+
     @given(words())
     @settings(max_examples=80)
     def test_rank_is_bijection(self, word):

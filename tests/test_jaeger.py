@@ -4,10 +4,8 @@ from hypothesis import strategies as st
 
 import braidpoly.jaeger
 from braidpoly import (
-    KEPT,
     BraidWord,
     CircuitPartition,
-    LeafSummary,
     enumerate_admissible,
     enumerate_leaves,
     homfly,
@@ -26,6 +24,16 @@ EXAMPLE_WORD = "-1 3 -2 -4 -4 -4 1 -3"
 def words(max_len=6, max_gap=3):
     token = st.integers(1, max_gap).flatmap(lambda g: st.sampled_from([g, -g]))
     return st.lists(token, max_size=max_len).map(BraidWord.from_tokens)
+
+
+def bumped(leaves, field):
+    """The search records with one field of the first record raised by one.
+
+    A record is ``(smoothed, flipped, gamma, t, t_neg)``.
+    """
+    first = list(leaves[0])
+    first[field] += 1
+    return [tuple(first)] + leaves[1:]
 
 
 class TestAdmissibility:
@@ -140,14 +148,60 @@ class TestBijection:
         # root has gamma = 1 and w = 1: gamma + w = n = 2 holds for the
         # ascending tree, but gamma - w = 0 breaks the descending identity.
         word = parse_braid("1")
-        monkeypatch.setattr(braidpoly.jaeger, "first_violation", lambda diagram, mode: None)
+        violations = braidpoly.jaeger._violations
+
+        def no_violations(word, states, ascending, cycles):
+            # the real walk still runs and fills ``cycles``, so the literal
+            # side still counts its gamma
+            for _ in violations(word, states, ascending, cycles):
+                pass
+            return iter(())
+
+        monkeypatch.setattr(braidpoly.jaeger, "_violations", no_violations)
         monkeypatch.setattr(
-            braidpoly.jaeger,
-            "enumerate_leaves",
-            lambda word, mode: iter([LeafSummary((KEPT,), 1, 0, 0, 1)]),
+            braidpoly.jaeger, "leaf_stream", lambda word, ascending: iter([(0, 0, 1, 0, 0)])
         )
         assert verify_bijection(word, DUAL)
         assert not verify_bijection(word, STANDARD)
+
+    @pytest.mark.parametrize("variant", [STANDARD, DUAL])
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            pytest.param(lambda leaves: leaves[1:], id="dropped"),
+            pytest.param(lambda leaves: leaves[:-1] + leaves[:1], id="duplicated"),
+            pytest.param(lambda leaves: leaves + leaves[:1], id="repeated"),
+            pytest.param(lambda leaves: bumped(leaves, 2), id="wrong-gamma"),
+            pytest.param(lambda leaves: bumped(leaves, 4), id="wrong-t-neg"),
+        ],
+    )
+    def test_faulty_search_is_rejected(self, monkeypatch, fault, variant):
+        # each fault changes the search's records while the literal tree
+        # stays as it is
+        word = parse_braid(EXAMPLE_WORD)
+        search = braidpoly.jaeger.leaf_stream
+        assert len(list(search(word, variant == DUAL))) > 1
+        monkeypatch.setattr(
+            braidpoly.jaeger,
+            "leaf_stream",
+            lambda word, ascending: iter(fault(list(search(word, ascending)))),
+        )
+        assert not verify_bijection(word, variant)
+
+    @pytest.mark.parametrize("variant", [STANDARD, DUAL])
+    def test_two_literal_leaves_sharing_a_smoothed_set_are_rejected(self, monkeypatch, variant):
+        # every smoothed child is pushed twice, so each of its leaves comes
+        # out twice; the records of the copies are equal, so only the
+        # distinct-smoothed-set check can see them
+        word = parse_braid(EXAMPLE_WORD)
+        split = braidpoly.jaeger.split_at
+
+        def split_twice(diagram, i):
+            flipped, smoothed = split(diagram, i)
+            return flipped, smoothed, smoothed
+
+        monkeypatch.setattr(braidpoly.jaeger, "split_at", split_twice)
+        assert not verify_bijection(word, variant)
 
     @given(words(max_len=6))
     @settings(max_examples=60, deadline=None)
