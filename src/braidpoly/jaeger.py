@@ -22,16 +22,20 @@ same weights as the resolving-tree formulas:
 The smoothed-index sets of descending-tree leaves are exactly the standard
 admissible sets (ascending leaves pair with the dual variant), with matching
 gamma, t and t'.  So the partitions and their sum come from the paired tree's
-leaf search, :func:`braidpoly.resolver.leaf_stream`: its keep and smooth
+leaf search, :func:`braidpoly.resolver.leaf_search`: its keep and smooth
 choices at each crossing's first visit are the admissibility test, and an
-inadmissible first passage can never be repaired by later choices.
+inadmissible first passage can never be repaired by later choices.  The sum
+is the signed ``(gamma, t)`` tally the search keeps inside its own loop, with
+no record built per partition; :func:`enumerate_admissible` reads the
+records :func:`braidpoly.resolver.leaf_stream` holds in memory, O(leaves).
 :func:`verify_bijection` checks that search against the resolving tree
 expanded literally, one restarted walk per node, and checks that each leaf
 closes to a trivial link.  Each node's walk is also its component count: a
 leaf's walk goes round the whole closure to find no violation, so its gamma
 comes from that same walk.  Both sides reduce a leaf to the ints
 ``(smoothed, flipped, gamma, t, t')``, with the two sets as bit masks; the
-search side reads them straight from :func:`leaf_stream`.
+search side reads them, and its tally, from one :func:`leaf_search` run, so
+the check also holds the tally to the records.
 """
 
 from __future__ import annotations
@@ -41,7 +45,16 @@ from typing import Iterator, Literal
 
 from .braid import FLIPPED, KEPT, SMOOTHED, BraidWord, ResolvedDiagram, _violations
 from .polynomial import LaurentPoly2
-from .resolver import ASCENDING, DESCENDING, Mode, homfly, leaf_stream, split_at
+from .resolver import (
+    ASCENDING,
+    DESCENDING,
+    Mode,
+    homfly,
+    leaf_search,
+    leaf_stream,
+    leaf_writhe,
+    split_at,
+)
 
 # ``perfbench/tracing.py`` wraps this by its name here, so it stays bound
 from .resolver import enumerate_leaves  # noqa: F401
@@ -129,12 +142,16 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     only after going round the whole closure, so the cycles it collected on
     the way give the leaf's gamma.  One pass over the leaf's states gives its
     record ``(smoothed, flipped, gamma, t, t')`` of ints, the two sets as bit
-    masks over letter positions, and its writhe ``w``.
+    masks over letter positions.  Both sides take a leaf's writhe ``w`` from
+    its masks, by :func:`braidpoly.resolver.leaf_writhe`.
 
     The leaves must have distinct smoothed sets, which makes those sets a
     family of partitions, and their records must equal, as a multiset, those
-    of the leaf search that enumerates the admissible partitions
-    (:func:`leaf_stream`, read directly, ``w`` taken from the masks).  Every
+    of the leaf search that enumerates the admissible partitions.  One run of
+    :func:`braidpoly.resolver.leaf_search` gives both those records and the
+    signed ``(gamma, t)`` tally that :func:`homfly` turns into the
+    polynomial, and the tally must equal the signed sum of the records, so
+    the check reaches the counting code the polynomial is read from.  Every
     leaf must also close to a trivial link: gamma - w = n on the descending
     tree, gamma + w = n on the ascending one.  The literal tree never touches
     the search's slot table and its gamma is a component count, so there this
@@ -145,6 +162,7 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     sign = 1 if ascending else -1
     n = word.strands
     signs = word.signs
+    writhe_of = leaf_writhe(word)
     tree = set()
     smoothed_sets = set()
     stack = [ResolvedDiagram.all_kept(word)]
@@ -157,14 +175,11 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
                 stack += split_at(diagram, i)
                 break
         else:
-            smoothed = flipped = t = t_neg = w = 0
+            smoothed = flipped = t = t_neg = 0
             for j, (state, s) in enumerate(zip(states, signs)):
-                if state is KEPT:
-                    w += s
-                elif state is FLIPPED:
+                if state is FLIPPED:
                     flipped |= 1 << j
-                    w -= s
-                else:
+                elif state is SMOOTHED:
                     smoothed |= 1 << j
                     t += 1
                     t_neg += s < 0
@@ -172,18 +187,16 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
                 return False  # two leaves sharing a smoothed set breaks the pairing
             smoothed_sets.add(smoothed)
             gamma = len(cycles)
-            if gamma + sign * w != n:
+            if gamma + sign * writhe_of(smoothed, flipped) != n:
                 return False
             tree.add((smoothed, flipped, gamma, t, t_neg))
-    positive = sum(1 << i for i, s in enumerate(signs) if s > 0)
-    everything = (1 << len(signs)) - 1
-    stream = []
-    for leaf in leaf_stream(word, ascending):
-        smoothed, flipped, gamma = leaf[:3]
-        unsmoothed = everything & ~smoothed
-        # an unsmoothed letter counts +1 when it is positive or flipped, not both
-        w = 2 * ((positive ^ flipped) & unsmoothed).bit_count() - unsmoothed.bit_count()
-        if gamma + sign * w != n:
+    records: list[tuple[int, int, int, int, int]] = []
+    tally = leaf_search(word, ascending, records)
+    counts: dict[tuple[int, int], int] = {}
+    for smoothed, flipped, gamma, t, t_neg in records:
+        if gamma + sign * writhe_of(smoothed, flipped) != n:
             return False
-        stream.append(leaf)
-    return len(stream) == len(tree) and set(stream) == tree
+        counts[gamma, t] = counts.get((gamma, t), 0) + (-1 if t_neg & 1 else 1)
+    if {k: v for k, v in tally.items() if v} != {k: v for k, v in counts.items() if v}:
+        return False  # the tally ``homfly`` reads is not the records' sum
+    return len(records) == len(tree) and set(records) == tree

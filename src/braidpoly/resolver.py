@@ -20,10 +20,10 @@ left out).
 
 The tree is never materialized.  Flipping a crossing never moves the walker
 and neither child changes what the walker has already passed, so both
-children share their parent's walk up to the split: a single resumable
-search (:func:`leaf_stream`) advances the walk and, at each crossing's first
-visit, either keeps the crossing (it already has the requested form) or
-branches into the flipped and the smoothed child.  That search is also the admissible
+children share their parent's walk up to the split: one search
+(:func:`leaf_search`) advances the walk and, at each crossing's first visit,
+either keeps the crossing (it already has the requested form) or branches
+into the flipped and the smoothed child.  That search is also the admissible
 circuit-partition enumeration of :mod:`braidpoly.jaeger`.  It walks a slot
 table built once per search, one entry per (letter, column) arrival, and a
 next-slot table that records, for each letter already decided on the
@@ -34,7 +34,13 @@ decided only at its first visit, so a path ends at the first visit of its
 last undecided letter: the rest of the closure only passes decided letters
 and closes components, and the leaf's ``gamma`` follows from the identity
 above and the leaf's writhe, tracked along the path.  On the benchmark's
-``ladder`` words that cut the slot lookups per leaf from 18.4 to 3.6.
+``ladder`` words that cut the slot lookups per leaf from 18.4 to 3.6.  The
+search closes that last decision on the spot, counting its one kept leaf or
+its flipped and smoothed leaves with no snapshot, trail entry or undo, and
+keeps the signed ``(gamma, t)`` tally :func:`homfly` needs inside its own
+loop.  It builds a record per leaf only when its caller passes a list;
+:func:`leaf_stream` does, so it holds every record in memory at once,
+O(leaves), where :func:`homfly` holds none.
 
 The step API (:func:`first_violation`, :func:`split_at`) and
 :func:`leaf_membership_test` restart the walk at every node instead, as the
@@ -49,7 +55,7 @@ the closure's components in that same walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal, Optional
+from typing import Callable, Iterator, Literal, Optional
 
 from .braid import (
     FLIPPED,
@@ -77,15 +83,21 @@ def _ascending(mode: str) -> bool:
     raise ValueError(f"mode must be 'descending' or 'ascending', got {mode!r}")
 
 
-def leaf_stream(word: BraidWord, ascending: bool) -> Iterator[tuple[int, int, int, int, int]]:
-    """Yield ``(smoothed, flipped, gamma, t, t_neg)`` for every leaf of a tree.
+def leaf_search(
+    word: BraidWord, ascending: bool, leaves: Optional[list] = None
+) -> dict[tuple[int, int], int]:
+    """Signed ``(gamma, t)`` leaf counts of a tree, from one leaf search.
 
+    The result maps ``(gamma, t)`` to ``sum (-1)^t'`` over the tree's leaves,
+    which :func:`assemble_tree_sum` turns into the polynomial.  When
+    ``leaves`` is a list, the record ``(smoothed, flipped, gamma, t, t_neg)``
+    of every leaf is appended to it, in tree order (flipped child first);
     ``smoothed`` and ``flipped`` are bit masks over letter positions.  The
     search walks the diagram naturally and decides each crossing at its first
     visit: one first reached on its original over-arm (under-arm when
     ``ascending``) is kept; any other is a tree node whose flipped child the
     walk continues with and whose smoothed child is resumed later from a
-    snapshot.  Leaves come out in tree order, flipped child first.
+    snapshot.
 
     The walker moves over a slot table built once per search from
     :attr:`BraidWord.column_index`.  Slot ``2i + side`` means "arriving at
@@ -106,20 +118,29 @@ def leaf_stream(word: BraidWord, ascending: bool) -> Iterator[tuple[int, int, in
     trail length after its split and the slot it must set, and resuming it
     first resets every entry set since to ``-1``.
 
-    Each first visit pushes one trail entry, so the path is a leaf once the
-    trail holds one entry per letter, and the search yields it there instead
-    of walking the rest of the closure: what is left only passes decided
-    letters.  ``gamma`` is not counted but kept as ``n + w`` on the
-    descending tree and ``n - w`` on the ascending one, ``w`` the writhe of
-    the path's letters: it starts from the word's writhe, a flip moves it by
-    twice the letter's sign and a smoothing by once.  The walk still routes
-    through column bottoms, since a letter not yet visited may lie on a
-    component not yet started.
+    Each first visit but the path's last pushes one trail entry, so the first
+    visit made with ``m - 1`` entries on the trail is that of the path's last
+    undecided letter.  The search closes that decision on the spot: it
+    counts the kept leaf, or the flipped and the smoothed leaf, and
+    backtracks, with no trail entry and no snapshot for it.  What is left of
+    the closure would only pass decided letters.  Inside the loop the tally
+    is keyed by the one int ``gamma * (m + 1) + t``, split back into
+    ``(gamma, t)`` once per distinct key when the search ends.  ``gamma`` is not counted
+    but kept as ``n + w`` on the descending tree and ``n - w`` on the
+    ascending one, ``w`` the writhe of the path's letters: it starts from the
+    word's writhe, a flip moves it by twice the letter's sign and a
+    smoothing by once.  The walk still routes through column bottoms, since
+    a letter not yet visited may lie on a component not yet started.
     """
     n = word.strands
     gaps = word.gaps
     signs = word.signs
-    bottom = 2 * len(signs)
+    m = len(signs)
+    if not m:
+        if leaves is not None:
+            leaves.append((0, 0, n, 0, 0))
+        return {(n, 0): 1}
+    bottom = 2 * m
     below = [0] * bottom
     top = []
     for c, lst in enumerate(word.column_index):
@@ -136,54 +157,91 @@ def leaf_stream(word: BraidWord, ascending: bool) -> Iterator[tuple[int, int, in
     # gamma is n plus the sum of the unsmoothed letters' (flipped: negated)
     # entries
     sigma = [-sign for sign in signs] if ascending else signs
-    m = len(signs)
     nxt = [-1] * bottom + [-2] * (n + 1)
     trail: list[int] = []
+    # signed leaf counts keyed by gamma * stride + t, as 0 <= t < stride
+    stride = m + 1
+    tally: dict[int, int] = {}
     # snapshot: (trail length, slot to set, smoothed, flipped, visited
     # columns, slot, pivot, gamma, t, t_neg); bit 0 of ``visited`` is always
     # set so that its lowest clear bit is the next pivot
     stack = []
-    smoothed = flipped = t = t_neg = 0
+    # ``depth`` is the trail's length, kept apart so that the test for a
+    # path's last letter is one comparison
+    last = m - 1
+    smoothed = flipped = t = t_neg = depth = 0
     gamma = n + sum(sigma)
     visited, s, pivot = 3, top[1], 1
     while True:
-        # one trail entry per letter decided on this path
-        while len(trail) < m:
-            while (u := nxt[s]) >= 0:
-                s = u
-            if u == -1:
-                # first visit to letter s >> 1
-                o = s ^ 1
-                nxt[o] = below[s]
-                trail.append(o)
+        while (u := nxt[s]) >= 0:
+            s = u
+        if u == -1:
+            # first visit to letter s >> 1
+            if depth == last:
+                # the path's last undecided letter: count its kept leaf, or
+                # its flipped and its smoothed leaf, and backtrack
+                key = gamma * stride + t
+                sign = -1 if t_neg & 1 else 1
                 if branch[s]:
                     i = s >> 1
-                    bit = 1 << i
-                    stack.append(
-                        (len(trail), o, smoothed | bit, flipped, visited, below[s], pivot,
-                         gamma - sigma[i], t + 1, t_neg + (signs[i] < 0))
-                    )
-                    flipped |= bit
-                    gamma -= 2 * sigma[i]
-                s = below[o]
-            elif (col := s - bottom) != pivot:
-                # bottom of a column: the next strand of this component
-                visited |= 1 << col
-                s = top[col]
-            else:
-                # a component closed: start the next at the lowest unvisited
-                # column, which exists while a letter is undecided
-                low = ~visited & (visited + 1)
-                pivot = low.bit_length() - 1
-                visited |= low
-                s = top[pivot]
-        yield smoothed, flipped, gamma, t, t_neg
-        if not stack:
-            return
-        mark, o, smoothed, flipped, visited, s, pivot, gamma, t, t_neg = stack.pop()
-        while len(trail) > mark:
-            nxt[trail.pop()] = -1
-        nxt[o] = below[o]
+                    d = sigma[i] * stride
+                    tally[key - 2 * d] = tally.get(key - 2 * d, 0) + sign
+                    if signs[i] < 0:
+                        sign = -sign
+                    tally[key - d + 1] = tally.get(key - d + 1, 0) + sign
+                    if leaves is not None:
+                        bit = 1 << i
+                        leaves.append((smoothed, flipped | bit, gamma - 2 * sigma[i], t, t_neg))
+                        leaves.append(
+                            (smoothed | bit, flipped, gamma - sigma[i], t + 1, t_neg + (signs[i] < 0))
+                        )
+                else:
+                    tally[key] = tally.get(key, 0) + sign
+                    if leaves is not None:
+                        leaves.append((smoothed, flipped, gamma, t, t_neg))
+                if not stack:
+                    return {divmod(k, stride): v for k, v in tally.items()}
+                depth, o, smoothed, flipped, visited, s, pivot, gamma, t, t_neg = stack.pop()
+                while len(trail) > depth:
+                    nxt[trail.pop()] = -1
+                nxt[o] = below[o]
+                continue
+            o = s ^ 1
+            nxt[o] = below[s]
+            trail.append(o)
+            depth += 1
+            if branch[s]:
+                i = s >> 1
+                bit = 1 << i
+                stack.append(
+                    (depth, o, smoothed | bit, flipped, visited, below[s], pivot,
+                     gamma - sigma[i], t + 1, t_neg + (signs[i] < 0))
+                )
+                flipped |= bit
+                gamma -= 2 * sigma[i]
+            s = below[o]
+        elif (col := s - bottom) != pivot:
+            # bottom of a column: the next strand of this component
+            visited |= 1 << col
+            s = top[col]
+        else:
+            # a component closed: start the next at the lowest unvisited
+            # column, which exists while a letter is undecided
+            low = ~visited & (visited + 1)
+            pivot = low.bit_length() - 1
+            visited |= low
+            s = top[pivot]
+
+
+def leaf_stream(word: BraidWord, ascending: bool) -> Iterator[tuple[int, int, int, int, int]]:
+    """Iterate over the records :func:`leaf_search` appends, in tree order.
+
+    The search runs to the end before the first record comes out, so every
+    record is held in memory at once: O(leaves).
+    """
+    leaves: list[tuple[int, int, int, int, int]] = []
+    leaf_search(word, ascending, leaves)
+    return iter(leaves)
 
 
 @dataclass(frozen=True)
@@ -236,21 +294,34 @@ def split_at(diagram: ResolvedDiagram, i: int) -> tuple[ResolvedDiagram, Resolve
     return diagram.with_state(i, toggled), diagram.with_state(i, SMOOTHED)
 
 
+def leaf_writhe(word: BraidWord) -> Callable[[int, int], int]:
+    """The writhe of a leaf of ``word``, as a function of its two bit masks.
+
+    The returned function takes a leaf's ``smoothed`` and ``flipped`` masks
+    over letter positions.  A smoothed letter counts 0; any other counts +1
+    when it is positive or flipped, not both, and -1 otherwise.
+    """
+    positive = sum(1 << i for i, s in enumerate(word.signs) if s > 0)
+    everything = (1 << len(word.signs)) - 1
+
+    def writhe_of(smoothed: int, flipped: int) -> int:
+        unsmoothed = everything & ~smoothed
+        return 2 * ((positive ^ flipped) & unsmoothed).bit_count() - unsmoothed.bit_count()
+
+    return writhe_of
+
+
 def enumerate_leaves(word: BraidWord, mode: Mode = DESCENDING) -> Iterator[LeafSummary]:
     """Stream every leaf of the descending (or ascending) tree exactly once."""
     ascending = _ascending(mode)
-    signs = word.signs
+    letters = range(len(word))
+    writhe_of = leaf_writhe(word)
     for smoothed, flipped, gamma, t, t_neg in leaf_stream(word, ascending):
         states = tuple(
             SMOOTHED if (smoothed >> i) & 1 else FLIPPED if (flipped >> i) & 1 else KEPT
-            for i in range(len(signs))
+            for i in letters
         )
-        w = sum(
-            -s if (flipped >> i) & 1 else s
-            for i, s in enumerate(signs)
-            if not (smoothed >> i) & 1
-        )
-        yield LeafSummary(states, gamma, t, t_neg, w)
+        yield LeafSummary(states, gamma, t, t_neg, writhe_of(smoothed, flipped))
 
 
 def leaf_membership_test(
@@ -330,10 +401,7 @@ def homfly(word: BraidWord, mode: Mode = DESCENDING) -> LaurentPoly2:
     memo = word.homfly_memo
     poly = memo.get(mode)
     if poly is None:
-        counts: dict[tuple[int, int], int] = {}
-        for _, _, gamma, t, t_neg in leaf_stream(word, ascending):
-            key = (gamma, t)
-            counts[key] = counts.get(key, 0) + (-1 if t_neg & 1 else 1)
+        counts = leaf_search(word, ascending)
         poly = memo[mode] = assemble_tree_sum(counts, word.strands, writhe(word), ascending)
     return poly
 

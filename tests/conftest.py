@@ -7,16 +7,21 @@ import braidpoly.resolver
 
 @pytest.fixture
 def leaf_searches(monkeypatch):
-    """Record every leaf search run during the test as ``(tokens, strands, ascending)``."""
-    calls = []
-    search = braidpoly.resolver.leaf_stream
+    """Record every leaf search run during the test as ``(tokens, strands, ascending)``.
 
-    def counted(word, ascending):
+    ``homfly`` and ``verify_bijection`` call the kernel ``leaf_search``
+    directly and ``leaf_stream`` calls it through ``braidpoly.resolver``, so
+    patching it there and in ``braidpoly.jaeger`` counts every run once.
+    """
+    calls = []
+    search = braidpoly.resolver.leaf_search
+
+    def counted(word, ascending, leaves=None):
         calls.append((word.tokens(), word.strands, ascending))
-        return search(word, ascending)
+        return search(word, ascending, leaves)
 
     for module in (braidpoly.resolver, braidpoly.jaeger):
-        monkeypatch.setattr(module, "leaf_stream", counted)
+        monkeypatch.setattr(module, "leaf_search", counted)
     return calls
 
 

@@ -36,6 +36,33 @@ def bumped(leaves, field):
     return [tuple(first)] + leaves[1:]
 
 
+def signed_tally(records):
+    """The signed ``(gamma, t)`` counts of search records, as ``leaf_search`` tallies them."""
+    tally = {}
+    for _, _, gamma, t, t_neg in records:
+        tally[gamma, t] = tally.get((gamma, t), 0) + (-1 if t_neg & 1 else 1)
+    return tally
+
+
+def faulty_search(fault):
+    """A ``leaf_search`` whose records pass through ``fault``.
+
+    It returns the tally of the faulty records, so the tally agrees with
+    them and only the comparison with the literal tree can see the fault.
+    """
+    search = braidpoly.jaeger.leaf_search
+
+    def run(word, ascending, leaves=None):
+        records = []
+        search(word, ascending, records)
+        records = fault(records)
+        if leaves is not None:
+            leaves += records
+        return signed_tally(records)
+
+    return run
+
+
 class TestAdmissibility:
     @pytest.mark.parametrize("text", ["1 1 1", "-1", EXAMPLE_WORD, "1 -2 1 -2"])
     def test_nothing_smoothed_is_always_admissible(self, text):
@@ -159,7 +186,7 @@ class TestBijection:
 
         monkeypatch.setattr(braidpoly.jaeger, "_violations", no_violations)
         monkeypatch.setattr(
-            braidpoly.jaeger, "leaf_stream", lambda word, ascending: iter([(0, 0, 1, 0, 0)])
+            braidpoly.jaeger, "leaf_search", faulty_search(lambda records: [(0, 0, 1, 0, 0)])
         )
         assert verify_bijection(word, DUAL)
         assert not verify_bijection(word, STANDARD)
@@ -179,13 +206,26 @@ class TestBijection:
         # each fault changes the search's records while the literal tree
         # stays as it is
         word = parse_braid(EXAMPLE_WORD)
-        search = braidpoly.jaeger.leaf_stream
-        assert len(list(search(word, variant == DUAL))) > 1
-        monkeypatch.setattr(
-            braidpoly.jaeger,
-            "leaf_stream",
-            lambda word, ascending: iter(fault(list(search(word, ascending)))),
-        )
+        records = []
+        braidpoly.jaeger.leaf_search(word, variant == DUAL, records)
+        assert len(records) > 1
+        monkeypatch.setattr(braidpoly.jaeger, "leaf_search", faulty_search(fault))
+        assert not verify_bijection(word, variant)
+
+    @pytest.mark.parametrize("variant", [STANDARD, DUAL])
+    def test_wrong_tally_with_correct_records_is_rejected(self, monkeypatch, variant):
+        # the records are the search's own and match the literal tree, so
+        # only the check of the tally against them can see the fault
+        word = parse_braid(EXAMPLE_WORD)
+        search = braidpoly.jaeger.leaf_search
+
+        def wrong_tally(word, ascending, leaves=None):
+            tally = search(word, ascending, leaves)
+            tally[next(iter(tally))] += 1
+            return tally
+
+        assert verify_bijection(word, variant)
+        monkeypatch.setattr(braidpoly.jaeger, "leaf_search", wrong_tally)
         assert not verify_bijection(word, variant)
 
     @pytest.mark.parametrize("variant", [STANDARD, DUAL])

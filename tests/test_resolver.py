@@ -26,7 +26,13 @@ from braidpoly import (
     split_at,
     writhe,
 )
-from braidpoly.resolver import ASCENDING, DESCENDING, assemble_tree_sum, leaf_stream
+from braidpoly.resolver import (
+    ASCENDING,
+    DESCENDING,
+    assemble_tree_sum,
+    leaf_search,
+    leaf_stream,
+)
 
 from _brute import brute_homfly, brute_leaves, poly2_to_sympy, word_letters
 
@@ -377,6 +383,56 @@ class TestBruteForceOracle:
             expected = brute_homfly(word.strands, word_letters(word), ascending=True)
             for got in (homfly(word, ASCENDING), homfly_jaeger(word, "dual")):
                 assert (expected - poly2_to_sympy(got)).expand() == 0, word.text()
+
+
+class TestLeafSearchTally:
+    """The signed ``(gamma, t)`` tally that ``homfly`` reads, held to the
+    search's own records and to the brute oracle."""
+
+    @staticmethod
+    def assert_tally(word):
+        for ascending in (False, True):
+            records = []
+            tally = leaf_search(word, ascending, records)
+            signed = {}
+            for _, _, gamma, t, t_neg in records:
+                signed[gamma, t] = signed.get((gamma, t), 0) + (-1 if t_neg & 1 else 1)
+            assert {k: v for k, v in tally.items() if v} == {
+                k: v for k, v in signed.items() if v
+            }, (word.text(), word.strands, ascending)
+            # asking for no records changes nothing in the tally
+            assert leaf_search(word, ascending) == tally
+            got = assemble_tree_sum(tally, word.strands, writhe(word), ascending)
+            expected = brute_homfly(word.strands, word_letters(word), ascending)
+            assert (expected - poly2_to_sympy(got)).expand() == 0, (word.text(), ascending)
+
+    @given(words(max_len=6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_words(self, word):
+        self.assert_tally(word)
+
+    @pytest.mark.parametrize(
+        "word",
+        [
+            pytest.param(BraidWord((), n), id=f"empty-on-{n}") for n in range(1, 5)
+        ] + [
+            # the last decision branches on the descending tree and keeps
+            # the letter on the ascending one
+            pytest.param(BraidWord((1,), 5), id="1-on-5"),
+            pytest.param(BraidWord((-2, -2), 6), id="-2-2-on-6"),
+            # every descending path ends by keeping its last undecided letter
+            pytest.param(BraidWord((1, -2), 3), id="1-2-kept-last"),
+        ],
+    )
+    def test_edge_cases(self, word):
+        self.assert_tally(word)
+
+    def test_a_kept_last_letter_closes_each_path_with_one_leaf(self):
+        # sigma_1 branches; both children then reach sigma_2^-1 from its left
+        # column, which keeps it and closes the path
+        records = []
+        assert leaf_search(BraidWord((1, -2), 3), False, records) == {(1, 0): 1, (2, 1): 1}
+        assert records == [(0, 1, 1, 0, 0), (1, 0, 2, 1, 0)]
 
 
 @contextmanager
