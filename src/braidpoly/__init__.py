@@ -6,10 +6,8 @@ circuit-partition expansions, each computed by the same leaf search as its
 paired tree -- and by a fifth, independent algorithm, the Ocneanu trace on
 the Hecke algebra.  It derives Morton-Frank-Williams bounds, braid-index
 certificates for reduced alternating braids, and Alexander polynomials from
-the polynomial, which those take from the Hecke trace on words whose split
-blocks (``BraidWord.split_blocks``, which the certificate shares), once
-destabilized, have at most ``HECKE_MAX_STRANDS`` strands and from the
-descending tree otherwise.
+the polynomial, which those take from the Hecke trace, one split block
+(``BraidWord.split_blocks``, which the certificate shares) at a time.
 """
 
 from .braid import (

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Optional
 
 from .braid import BraidWord, markov_variants, mirror
 from .corpus import all_words, alternating_words, exhaustive_count, random_words
-from .hecke import hecke_fits, homfly_hecke
+from .hecke import homfly_hecke
 from .invariants import alexander, braid_index_certificate, mfw_bounds
 from .jaeger import DUAL, STANDARD, homfly_jaeger, verify_bijection
 from .resolver import ASCENDING, DESCENDING, homfly
@@ -37,17 +37,15 @@ def check_methods_agree(word: BraidWord) -> Optional[str]:
     The partition sums are the paired trees' sums and read their memoized
     polynomials on this word object, so the cross-checks here are descending
     against ascending and the tree against the Hecke trace, a different
-    algorithm.  A word with a split block past the trace's limit
-    (:func:`~braidpoly.hecke.hecke_fits`) is checked on the tree formulas alone.
+    algorithm.
     """
     values = {
         "descending": homfly(word, DESCENDING),
         "ascending": homfly(word, ASCENDING),
         "jaeger": homfly_jaeger(word, STANDARD),
         "jaeger-dual": homfly_jaeger(word, DUAL),
+        "hecke": homfly_hecke(word),
     }
-    if hecke_fits(word):
-        values["hecke"] = homfly_hecke(word)
     reference = values["descending"]
     for name, poly in values.items():
         if poly != reference:

@@ -43,7 +43,7 @@ from .checks import (
     check_skein,
     run_selftest,
 )
-from .hecke import hecke_fits, homfly_hecke
+from .hecke import homfly_hecke
 from .invariants import alexander, braid_index_certificate, link_polynomial
 from .jaeger import DUAL, STANDARD, homfly_jaeger
 from .polynomial import LaurentPoly2, SubstitutionError
@@ -172,16 +172,8 @@ def _cert_line(cert_json: dict) -> str:
 
 def cmd_compute(args) -> int:
     word = _parse_word_or_exit(args.word, args.strands)
-    if args.method == "all":
-        # past the trace's block limit, ``all`` compares the tree methods alone
-        methods = [m for m in _METHODS if m != "hecke" or hecke_fits(word)]
-    else:
-        methods = [args.method]
-    try:
-        values = {m: _compute_method(word, m) for m in methods}
-    except ValueError as exc:  # the Hecke trace refuses a block past its limit
-        print(f"error: {exc}; use another --method", file=sys.stderr)
-        return EXIT_INPUT
+    methods = _METHODS if args.method == "all" else [args.method]
+    values = {m: _compute_method(word, m) for m in methods}
     # printing big coefficients can cost more than computing them, so each
     # distinct polynomial is formatted once
     texts = {v: v.to_text() for v in set(values.values())}

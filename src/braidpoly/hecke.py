@@ -47,8 +47,11 @@ conjugation and Markov destabilization
 (:attr:`~braidpoly.braid.BraidWord.destabilized`), which keeps its
 link and its polynomial; ``sigma_1 sigma_2 ... sigma_(n-1)`` sheds them all.
 A block keeps one coefficient per permutation of its strands that the word
-reaches, up to ``m!`` of them, so the trace refuses blocks that still have
-more than ``HECKE_MAX_STRANDS`` strands (see :func:`hecke_fits`).
+reaches, up to ``m!`` of them.  ``T_pi * g^-1`` splits in two whenever the
+swap raises the length, and ``T_pi * g`` only when it lowers it, so from
+``T_id`` every fresh negative letter branches and a fresh positive one does
+not: a block whose writhe is negative is traced as its mirror image, and
+that polynomial is mirrored back.
 
 References: V. F. R. Jones, "Hecke algebra representations of braid groups
 and link polynomials", Ann. Math. 126 (1987); H. R. Morton and H. B. Short,
@@ -60,17 +63,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .braid import BraidWord
+from .braid import BraidWord, mirror, writhe
 from .polynomial import LaurentPoly2, difference_power
 
 HECKE = "hecke"
-
-# The largest destabilized split block the trace takes.  Above it the
-# descending tree was faster than the trace that traced out only at the end,
-# on random words whose letters use every gap, and the tree's memory does not
-# grow with the strand count.  The README has those timings and re-times the
-# early trace-out, which moved the crossover above 12 strands.
-HECKE_MAX_STRANDS = 11
 
 # The widest block traced with its letters as they stand: on the ``analyze``
 # benchmark's 3-strand blocks, choosing a rotation cost more than it saved.
@@ -150,13 +146,6 @@ def _delta_power(k: int) -> LaurentPoly2:
     return LaurentPoly2({(-k, e): c for e, c in difference_power(k)})
 
 
-def hecke_fits(word: BraidWord) -> bool:
-    """Whether no destabilized split block has more than ``HECKE_MAX_STRANDS`` strands."""
-    # a block with no letters is a free strand, which always fits
-    blocks = (block for _, block in word.split_blocks if block.letters)
-    return all(block.destabilized.strands <= HECKE_MAX_STRANDS for block in blocks)
-
-
 def _live_widths(letters: Sequence[int]) -> list[int]:
     """For each letter, the strands that it and the letters after it touch.
 
@@ -199,13 +188,17 @@ def _cheapest_order(core: BraidWord) -> Sequence[int]:
 def _block_trace(core: BraidWord) -> LaurentPoly2:
     """The trace of a word whose letters use every gap.
 
-    The top strand is traced out by :func:`_restrict` as soon as no
-    remaining letter touches it: ``E`` commutes with right multiplication by
-    the rest of the word, which lives in the smaller algebra, so the trace
-    is the same as tracing out at the end.  A block of more than
-    ``_AS_THEY_STAND`` strands is first put in :func:`_cheapest_order`, a
-    conjugate of the same closure.
+    A word of negative writhe is traced as its mirror image, and the result
+    mirrored back.  The top strand is traced out by :func:`_restrict` as
+    soon as no remaining letter touches it: ``E`` commutes with right
+    multiplication by the rest of the word, which lives in the smaller
+    algebra, so the trace is the same as tracing out at the end.  A block of
+    more than ``_AS_THEY_STAND`` strands is first put in
+    :func:`_cheapest_order`, a conjugate of the same closure.
     """
+    mirrored = writhe(core) < 0
+    if mirrored:
+        core = mirror(core)
     m = core.strands
     letters = _cheapest_order(core) if m > _AS_THEY_STAND else core.letters
     elem = {tuple(range(m)): {(0, 0): 1}}
@@ -215,7 +208,8 @@ def _block_trace(core: BraidWord) -> LaurentPoly2:
         m = width
         if k < len(letters):
             elem = _times(elem, letters[k])
-    return LaurentPoly2(elem.get((0,), {}))
+    poly = LaurentPoly2(elem.get((0,), {}))
+    return poly.mirrored() if mirrored else poly
 
 
 def hecke_trace(word: BraidWord) -> LaurentPoly2:
@@ -224,14 +218,8 @@ def hecke_trace(word: BraidWord) -> LaurentPoly2:
     A word of ``k`` split blocks, free strands included, gives
     ``delta^(k-1)`` times the product of the blocks' polynomials, each
     traced on its destabilized block and memoized on the block word as
-    :func:`homfly_hecke` does.  Raises ``ValueError`` on a word that
-    :func:`hecke_fits` rejects.
+    :func:`homfly_hecke` does.
     """
-    if not hecke_fits(word):
-        raise ValueError(
-            f"{word.text()!r} has a split block of more than {HECKE_MAX_STRANDS} strands, "
-            f"the most the Hecke trace takes"
-        )
     blocks = word.split_blocks
     if len(blocks) == 1:
         return _block_trace(word.destabilized)

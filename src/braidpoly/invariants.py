@@ -21,8 +21,7 @@ dominates the Alexander specialization ``a = 1``, ``z = s - s^-1`` and forces
 a unit leading coefficient for every reduced alternating braid.
 
 Every invariant here reads the polynomial from :func:`link_polynomial`, which
-takes it from the Hecke trace or, on words with a split block of many strands,
-from the descending tree.
+takes it from the word's memo or from the Hecke trace.
 """
 
 from __future__ import annotations
@@ -45,9 +44,12 @@ from .braid import (
     walk,
     writhe,
 )
-from .hecke import hecke_fits, homfly_hecke
+from .hecke import homfly_hecke
 from .polynomial import LaurentPoly1, LaurentPoly2
-from .resolver import DESCENDING, homfly, leaf_membership_test
+from .resolver import DESCENDING, leaf_membership_test
+
+# ``perfbench/tracing.py`` wraps this by its name here, so it stays bound
+from .resolver import homfly  # noqa: F401
 
 
 class ConstructionError(ValueError):
@@ -75,19 +77,15 @@ class MfwReport:
 
 
 def link_polynomial(word: BraidWord) -> LaurentPoly2:
-    """The closure's HOMFLY polynomial by the engine chosen from the word.
+    """The closure's HOMFLY polynomial.
 
     A polynomial already in the word's memo, whichever engine computed it;
-    otherwise the Hecke trace when no split block of the word, once
-    destabilized, has more than :data:`~braidpoly.hecke.HECKE_MAX_STRANDS`
-    strands, the descending tree when one has.  All give the same value.
+    otherwise the Hecke trace.  All engines give the same value.
     """
     memo = word.homfly_memo
     if memo:
         return next(iter(memo.values()))
-    if hecke_fits(word):
-        return homfly_hecke(word)
-    return homfly(word, DESCENDING)
+    return homfly_hecke(word)
 
 
 def mfw_bounds(word: BraidWord) -> MfwReport:

@@ -77,7 +77,7 @@ def test_traced_tiny_workload_counts(workload):
     m = {k: v["value"] for k, v in result["metrics"].items()}
     assert m["resolver.nodes"] == 2 * m["resolver.leaves"] - m["resolver.homfly_calls"]
     if workload == "analyze":
-        # every tiny analyze word is within the Hecke trace's strand limit
+        # analyze takes every polynomial from the Hecke trace
         assert m["resolver.homfly_calls"] == 0, m
         assert m["jaeger.homfly_jaeger_calls"] == 0, m
     else:

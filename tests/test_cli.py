@@ -15,7 +15,6 @@ import braidpoly.hecke
 from braidpoly import LaurentPoly2, SubstitutionError, homfly, parse_braid
 from braidpoly.checks import CheckResult
 from braidpoly.cli import build_parser, main
-from braidpoly.hecke import HECKE_MAX_STRANDS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TREFOIL = "a^-2*z^2 + 2*a^-2 - a^-4"
@@ -67,7 +66,7 @@ class TestCompute:
 
     def test_all_includes_the_trace_on_a_block_that_destabilizes(self, capsys, hecke_evaluations):
         # one 13-strand block, but every gap holds one letter: the closure is the unknot
-        text = " ".join(str(g) for g in range(1, HECKE_MAX_STRANDS + 2))
+        text = " ".join(str(g) for g in range(1, 13))
         code, out, _ = run(capsys, "compute", text, "--method", "all")
         assert code == 0
         assert "P (hecke): 1" in out.splitlines()
@@ -79,29 +78,29 @@ class TestCompute:
         assert code == 0
         assert out.splitlines()[-1] == f"P (hecke): {TREFOIL}"
 
-    def test_all_leaves_out_the_trace_past_its_strand_limit(self, capsys, hecke_evaluations):
-        # every gap holds two letters, so destabilizing cannot narrow the block
-        text = " ".join(f"{g} {g}" if g % 2 else f"{-g} {-g}" for g in range(1, HECKE_MAX_STRANDS + 1))
+    def test_all_includes_the_trace_on_a_wide_block(self, capsys, hecke_evaluations):
+        # every gap holds two letters, so destabilizing cannot narrow the 12-strand block
+        text = " ".join(f"{g} {g}" if g % 2 else f"{-g} {-g}" for g in range(1, 12))
         code, out, _ = run(capsys, "compute", text, "--method", "all")
         assert code == 0
         assert [line.split(")")[0] for line in out.splitlines() if line.startswith("P (")] == [
-            "P (descending", "P (ascending", "P (jaeger", "P (jaeger-dual",
+            "P (descending", "P (ascending", "P (jaeger", "P (jaeger-dual", "P (hecke",
         ]
         assert out.splitlines()[-1] == "all methods agree"
         code, out, _ = run(capsys, "compute", text, "--method", "all", "--json")
-        assert list(json.loads(out)["homfly"]) == ["descending", "ascending", "jaeger", "jaeger-dual"]
-        assert hecke_evaluations == []
+        doc = json.loads(out)
+        assert list(doc["homfly"]) == ["descending", "ascending", "jaeger", "jaeger-dual", "hecke"]
+        assert doc["methods_agree"] is True
+        # one trace per run, each on the whole block
+        assert hecke_evaluations == [(parse_braid(text).tokens(), 12)] * 2
 
-    def test_hecke_past_its_strand_limit_exits_2(self, capsys, hecke_evaluations):
-        text = " ".join(f"{g} {g}" for g in range(1, HECKE_MAX_STRANDS + 1))
+    def test_hecke_on_a_wide_block_prints_the_tree_polynomial(self, capsys, hecke_evaluations):
+        text = " ".join(f"{g} {g}" for g in range(1, 12))
         code, out, err = run(capsys, "compute", text, "--method", "hecke")
-        assert code == 2
-        assert out == ""
-        assert err == (
-            f"error: {text!r} has a split block of more than {HECKE_MAX_STRANDS} strands, "
-            "the most the Hecke trace takes; use another --method\n"
-        )
-        assert hecke_evaluations == []
+        assert code == 0
+        assert err == ""
+        assert out.splitlines()[-1] == f"P (hecke): {homfly(parse_braid(text)).to_text()}"
+        assert len(hecke_evaluations) == 1
 
     def test_hecke_disagreement_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(braidpoly.cli, "homfly_hecke", lambda word: LaurentPoly2.one())
@@ -417,9 +416,8 @@ class TestSelftest:
 class TestSearchCounts:
     """Evaluations per CLI call: each word object is evaluated once per engine.
 
-    ``analyze`` takes its polynomials from the Hecke trace when no split block
-    has more than ``HECKE_MAX_STRANDS`` strands, so it runs no leaf search
-    there.
+    ``analyze`` takes its polynomials from the Hecke trace, so it runs no
+    leaf search.
     """
 
     @pytest.mark.parametrize("word", ["1 2 -1 2", "1 -2 1 -2", "-1 2 -1 2 2"])

@@ -7,7 +7,7 @@ import random
 import pytest
 import sympy as sp
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import braidpoly.checks
@@ -24,7 +24,8 @@ from braidpoly import (
 )
 from braidpoly.checks import check_methods_agree
 from braidpoly.cli import main
-from braidpoly.hecke import HECKE_MAX_STRANDS, hecke_fits, hecke_trace
+from braidpoly.hecke import hecke_trace
+from braidpoly.resolver import DESCENDING
 
 from _brute import A, Z, brute_homfly, brute_walk, poly2_to_sympy, word_letters
 
@@ -126,6 +127,12 @@ class TestAgainstTree:
     @given(words())
     @settings(max_examples=60, deadline=None)
     def test_mirror(self, word):
+        """The trace of the mirror image is the mirrored trace, and the tree agrees.
+
+        A block of nonzero writhe is traced in its positive orientation on
+        both sides, so the first assertion compares one computation with
+        itself there; the tree on the mirror image stays independent.
+        """
         image = homfly_hecke(mirror(word))
         assert image == homfly_hecke(word).mirrored()
         assert image == homfly(mirror(word))
@@ -154,10 +161,11 @@ class TestAgainstTree:
         assert homfly_hecke(word) == homfly(word)
 
     def test_split_blocks_beyond_the_strand_constant(self):
-        # a 22-strand word whose empty gap 11 leaves two blocks of 11 strands
+        # a 22-strand word whose empty gap 11 leaves two blocks of 11 strands,
+        # the trace's strand limit before every block was traced
         letters = tuple(range(1, 11)) + tuple(-g for g in range(12, 22))
         word = BraidWord(letters, 22)
-        assert hecke_fits(word)
+        assert [block.strands for _, block in word.split_blocks] == [11, 11]
         assert homfly_hecke(word) == homfly(word)
 
 
@@ -196,13 +204,14 @@ class TestDestabilization:
         expected = brute_homfly(word.strands, word_letters(word))
         assert poly2_to_sympy(hecke_trace(word)) == expected
 
-    def test_the_block_is_measured_after_destabilizing(self):
+    def test_the_block_is_measured_after_destabilizing(self, hecke_evaluations):
         # single letters at gaps 1 and 12 around a doubled core of 10 gaps (11 strands)
-        core = doubled(range(2, HECKE_MAX_STRANDS + 1))
-        word = BraidWord((1, *core, -(HECKE_MAX_STRANDS + 1)), HECKE_MAX_STRANDS + 2)
-        assert hecke_fits(word)
+        core = doubled(range(2, 12))
+        word = BraidWord((1, *core, -12), 13)
         assert hecke_trace(word) == homfly(word)
-        assert not hecke_fits(BraidWord((1, 1, *core, -(HECKE_MAX_STRANDS + 1)), word.strands))
+        # a second letter at gap 1 keeps that gap in the traced block
+        hecke_trace(BraidWord((1, 1, *core, -12), 13))
+        assert [strands for _, strands in hecke_evaluations] == [11, 12]
 
     def test_staircase_on_22_strands_runs_no_leaf_search(self, capsys, leaf_searches):
         text = " ".join(str(g) for g in range(1, 22))
@@ -210,15 +219,31 @@ class TestDestabilization:
         assert "P: 1" in capsys.readouterr().out.splitlines()
         assert leaf_searches == []
 
-    def test_a_block_still_too_wide_goes_to_the_tree(self, capsys, leaf_searches, hecke_evaluations):
+    def test_a_wide_destabilized_block_is_traced(self, capsys, leaf_searches, hecke_evaluations):
         # gaps 1 and 2 destabilize, which leaves a doubled block of 13 strands
-        core = doubled(g if g % 2 else -g for g in range(3, HECKE_MAX_STRANDS + 4))
+        core = doubled(g if g % 2 else -g for g in range(3, 15))
         text = " ".join(map(str, (1, -2, *core)))
         assert main(["analyze", text, "--json"]) == 0
-        assert len(leaf_searches) == 1
-        assert hecke_evaluations == []
+        assert leaf_searches == []
+        assert [strands for _, strands in hecke_evaluations] == [13]
         doc = json.loads(capsys.readouterr().out)
         assert LaurentPoly2.from_json_terms(doc["homfly"]["descending"]) == homfly(parse_braid(text))
+
+
+def _peak_basis(monkeypatch, word):
+    """The trace of ``word`` and the most permutations its element held."""
+    sizes = []
+    times = braidpoly.hecke._times
+
+    def counted(elem, t):
+        out = times(elem, t)
+        sizes.extend((len(elem), len(out)))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(braidpoly.hecke, "_times", counted)
+        poly = hecke_trace(word)
+    return poly, max(sizes)
 
 
 @st.composite
@@ -281,34 +306,69 @@ class TestEarlyTraceOut:
     @pytest.mark.parametrize("signs", [(1,) * 10, (1, -1) * 5], ids=["positive", "alternating"])
     def test_doubled_word_keeps_a_small_basis(self, monkeypatch, signs):
         # traced out at the end, these words reach 1,024 permutations of 11 strands
-        sizes = []
-        times = braidpoly.hecke._times
-
-        def counted(elem, t):
-            out = times(elem, t)
-            sizes.extend((len(elem), len(out)))
-            return out
-
-        monkeypatch.setattr(braidpoly.hecke, "_times", counted)
         word = BraidWord(doubled(g * s for g, s in zip(range(1, 11), signs)), 11)
-        poly = hecke_trace(word)
-        assert 0 < max(sizes) <= 4
-        monkeypatch.undo()
+        poly, peak = _peak_basis(monkeypatch, word)
+        assert 0 < peak <= 4
         assert poly == homfly(word)
 
 
-class TestStrandLimit:
-    def test_fits_counts_the_widest_split_block(self):
-        assert hecke_fits(BraidWord((), 1000))
-        assert hecke_fits(BraidWord((1, 999), 1000))
-        assert hecke_fits(BraidWord(doubled(range(1, HECKE_MAX_STRANDS)), 40))
-        assert not hecke_fits(BraidWord(doubled(range(1, HECKE_MAX_STRANDS + 1)), 40))
-        assert not hecke_fits(BraidWord(doubled((5, 5 + HECKE_MAX_STRANDS - 1, *range(6, 15))), 40))
+@st.composite
+def negative_words(draw, max_strands=8, max_len=10):
+    """Words of negative writhe on 2 to ``max_strands`` strands, most of them one block."""
+    m = draw(st.integers(2, max_strands))
+    gaps = draw(st.lists(st.integers(1, m - 1), min_size=1, max_size=max_len))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(gaps), max_size=len(gaps)))
+    letters = tuple(g * s for g, s in zip(gaps, signs))
+    assume(sum(signs) != 0)
+    return BraidWord(letters if sum(signs) < 0 else tuple(-t for t in letters), m)
 
-    def test_the_trace_refuses_a_wider_block(self):
-        word = BraidWord(doubled(range(1, HECKE_MAX_STRANDS + 1)), HECKE_MAX_STRANDS + 1)
-        with pytest.raises(ValueError, match=f"more than {HECKE_MAX_STRANDS} strands"):
-            hecke_trace(word)
+
+class TestOrientation:
+    """A block of negative writhe is traced as its mirror image, then mirrored back."""
+
+    @given(negative_words())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_descending_tree(self, word):
+        assert homfly_hecke(word) == homfly(word)
+
+    @given(negative_words(max_strands=4, max_len=5))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_brute_oracle(self, word):
+        expected = brute_homfly(word.strands, word_letters(word))
+        assert poly2_to_sympy(homfly_hecke(word)) == expected
+
+    def test_negative_staircase_keeps_a_small_basis(self, monkeypatch):
+        # in its own orientation the trace of this word reaches 52,488 permutations
+        word = BraidWord(tuple(-g for g in range(1, 11)) * 3, 11)
+        poly, peak = _peak_basis(monkeypatch, word)
+        assert peak <= 16
+        assert poly == homfly(word)
+
+
+@st.composite
+def wide_words(draw):
+    """One block of 12 or 13 strands, each gap used exactly twice, shuffled, random signs.
+
+    Both end gaps hold two letters, so the block does not destabilize.
+    """
+    m = draw(st.integers(12, 13))
+    gaps = draw(st.permutations([g for g in range(1, m) for _ in (0, 1)]))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(gaps), max_size=len(gaps)))
+    return BraidWord(tuple(g * s for g, s in zip(gaps, signs)), m)
+
+
+@given(wide_words())
+@settings(
+    max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_wide_words_are_traced_and_equal_the_tree(capsys, leaf_searches, word):
+    leaf_searches.clear()
+    assert main(["analyze", word.text(), "--json"]) == 0
+    assert leaf_searches == []
+    doc = json.loads(capsys.readouterr().out)
+    poly = link_polynomial(BraidWord(word.letters, word.strands))
+    assert LaurentPoly2.from_json_terms(doc["homfly"]["descending"]) == poly
+    assert poly == homfly(BraidWord(word.letters, word.strands), DESCENDING)
 
 
 def test_sigma1_power_closed_form_at_200():
@@ -329,14 +389,14 @@ def test_methods_check_compares_the_tree_with_the_trace(monkeypatch):
     assert message.startswith("method disagreement") and "hecke gave 1" in message
 
 
-def test_methods_check_past_the_strand_limit_skips_the_trace(hecke_evaluations):
-    word = BraidWord(doubled(range(1, HECKE_MAX_STRANDS + 1)), HECKE_MAX_STRANDS + 1)
+def test_methods_check_on_a_wide_block_runs_the_trace(hecke_evaluations):
+    word = BraidWord(doubled(range(1, 12)), 12)
     assert check_methods_agree(word) is None
-    assert hecke_evaluations == []
+    assert hecke_evaluations == [(word.tokens(), 12)]
 
 
 class TestEngineChoice:
-    """``analyze`` picks the engine from the strand count of the widest destabilized block."""
+    """``analyze`` traces every word, however wide its destabilized blocks."""
 
     def analyze_poly(self, capsys, *argv):
         assert main(["analyze", *argv, "--json"]) == 0
@@ -358,17 +418,18 @@ class TestEngineChoice:
         assert got == homfly(parse_braid("1 -999"))
 
     def test_at_the_strand_constant_the_trace_runs(self, capsys, leaf_searches, hecke_evaluations):
-        text = " ".join(str(g) for g in range(1, HECKE_MAX_STRANDS))
+        # 11 strands, the trace's strand limit before every block was traced
+        text = " ".join(str(g) for g in range(1, 11))
         got = self.analyze_poly(capsys, text)
         assert leaf_searches == []
         assert len(hecke_evaluations) == 1
         assert got == homfly(parse_braid(text))
 
-    def test_above_the_strand_constant_the_tree_runs(self, capsys, leaf_searches, hecke_evaluations):
-        text = " ".join(map(str, doubled(g if g % 2 else -g for g in range(1, HECKE_MAX_STRANDS + 1))))
+    def test_a_wide_block_runs_the_trace(self, capsys, leaf_searches, hecke_evaluations):
+        text = " ".join(map(str, doubled(g if g % 2 else -g for g in range(1, 12))))
         got = self.analyze_poly(capsys, text)
-        assert len(leaf_searches) == 1
-        assert hecke_evaluations == []
+        assert leaf_searches == []
+        assert [strands for _, strands in hecke_evaluations] == [12]
         assert got == homfly(parse_braid(text))
 
 
@@ -405,7 +466,7 @@ def block_builds(monkeypatch):
 class TestBlocksBuiltOnce:
     def test_analyze_builds_the_blocks_at_most_once_per_word_object(self, capsys, block_builds):
         rng = random.Random(8124)
-        texts = ["1 1 -3 -3", "1 1 -3 -3 3", " ".join(map(str, doubled(range(1, HECKE_MAX_STRANDS + 1))))]
+        texts = ["1 1 -3 -3", "1 1 -3 -3 3", " ".join(map(str, doubled(range(1, 12))))]
         for strands in (3, 4, 5):
             for _ in range(8):
                 tokens = [rng.randint(1, strands - 1) * rng.choice((1, -1)) for _ in range(rng.randint(8, 14))]
@@ -420,7 +481,7 @@ class TestBlocksBuiltOnce:
         word = parse_braid("1 -2 1 -2 3 -3")
         first = link_polynomial(word)
         assert len(block_builds) <= 1
-        assert hecke_fits(parse_braid("1 1"))  # another word in between
+        link_polynomial(parse_braid("1 1"))  # another word in between
         block_builds.clear()
         assert link_polynomial(word) is first
         assert block_builds == []
@@ -453,10 +514,8 @@ class TestDestabilizedOnce:
         " ".join(map(str, range(1, 100, 2))),  # 50 one-letter blocks
         "2 2 2 -5 6 -5 6 -5",
         "-1 3 -2 -4 -4 -4 1 -3",
-        # a certified trefoil block beside a block the trace refuses, so
-        # that the word goes to the tree and the certificate asks for the
-        # trefoil's polynomial on its own
-        " ".join(map(str, (1, 1, 1, *(t + 3 for t in doubled(range(1, HECKE_MAX_STRANDS + 1)))))),
+        # a certified trefoil block beside a doubled block of 12 strands
+        " ".join(map(str, (1, 1, 1, *(t + 3 for t in doubled(range(1, 12)))))),
     ]
 
     def test_analyze_destabilizes_each_block_once(self, capsys, core_builds):
