@@ -45,7 +45,6 @@ from .invariants import (
     construct_u_prime,
     construct_u_star,
     construct_v_star,
-    link_polynomial,
     mfw_bounds,
 )
 from .jaeger import (

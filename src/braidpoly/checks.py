@@ -110,10 +110,8 @@ def check_bijection(word: BraidWord) -> Optional[str]:
 
 
 def check_mfw(word: BraidWord) -> Optional[str]:
-    try:
-        mfw_bounds(word)  # raises on window violations
-    except Exception as exc:  # pragma: no cover - engine bug guard
-        return f"MFW check raised on {word.text()!r}: {exc}"
+    """The degrees lie in the MFW window; :func:`mfw_bounds` raises when they do not."""
+    mfw_bounds(word)
     return None
 
 
@@ -148,12 +146,19 @@ def _run(
     words: Iterable[BraidWord],
     checker: Callable[[BraidWord], Optional[str]],
 ) -> CheckResult:
-    """Run ``checker`` over ``words``, stopping at the first failure."""
+    """Run ``checker`` over ``words``, stopping at the first failure.
+
+    A checker that raises fails the suite on that word: an engine that
+    contradicts itself raises (``ConsistencyError``) rather than answers.
+    """
     result = CheckResult(name=name, checked=0)
     start = time.perf_counter()
     for word in words:
         result.checked += 1
-        message = checker(word)
+        try:
+            message = checker(word)
+        except Exception as exc:
+            message = f"{name} raised on {word.text()!r}: {type(exc).__name__}: {exc}"
         if message is not None:
             result.failures.append(message)
             break

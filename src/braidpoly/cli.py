@@ -5,8 +5,9 @@ Subcommands: ``compute`` (polynomial by one or all methods), ``analyze``
 (one report per input line) and ``selftest`` (corpus property suites).
 
 Exit codes are a stable contract: 0 success, 2 input error, 3 verification
-failure.  All behavior is controlled by flags; there are no config files or
-environment variables.
+failure, which includes an engine contradiction (``ConsistencyError`` or
+``SubstitutionError``), reported as one ``error:`` line.  All behavior is
+controlled by flags; there are no config files or environment variables.
 
 :func:`main` may be called repeatedly in one process and reuses one parser,
 built on its first call, while :func:`build_parser` still returns a fresh one.
@@ -44,7 +45,7 @@ from .checks import (
     run_selftest,
 )
 from .hecke import homfly_hecke
-from .invariants import alexander, braid_index_certificate, link_polynomial
+from .invariants import ConsistencyError, alexander, braid_index_certificate
 from .jaeger import DUAL, STANDARD, homfly_jaeger
 from .polynomial import LaurentPoly2, SubstitutionError
 from .resolver import homfly
@@ -99,7 +100,7 @@ def _analyze_json(word: BraidWord) -> dict:
     flags = classify(word)
     profile = gap_profile(word)
     cert = braid_index_certificate(word)
-    poly = link_polynomial(word)
+    poly = homfly_hecke(word)
     alex = alexander(word)
     return {
         "word": word.text(),
@@ -287,7 +288,7 @@ def _batch_line(item: tuple[int, str]) -> tuple[int, dict]:
         return EXIT_INPUT, {"line": lineno, "error": str(exc)}
     try:
         doc = _analyze_json(word)
-    except SubstitutionError as exc:
+    except (ConsistencyError, SubstitutionError) as exc:
         return EXIT_VERIFY, {"line": lineno, "error": str(exc)}
     return EXIT_OK, {"line": lineno, **doc}
 
@@ -371,10 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_word(p):
         p.add_argument("word", help="braid word, e.g. '1 1 1' or '-1 3 -2 -4 -4 -4 1 -3'")
         p.add_argument("--strands", type=int, default=None, help="strand count override")
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     p = sub.add_parser("compute", help="HOMFLY polynomial of a closed braid")
     add_word(p)
+    p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument(
         "--method",
         choices=_METHODS + ("all",),
@@ -385,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full diagram and invariant report")
     add_word(p)
+    p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run property checks against one word")
@@ -427,6 +429,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
+    except (ConsistencyError, SubstitutionError) as exc:
+        # an engine contradiction: the polynomial broke an identity it must keep
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except BrokenPipeError:
         return EXIT_OK
 

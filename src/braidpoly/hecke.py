@@ -39,13 +39,13 @@ count and grows with ``n!`` otherwise.
 
 A gap that no letter uses splits the closure into the word's
 :attr:`~braidpoly.braid.BraidWord.split_blocks`: maximal runs of used gaps,
-each traced on its own strands and memoized on the block word, and free
-strands, each with polynomial 1.  The split union of ``k`` blocks is
-``delta^(k-1)`` times the product of their polynomials.  Before it is
-traced, each block sheds every end gap that holds a single letter, by
-conjugation and Markov destabilization
-(:attr:`~braidpoly.braid.BraidWord.destabilized`), which keeps its
-link and its polynomial; ``sigma_1 sigma_2 ... sigma_(n-1)`` sheds them all.
+each taken by :func:`homfly_hecke` on its own strands and memoized on the
+block word, and free strands, each with polynomial 1.  The split union of
+``k`` blocks is ``delta^(k-1)`` times the product of their polynomials.
+Before it is traced, each block sheds every end gap that holds a single
+letter, by conjugation and Markov destabilization
+(:attr:`~braidpoly.braid.BraidWord.destabilized`), which keeps its link and
+its polynomial; ``sigma_1 sigma_2 ... sigma_(n-1)`` sheds them all.
 A block keeps one coefficient per permutation of its strands that the word
 reaches, up to ``m!`` of them.  ``T_pi * g^-1`` splits in two whenever the
 swap raises the length, and ``T_pi * g`` only when it lowers it, so from
@@ -212,35 +212,26 @@ def _block_trace(core: BraidWord) -> LaurentPoly2:
     return poly.mirrored() if mirrored else poly
 
 
-def hecke_trace(word: BraidWord) -> LaurentPoly2:
-    """The HOMFLY polynomial of the closure, computed afresh by the trace.
-
-    A word of ``k`` split blocks, free strands included, gives
-    ``delta^(k-1)`` times the product of the blocks' polynomials, each
-    traced on its destabilized block and memoized on the block word as
-    :func:`homfly_hecke` does.
-    """
-    blocks = word.split_blocks
-    if len(blocks) == 1:
-        return _block_trace(word.destabilized)
-    poly = LaurentPoly2.one()
-    for _, block in blocks:
-        if block.letters:  # a free strand's polynomial is 1
-            memo = block.homfly_memo
-            if HECKE not in memo:
-                memo[HECKE] = _block_trace(block.destabilized)
-            poly = poly * memo[HECKE]
-    return poly * _delta_power(len(blocks) - 1)
-
-
 def homfly_hecke(word: BraidWord) -> LaurentPoly2:
     """The HOMFLY polynomial of the closure by the Hecke-algebra trace.
 
     Memoized on the word object (:attr:`BraidWord.homfly_memo`) under its own
-    key, so each word object is traced at most once.
+    key, so each word object is traced at most once.  A word of one split
+    block is traced on its destabilized core; a word of ``k`` split blocks,
+    free strands included, gives ``delta^(k-1)`` times the product of its
+    blocks' polynomials, each taken by this function on the block word.
     """
     memo = word.homfly_memo
     poly = memo.get(HECKE)
     if poly is None:
-        poly = memo[HECKE] = hecke_trace(word)
+        blocks = word.split_blocks
+        if len(blocks) == 1:
+            poly = _block_trace(word.destabilized)
+        else:
+            poly = LaurentPoly2.one()
+            for _, block in blocks:
+                if block.letters:  # a free strand's polynomial is 1
+                    poly = poly * homfly_hecke(block)
+            poly = poly * _delta_power(len(blocks) - 1)
+        memo[HECKE] = poly
     return poly

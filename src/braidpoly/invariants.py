@@ -20,8 +20,8 @@ leaf of maximal smoothing (``gamma = 1``, ``t = c - n + 1``); its term
 dominates the Alexander specialization ``a = 1``, ``z = s - s^-1`` and forces
 a unit leading coefficient for every reduced alternating braid.
 
-Every invariant here reads the polynomial from :func:`link_polynomial`, which
-takes it from the word's memo or from the Hecke trace.
+Every invariant here reads the polynomial from
+:func:`~braidpoly.hecke.homfly_hecke`, the Hecke trace memoized on the word.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .braid import (
     writhe,
 )
 from .hecke import homfly_hecke
-from .polynomial import LaurentPoly1, LaurentPoly2
+from .polynomial import LaurentPoly1
 from .resolver import DESCENDING, leaf_membership_test
 
 # ``perfbench/tracing.py`` wraps this by its name here, so it stays bound
@@ -76,25 +76,13 @@ class MfwReport:
     writhe: int
 
 
-def link_polynomial(word: BraidWord) -> LaurentPoly2:
-    """The closure's HOMFLY polynomial.
-
-    A polynomial already in the word's memo, whichever engine computed it;
-    otherwise the Hecke trace.  All engines give the same value.
-    """
-    memo = word.homfly_memo
-    if memo:
-        return next(iter(memo.values()))
-    return homfly_hecke(word)
-
-
 def mfw_bounds(word: BraidWord) -> MfwReport:
     """Compute the polynomial once and read off the MFW data.
 
     The degree window ``[1-n-w, n-1-w]`` is verified on the result; the span
     is asserted even before halving so the bound stays exact integer math.
     """
-    poly = link_polynomial(word)
+    poly = homfly_hecke(word)
     n = word.strands
     w = writhe(word)
     E, e, span = poly.a_degrees()
@@ -364,7 +352,7 @@ class AlexanderReport:
 
 def alexander(word: BraidWord) -> AlexanderReport:
     """Alexander polynomial of the closure via ``a = 1``, ``z = s - s^-1``."""
-    delta = link_polynomial(word).substitute_alexander()
+    delta = homfly_hecke(word).substitute_alexander()
     if delta.is_zero():
         return AlexanderReport(delta, 0, False)
     _, coeff = delta.leading()

@@ -12,6 +12,7 @@ import braidpoly.braid
 import braidpoly.checks
 import braidpoly.cli
 import braidpoly.hecke
+import braidpoly.invariants
 from braidpoly import LaurentPoly2, SubstitutionError, homfly, parse_braid
 from braidpoly.checks import CheckResult
 from braidpoly.cli import build_parser, main
@@ -24,6 +25,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def contradict(monkeypatch, text=None):
+    """Make the invariants read ``a^99``, outside every MFW window.
+
+    Only for words that read ``text``, when it is given; others keep their
+    polynomial.  A forked ``batch`` worker inherits the patch.
+    """
+    real = braidpoly.invariants.homfly_hecke
+    fake = LaurentPoly2.from_text("a^99")
+    monkeypatch.setattr(
+        braidpoly.invariants,
+        "homfly_hecke",
+        lambda word: fake if text in (None, word.text()) else real(word),
+    )
 
 
 def test_annotations_resolve():
@@ -165,6 +181,14 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", "1 junk")
         assert code == 2
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_engine_contradiction_exits_3(self, capsys, monkeypatch, json_flag):
+        contradict(monkeypatch)
+        code, out, err = run(capsys, "analyze", "1 1 1", *json_flag)
+        assert code == 3
+        assert out == ""
+        assert err == "error: degrees [99, 99] escape the window [-4, -2] for word '1 1 1'\n"
+
     def test_json_report_walks_the_diagram_once(self, capsys, monkeypatch):
         walks = []
         walk = braidpoly.braid.walk
@@ -205,6 +229,14 @@ class TestVerify:
     def test_bad_samples_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "1", "--samples", "0")
         assert code == 2
+
+    def test_json_flag_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "1 1 1", "--json", "--moves", "mirror"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --json" in captured.err
 
 
 class TestBatch:
@@ -268,6 +300,23 @@ class TestBatch:
         docs = [json.loads(line) for line in out.splitlines()]
         assert [d["line"] for d in docs] == [1, 2, 3]
         assert docs[1] == {"line": 2, "error": "injected substitution failure"}
+        assert [docs[0]["word"], docs[2]["word"]] == ["1 1 1", "2 2 1"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_engine_contradiction_reported_inline_exits_3(
+        self, tmp_path, capsys, monkeypatch, jobs
+    ):
+        contradict(monkeypatch, "1 -2 1 -2")
+        batch = tmp_path / "words.txt"
+        batch.write_text("1 1 1\n1 -2 1 -2\n2 2 1\n")
+        code, out, _ = run(capsys, "batch", str(batch), "--json", "--jobs", jobs)
+        assert code == 3
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert [d["line"] for d in docs] == [1, 2, 3]
+        assert docs[1] == {
+            "line": 2,
+            "error": "degrees [99, 99] escape the window [-2, 2] for word '1 -2 1 -2'",
+        }
         assert [docs[0]["word"], docs[2]["word"]] == ["1 1 1", "2 2 1"]
 
     def test_parallel_output_matches_sequential(self, tmp_path, capsys):
@@ -393,6 +442,25 @@ class TestSelftest:
             "--samples", "5",
         )
         assert code == 3
+
+    def test_a_raising_suite_fails_and_exits_3(self, capsys, monkeypatch):
+        contradict(monkeypatch)
+        code, out, _ = run(
+            capsys,
+            "selftest",
+            "--max-crossings", "1",
+            "--max-strands", "2",
+            "--samples", "5",
+        )
+        assert code == 3
+        lines = out.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("reduced alternating"))
+        assert lines[at].startswith("reduced alternating degree law: FAIL")
+        assert lines[at + 1].startswith(
+            "  reduced alternating degree law raised on '1 1': ConsistencyError"
+        )
+        # the suites after the one that raised still run
+        assert lines[-1].startswith("Alexander unit leading coefficient: ")
 
     @pytest.mark.parametrize(
         "option, value, minimum",

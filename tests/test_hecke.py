@@ -17,14 +17,12 @@ from braidpoly import (
     LaurentPoly2,
     homfly,
     homfly_hecke,
-    link_polynomial,
     markov_variants,
     mirror,
     parse_braid,
 )
 from braidpoly.checks import check_methods_agree
 from braidpoly.cli import main
-from braidpoly.hecke import hecke_trace
 from braidpoly.resolver import DESCENDING
 
 from _brute import A, Z, brute_homfly, brute_walk, poly2_to_sympy, word_letters
@@ -102,7 +100,7 @@ class TestDeltaExponent:
     @settings(max_examples=60, deadline=None)
     def test_every_engine_on_split_words(self, word):
         _, components = brute_walk(word.strands, word_letters(word), "K" * len(word))
-        for engine in (homfly_hecke, link_polynomial, homfly):
+        for engine in (homfly_hecke, homfly):
             # a fresh word object per engine, so that no engine reads another's memo
             poly = engine(BraidWord(word.letters, word.strands))
             # times z^k, so that both sides are Laurent polynomials in a
@@ -196,21 +194,21 @@ class TestDestabilization:
     @given(destabilizable_words())
     @settings(max_examples=150, deadline=None)
     def test_equals_descending_tree(self, word):
-        assert hecke_trace(word) == homfly(word)
+        assert homfly_hecke(word) == homfly(word)
 
     @given(destabilizable_words(max_strands=6, max_extra=2))
     @settings(max_examples=40, deadline=None)
     def test_equals_brute_oracle(self, word):
         expected = brute_homfly(word.strands, word_letters(word))
-        assert poly2_to_sympy(hecke_trace(word)) == expected
+        assert poly2_to_sympy(homfly_hecke(word)) == expected
 
     def test_the_block_is_measured_after_destabilizing(self, hecke_evaluations):
         # single letters at gaps 1 and 12 around a doubled core of 10 gaps (11 strands)
         core = doubled(range(2, 12))
         word = BraidWord((1, *core, -12), 13)
-        assert hecke_trace(word) == homfly(word)
+        assert homfly_hecke(word) == homfly(word)
         # a second letter at gap 1 keeps that gap in the traced block
-        hecke_trace(BraidWord((1, 1, *core, -12), 13))
+        homfly_hecke(BraidWord((1, 1, *core, -12), 13))
         assert [strands for _, strands in hecke_evaluations] == [11, 12]
 
     def test_staircase_on_22_strands_runs_no_leaf_search(self, capsys, leaf_searches):
@@ -231,7 +229,11 @@ class TestDestabilization:
 
 
 def _peak_basis(monkeypatch, word):
-    """The trace of ``word`` and the most permutations its element held."""
+    """The trace of ``word`` and the most permutations its element held.
+
+    ``word`` must be an object that no engine has evaluated yet: the memo
+    would answer instead of the trace.
+    """
     sizes = []
     times = braidpoly.hecke._times
 
@@ -242,7 +244,7 @@ def _peak_basis(monkeypatch, word):
 
     with monkeypatch.context() as patch:
         patch.setattr(braidpoly.hecke, "_times", counted)
-        poly = hecke_trace(word)
+        poly = homfly_hecke(word)
     return poly, max(sizes)
 
 
@@ -289,19 +291,19 @@ class TestEarlyTraceOut:
     def test_the_cheapest_order_wins(self, letters, order):
         word = BraidWord(letters, 5)
         assert braidpoly.hecke._cheapest_order(word) == order
-        assert hecke_trace(word) == homfly(word)
-        assert poly2_to_sympy(hecke_trace(word)) == brute_homfly(5, word_letters(word))
+        assert homfly_hecke(word) == homfly(word)
+        assert poly2_to_sympy(homfly_hecke(word)) == brute_homfly(5, word_letters(word))
 
     @given(clustered_words())
     @settings(max_examples=150, deadline=None)
     def test_equals_descending_tree(self, word):
-        assert hecke_trace(word) == homfly(word)
+        assert homfly_hecke(word) == homfly(word)
 
     @given(clustered_words(max_strands=5, max_extra=0))
     @settings(max_examples=30, deadline=None)
     def test_equals_brute_oracle(self, word):
         expected = brute_homfly(word.strands, word_letters(word))
-        assert poly2_to_sympy(hecke_trace(word)) == expected
+        assert poly2_to_sympy(homfly_hecke(word)) == expected
 
     @pytest.mark.parametrize("signs", [(1,) * 10, (1, -1) * 5], ids=["positive", "alternating"])
     def test_doubled_word_keeps_a_small_basis(self, monkeypatch, signs):
@@ -366,7 +368,7 @@ def test_wide_words_are_traced_and_equal_the_tree(capsys, leaf_searches, word):
     assert main(["analyze", word.text(), "--json"]) == 0
     assert leaf_searches == []
     doc = json.loads(capsys.readouterr().out)
-    poly = link_polynomial(BraidWord(word.letters, word.strands))
+    poly = homfly_hecke(BraidWord(word.letters, word.strands))
     assert LaurentPoly2.from_json_terms(doc["homfly"]["descending"]) == poly
     assert poly == homfly(BraidWord(word.letters, word.strands), DESCENDING)
 
@@ -479,11 +481,11 @@ class TestBlocksBuiltOnce:
 
     def test_a_second_call_on_the_same_word_builds_no_blocks(self, block_builds):
         word = parse_braid("1 -2 1 -2 3 -3")
-        first = link_polynomial(word)
+        first = homfly_hecke(word)
         assert len(block_builds) <= 1
-        link_polynomial(parse_braid("1 1"))  # another word in between
+        homfly_hecke(parse_braid("1 1"))  # another word in between
         block_builds.clear()
-        assert link_polynomial(word) is first
+        assert homfly_hecke(word) is first
         assert block_builds == []
 
 

@@ -105,7 +105,7 @@ class TestConsistencyGuard:
     def test_block_guard(self, monkeypatch):
         # trefoil window is [-4, -2]; a^-2 alone fits it with span 0
         fake = LaurentPoly2.from_text("a^-2")
-        monkeypatch.setattr(invariants, "link_polynomial", lambda w: fake)
+        monkeypatch.setattr(invariants, "homfly_hecke", lambda w: fake)
         with pytest.raises(ConsistencyError):
             braid_index_certificate(parse_braid("1 1 1"))
 
@@ -113,9 +113,9 @@ class TestConsistencyGuard:
         # window [-5, -1] on 3 strands; the trefoil block keeps its polynomial
         word = parse_braid("1 1 1", strands=3)
         fake = LaurentPoly2.from_text("a^-2")
-        real = invariants.link_polynomial
+        real = invariants.homfly_hecke
         monkeypatch.setattr(
-            invariants, "link_polynomial", lambda w: fake if w is word else real(w)
+            invariants, "homfly_hecke", lambda w: fake if w is word else real(w)
         )
         assert braid_index_certificate(parse_braid("1 1 1")).certified
         with pytest.raises(ConsistencyError):
