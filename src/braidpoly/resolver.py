@@ -40,7 +40,8 @@ its flipped and smoothed leaves with no snapshot, trail entry or undo, and
 keeps the signed ``(gamma, t)`` tally :func:`homfly` needs inside its own
 loop.  It builds a record per leaf only when its caller passes a list;
 :func:`leaf_stream` does, so it holds every record in memory at once,
-O(leaves), where :func:`homfly` holds none.
+O(leaves), where :func:`homfly` holds none and :func:`leaf_statistics`
+only counts them.
 
 The step API (:func:`first_violation`, :func:`split_at`) and
 :func:`leaf_membership_test` restart the walk at every node instead, as the
@@ -411,6 +412,17 @@ class LeafStatistics:
     count: int
 
 
+class _LeafCounter:
+    """A ``leaves`` sink for :func:`leaf_search` that keeps only how many records came."""
+
+    count = 0
+
+    def append(self, _record) -> None:
+        self.count += 1
+
+
 def leaf_statistics(word: BraidWord, mode: Mode = DESCENDING) -> LeafStatistics:
-    """The number of leaves of the tree."""
-    return LeafStatistics(count=sum(1 for _ in leaf_stream(word, _ascending(mode))))
+    """The number of leaves of the tree, counted without holding their records."""
+    counter = _LeafCounter()
+    leaf_search(word, _ascending(mode), counter)
+    return LeafStatistics(count=counter.count)

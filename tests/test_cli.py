@@ -7,6 +7,8 @@ import typing
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braidpoly.braid
 import braidpoly.checks
@@ -14,8 +16,8 @@ import braidpoly.cli
 import braidpoly.hecke
 import braidpoly.invariants
 from braidpoly import LaurentPoly2, SubstitutionError, homfly, parse_braid
-from braidpoly.checks import CheckResult
-from braidpoly.cli import build_parser, main
+from braidpoly.checks import CheckResult, selftest_corpus
+from braidpoly.cli import _indented_json, build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TREFOIL = "a^-2*z^2 + 2*a^-2 - a^-4"
@@ -326,6 +328,26 @@ class TestBatch:
         code2, out2, _ = run(capsys, "batch", str(batch), "--json", "--jobs", "3")
         assert (code1, out1) == (code2, out2)
 
+    def test_each_line_equals_the_analyze_report(self, tmp_path, capsys):
+        # batch --json writes compact lines, analyze --json the indented layout
+        cases = [
+            ("1 1 -3 -3", ["--", "1 1 -3 -3"]),
+            ("1 1 1 4 4 4", ["--", "1 1 1 4 4 4"]),
+            ("3;", ["--strands", "3", "--", ""]),
+            ("-1 -1 2 2 -1", ["--", "-1 -1 2 2 -1"]),
+            ("1 -2 1 -2", ["--", "1 -2 1 -2"]),
+        ]
+        batch = tmp_path / "words.txt"
+        batch.write_text("".join(line + "\n" for line, _ in cases))
+        code, out, _ = run(capsys, "batch", str(batch), "--json", "--jobs", "1")
+        assert code == 0
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert [doc.pop("line") for doc in docs] == [1, 2, 3, 4, 5]
+        for doc, (_, argv) in zip(docs, cases):
+            code, out, _ = run(capsys, "analyze", "--json", *argv)
+            assert code == 0
+            assert doc == json.loads(out)
+
     @pytest.mark.parametrize(
         "text, pools",
         [("1 1 1\n", []), ("# only a comment\n", []), ("1 1 1\n# note\n2 2 1\n", [2])],
@@ -408,6 +430,56 @@ class TestLongCoefficients:
         code, out, _ = run(capsys, "batch", str(batch), "--jobs", "1", "--json")
         assert code == 0
         assert json.loads(out)["homfly_text"] == f"{self.DIGITS}*a^-2 + a^-4"
+
+
+def _json_values():
+    """Nested dicts and lists of every JSON scalar; ``str`` is drawn from all of Unicode."""
+    text = st.text(
+        st.one_of(
+            st.sampled_from('"\\/\x00\x1f\x7f\x80\u2028\uffff\U0001f600'),
+            st.characters(exclude_categories=()),
+        )
+    )
+    scalars = text | st.integers() | st.booleans() | st.none() | st.floats()
+    nested = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(text, inner, max_size=4),
+        max_leaves=20,
+    )
+    # at least three deep, with both empty containers
+    return st.builds(lambda value, key: {key: [value, {}, []]}, nested, text)
+
+
+class TestIndentedJson:
+    """``--json`` writes the bytes of ``json.dumps(doc, indent=2)``."""
+
+    @given(_json_values())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_json_dumps(self, value):
+        assert _indented_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", ["", 0, -7, True, None, {}, [], [[]], {"": {}}])
+    def test_small_values(self, value):
+        assert _indented_json(value) == json.dumps(value, indent=2)
+
+    def test_an_int_of_more_than_4300_digits(self, default_int_digits):
+        braidpoly.cli._print_any_int()
+        value = {"c": [10**5000 + 1, {"d": -(10**4400)}]}
+        assert _indented_json(value) == json.dumps(value, indent=2)
+
+    def test_a_key_that_is_not_a_string_raises(self):
+        with pytest.raises(TypeError):
+            _indented_json({"a": {1: 2}})
+
+    def test_every_corpus_word(self, capsys):
+        corpus = selftest_corpus(4, 3, 200, 1)
+        argvs = [["--strands", str(w.strands), "--", w.text()] for w in corpus]
+        argvs += [["--", text] for text in ("1 1 -3 -3", "1 1 1 4 4 4")]
+        for argv in argvs:
+            for command in (["analyze", "--json"], ["compute", "--method", "all", "--json"]):
+                code, out, _ = run(capsys, *command, *argv)
+                assert code == 0
+                assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestSelftest:

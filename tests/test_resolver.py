@@ -490,6 +490,19 @@ class TestLeafStatistics:
         stats = leaf_statistics(parse_braid("", strands=3), DESCENDING)
         assert stats.count == 1
 
+    def test_counts_without_holding_the_leaves(self):
+        import tracemalloc
+
+        text = " ".join(str(g) for g in range(1, 13))
+        tracemalloc.start()
+        try:
+            count = leaf_statistics(parse_braid(text), DESCENDING).count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == len(list(enumerate_leaves(parse_braid(text), DESCENDING))) == 4096
+        assert peak < 64 * 1024
+
     def test_count_matches_admissible_partitions(self):
         from braidpoly import enumerate_admissible
 
