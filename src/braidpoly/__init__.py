@@ -63,13 +63,9 @@ from .polynomial import (
 from .resolver import (
     ASCENDING,
     DESCENDING,
-    LeafStatistics,
-    LeafSummary,
-    enumerate_leaves,
     first_violation,
     homfly,
     leaf_membership_test,
-    leaf_statistics,
     split_at,
 )
 

@@ -221,33 +221,19 @@ class ResolvedDiagram:
     def all_kept(cls, word: BraidWord) -> "ResolvedDiagram":
         return cls(word, (KEPT,) * len(word))
 
-    def effective_sign(self, i: int) -> int:
-        """Sign of letter ``i`` after flips; meaningless for smoothed letters."""
-        s = self.word.signs[i]
-        return -s if self.states[i] is FLIPPED else s
-
     def with_state(self, i: int, state: CrossingState) -> "ResolvedDiagram":
         states = list(self.states)
         states[i] = state
         return ResolvedDiagram(self.word, tuple(states))
-
-    @property
-    def smoothed(self) -> frozenset[int]:
-        return frozenset(
-            i for i, st in enumerate(self.states) if st is SMOOTHED
-        )
 
     def permutation(self) -> "StrandPermutation":
         """Strand permutation with smoothed letters acting as the identity.
 
         Its standard-form cycles are the strand labels in the order the
         natural traversal starts them, one cycle per closure component,
-        collected by :func:`_violations`, whose verdicts are dropped.
+        collected by :func:`_violations` in :func:`permutation_and_kinds`.
         """
-        cycles: list[list[int]] = []
-        for _ in _violations(self.word, self.states, False, cycles):
-            pass
-        return StrandPermutation(tuple(map(tuple, cycles)))
+        return permutation_and_kinds(self)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +300,6 @@ class StrandPermutation:
     @cached_property
     def return_order(self) -> tuple[int, ...]:
         return tuple(label for cycle in self.cycles for label in cycle)
-
-    @cached_property
-    def rank(self) -> dict[int, int]:
-        """Position of each label in the return order (a bijection to 0..n-1)."""
-        return {label: i for i, label in enumerate(self.return_order)}
 
     def cycle_text(self) -> str:
         return "".join("(" + " ".join(str(x) for x in c) + ")" for c in self.cycles)
@@ -491,8 +472,8 @@ def _violations(
     test of :mod:`braidpoly.jaeger` all read it.  When ``cycles`` is a list,
     the same walk appends to it the strand labels of each closure component
     in the order the walk starts them, one list per component.  This is the
-    one cycle collector: :meth:`ResolvedDiagram.permutation`,
-    :func:`permutation_and_kinds` and the leaves of
+    one cycle collector: :func:`permutation_and_kinds`, which
+    :meth:`ResolvedDiagram.permutation` reads, and the leaves of
     :func:`braidpoly.jaeger.verify_bijection` read it.  The list is whole
     only once the walk is exhausted.
     """
@@ -510,7 +491,7 @@ def _violations(
 def permutation_and_kinds(
     diagram: ResolvedDiagram,
 ) -> tuple[StrandPermutation, tuple[Optional[str], ...]]:
-    """:meth:`ResolvedDiagram.permutation` and :func:`classify_crossings`, from one walk."""
+    """The diagram's strand permutation and its :func:`classify_crossings` labels, from one walk."""
     cycles: list[list[int]] = []
     ascending = set(_violations(diagram.word, diagram.states, False, cycles))
     kinds = tuple(

@@ -309,21 +309,17 @@ def cmd_verify(args) -> int:
     if _below_minimum(args, {"samples": 1}):
         return EXIT_INPUT
     word = _parse_word_or_exit(args.word, args.strands)
-    moves = (
-        ["markov", "mirror", "skein", "bijection"]
-        if args.moves == "all"
-        else [args.moves]
-    )
+    # built per call, so that the check_* names are read when the command runs
+    checkers = {
+        "markov": functools.partial(check_markov, seed=args.seed, count=args.samples),
+        "mirror": check_mirror,
+        "skein": check_skein,
+        "bijection": check_bijection,
+    }
+    moves = list(checkers) if args.moves == "all" else [args.moves]
     failures = []
     for move in moves:
-        if move == "markov":
-            message = check_markov(word, seed=args.seed, count=args.samples)
-        elif move == "mirror":
-            message = check_mirror(word)
-        elif move == "skein":
-            message = check_skein(word)
-        else:
-            message = check_bijection(word)
+        message = checkers[move](word)
         if message is None:
             print(f"{move}: pass")
         else:
@@ -377,6 +373,9 @@ def cmd_batch(args) -> int:
             lines = handle.readlines()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file}: not UTF-8 text ({exc})", file=sys.stderr)
         return EXIT_INPUT
     items = [
         (lineno, line)

@@ -270,14 +270,6 @@ class BraidIndexCertificate:
     e: int
     blocks: tuple[BlockCertificate, ...]
 
-    @property
-    def u_star(self) -> Optional[ResolvedDiagram]:
-        return self.blocks[0].u_star if len(self.blocks) == 1 else None
-
-    @property
-    def v_star(self) -> Optional[ResolvedDiagram]:
-        return self.blocks[0].v_star if len(self.blocks) == 1 else None
-
 
 def _require_sharp(word: BraidWord, report: MfwReport) -> None:
     """Raise :class:`ConsistencyError` unless a certified word reaches its MFW bound."""

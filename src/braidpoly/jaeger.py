@@ -26,8 +26,9 @@ leaf search, :func:`braidpoly.resolver.leaf_search`: its keep and smooth
 choices at each crossing's first visit are the admissibility test, and an
 inadmissible first passage can never be repaired by later choices.  The sum
 is the signed ``(gamma, t)`` tally the search keeps inside its own loop, with
-no record built per partition; :func:`enumerate_admissible` reads the
-records :func:`braidpoly.resolver.leaf_stream` holds in memory, O(leaves).
+no record built per partition; :func:`enumerate_admissible` passes the
+search a list, so it still holds every record of the tree in memory at
+once, O(leaves).
 :func:`verify_bijection` checks that search against the resolving tree
 expanded literally, one restarted walk per node, and checks that each leaf
 closes to a trivial link.  Each node's walk is also its component count: a
@@ -51,7 +52,6 @@ from .resolver import (
     Mode,
     homfly,
     leaf_search,
-    leaf_stream,
     leaf_writhe,
     split_at,
 )
@@ -113,9 +113,14 @@ def is_admissible(partition: CircuitPartition, variant: Variant = STANDARD) -> b
 def enumerate_admissible(
     word: BraidWord, variant: Variant = STANDARD
 ) -> Iterator[CircuitPartition]:
-    """Stream every admissible circuit partition exactly once."""
-    ascending = _paired_mode(variant) == ASCENDING
-    for smoothed, _, _, _, _ in leaf_stream(word, ascending):
+    """Yield every admissible circuit partition exactly once.
+
+    The search runs to the end before the first partition comes out, so every
+    record is held in memory at once: O(leaves).
+    """
+    records: list[tuple[int, int, int, int, int]] = []
+    leaf_search(word, _paired_mode(variant) == ASCENDING, records)
+    for smoothed, _, _, _, _ in records:
         yield CircuitPartition(
             word, frozenset(i for i in range(len(word)) if (smoothed >> i) & 1)
         )

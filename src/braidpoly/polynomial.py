@@ -295,14 +295,6 @@ class LaurentPoly1:
         self._terms = clean
 
     @classmethod
-    def zero(cls) -> "LaurentPoly1":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly1":
-        return cls({0: 1})
-
-    @classmethod
     def from_text(cls, text: str) -> "LaurentPoly1":
         raw = _parse_terms(text, ("s",))
         return cls({k[0]: v for k, v in raw.items()})

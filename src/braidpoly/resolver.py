@@ -38,10 +38,11 @@ above and the leaf's writhe, tracked along the path.  On the benchmark's
 search closes that last decision on the spot, counting its one kept leaf or
 its flipped and smoothed leaves with no snapshot, trail entry or undo, and
 keeps the signed ``(gamma, t)`` tally :func:`homfly` needs inside its own
-loop.  It builds a record per leaf only when its caller passes a list;
-:func:`leaf_stream` does, so it holds every record in memory at once,
-O(leaves), where :func:`homfly` holds none and :func:`leaf_statistics`
-only counts them.
+loop.  It builds a record per leaf only when its caller passes a sink.
+:func:`enumerate_leaves` passes a list, so it still holds every record of
+the tree in memory at once, O(leaves); :func:`homfly` passes none and
+holds no records, and :func:`leaf_statistics` passes a sink that only
+counts them.
 
 The step API (:func:`first_violation`, :func:`split_at`) and
 :func:`leaf_membership_test` restart the walk at every node instead, as the
@@ -91,14 +92,14 @@ def leaf_search(
 
     The result maps ``(gamma, t)`` to ``sum (-1)^t'`` over the tree's leaves,
     which :func:`assemble_tree_sum` turns into the polynomial.  When
-    ``leaves`` is a list, the record ``(smoothed, flipped, gamma, t, t_neg)``
-    of every leaf is appended to it, in tree order (flipped child first);
-    ``smoothed`` and ``flipped`` are bit masks over letter positions.  The
-    search walks the diagram naturally and decides each crossing at its first
-    visit: one first reached on its original over-arm (under-arm when
-    ``ascending``) is kept; any other is a tree node whose flipped child the
-    walk continues with and whose smoothed child is resumed later from a
-    snapshot.
+    ``leaves`` is given (a list, or a :class:`LeafStatistics`), the record
+    ``(smoothed, flipped, gamma, t, t_neg)`` of every leaf is appended to
+    it, in tree order (flipped child first); ``smoothed`` and ``flipped``
+    are bit masks over letter positions.  The search walks the diagram
+    naturally and decides each crossing at its first visit: one first
+    reached on its original over-arm (under-arm when ``ascending``) is kept;
+    any other is a tree node whose flipped child the walk continues with
+    and whose smoothed child is resumed later from a snapshot.
 
     The walker moves over a slot table built once per search from
     :attr:`BraidWord.column_index`.  Slot ``2i + side`` means "arriving at
@@ -234,17 +235,6 @@ def leaf_search(
             s = top[pivot]
 
 
-def leaf_stream(word: BraidWord, ascending: bool) -> Iterator[tuple[int, int, int, int, int]]:
-    """Iterate over the records :func:`leaf_search` appends, in tree order.
-
-    The search runs to the end before the first record comes out, so every
-    record is held in memory at once: O(leaves).
-    """
-    leaves: list[tuple[int, int, int, int, int]] = []
-    leaf_search(word, ascending, leaves)
-    return iter(leaves)
-
-
 @dataclass(frozen=True)
 class LeafSummary:
     """Statistics of one resolving-tree leaf.
@@ -259,10 +249,6 @@ class LeafSummary:
     t: int
     t_neg: int
     writhe: int
-
-    @property
-    def smoothed(self) -> frozenset[int]:
-        return frozenset(i for i, st in enumerate(self.states) if st is SMOOTHED)
 
 
 def first_violation(diagram: ResolvedDiagram, mode: Mode = DESCENDING) -> Optional[int]:
@@ -313,11 +299,16 @@ def leaf_writhe(word: BraidWord) -> Callable[[int, int], int]:
 
 
 def enumerate_leaves(word: BraidWord, mode: Mode = DESCENDING) -> Iterator[LeafSummary]:
-    """Stream every leaf of the descending (or ascending) tree exactly once."""
-    ascending = _ascending(mode)
+    """Yield every leaf of the descending (or ascending) tree exactly once, in tree order.
+
+    The search runs to the end before the first leaf comes out, so every
+    record is held in memory at once: O(leaves).
+    """
+    records: list[tuple[int, int, int, int, int]] = []
+    leaf_search(word, _ascending(mode), records)
     letters = range(len(word))
     writhe_of = leaf_writhe(word)
-    for smoothed, flipped, gamma, t, t_neg in leaf_stream(word, ascending):
+    for smoothed, flipped, gamma, t, t_neg in records:
         states = tuple(
             SMOOTHED if (smoothed >> i) & 1 else FLIPPED if (flipped >> i) & 1 else KEPT
             for i in letters
@@ -407,12 +398,7 @@ def homfly(word: BraidWord, mode: Mode = DESCENDING) -> LaurentPoly2:
     return poly
 
 
-@dataclass(frozen=True)
 class LeafStatistics:
-    count: int
-
-
-class _LeafCounter:
     """A ``leaves`` sink for :func:`leaf_search` that keeps only how many records came."""
 
     count = 0
@@ -422,7 +408,7 @@ class _LeafCounter:
 
 
 def leaf_statistics(word: BraidWord, mode: Mode = DESCENDING) -> LeafStatistics:
-    """The number of leaves of the tree, counted without holding their records."""
-    counter = _LeafCounter()
-    leaf_search(word, _ascending(mode), counter)
-    return LeafStatistics(count=counter.count)
+    """The number of leaves of the tree (``.count``), counted without holding their records."""
+    stats = LeafStatistics()
+    leaf_search(word, _ascending(mode), stats)
+    return stats

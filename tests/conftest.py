@@ -9,9 +9,10 @@ import braidpoly.resolver
 def leaf_searches(monkeypatch):
     """Record every leaf search run during the test as ``(tokens, strands, ascending)``.
 
-    ``homfly`` and ``verify_bijection`` call the kernel ``leaf_search``
-    directly and ``leaf_stream`` calls it through ``braidpoly.resolver``, so
-    patching it there and in ``braidpoly.jaeger`` counts every run once.
+    Each caller of the kernel ``leaf_search`` reads it from its own module:
+    ``homfly``, ``enumerate_leaves`` and ``leaf_statistics`` from
+    ``braidpoly.resolver``, ``enumerate_admissible`` and ``verify_bijection``
+    from ``braidpoly.jaeger``, so patching it in both counts every run once.
     """
     calls = []
     search = braidpoly.resolver.leaf_search

@@ -20,7 +20,6 @@ from braidpoly import (
     construct_u_prime,
     construct_u_star,
     construct_v_star,
-    enumerate_leaves,
     homfly,
     homfly_hecke,
     homfly_jaeger,
@@ -33,6 +32,7 @@ from braidpoly import (
     writhe,
 )
 from braidpoly.corpus import all_words, alternating_words, random_words
+from braidpoly.resolver import enumerate_leaves
 from braidpoly.resolver import ASCENDING, DESCENDING, assemble_tree_sum
 
 UNKNOT_FACTOR = LaurentPoly2.from_text("a*z^-1 - a^-1*z^-1")

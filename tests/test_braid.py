@@ -32,6 +32,11 @@ def words(max_len=6, max_gap=3):
     return st.lists(token, max_size=max_len).map(BraidWord.from_tokens)
 
 
+def return_rank(p):
+    """Position of each label in the return order of the permutation ``p``."""
+    return {label: k for k, label in enumerate(p.return_order)}
+
+
 def rank_classification(diagram):
     """The crossing kinds by the return-order rank, the convention as first stated.
 
@@ -42,7 +47,7 @@ def rank_classification(diagram):
     means the strand arriving in the right column passes over.
     """
     word = diagram.word
-    rank = diagram.permutation().rank
+    rank = return_rank(diagram.permutation())
     columns = list(range(word.strands + 1))  # columns[c] = label now in column c
     out = []
     for i, g in enumerate(word.gaps):
@@ -50,7 +55,8 @@ def rank_classification(diagram):
         if diagram.states[i] is SMOOTHED:
             out.append(None)
             continue
-        over, under = (right, left) if diagram.effective_sign(i) > 0 else (left, right)
+        sign = -word.signs[i] if diagram.states[i] is FLIPPED else word.signs[i]
+        over, under = (right, left) if sign > 0 else (left, right)
         out.append("descending" if rank[over] < rank[under] else "ascending")
         columns[g], columns[g + 1] = right, left
     return tuple(out)
@@ -137,7 +143,7 @@ class TestPermutation:
         p = permutation(parse_braid(EXAMPLE_WORD))
         assert p.return_order == (1, 4, 2, 3, 5)
         assert p.pivots == (1, 2, 3)
-        assert p.rank == {1: 0, 4: 1, 2: 2, 3: 3, 5: 4}
+        assert return_rank(p) == {1: 0, 4: 1, 2: 2, 3: 3, 5: 4}
 
     def test_identity(self):
         p = permutation(parse_braid("", strands=3))
@@ -188,7 +194,7 @@ class TestPermutation:
     @given(words())
     @settings(max_examples=80)
     def test_rank_is_bijection(self, word):
-        rank = permutation(word).rank
+        rank = return_rank(permutation(word))
         assert sorted(rank.keys()) == list(range(1, word.strands + 1))
         assert sorted(rank.values()) == list(range(word.strands))
 

@@ -259,6 +259,13 @@ class TestBatch:
         docs = [json.loads(line) for line in out.splitlines()]
         assert [(d["line"], d["word"]) for d in docs] == [(1, "1 1 1"), (2, "1 -2 1 -2")]
 
+    def test_a_file_that_is_not_utf8_is_an_input_error(self, tmp_path, capsys):
+        batch = tmp_path / "bad.txt"
+        batch.write_bytes(b"\xff\xfe1 1\n")
+        code, out, err = run(capsys, "batch", str(batch))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {batch}: ") and err.count("\n") == 1
+
     def test_empty_file(self, tmp_path, capsys):
         batch = tmp_path / "empty.txt"
         batch.write_text("")

@@ -14,7 +14,6 @@ from braidpoly import (
     construct_u_prime,
     construct_u_star,
     construct_v_star,
-    enumerate_leaves,
     homfly,
     leaf_membership_test,
     mfw_bounds,
@@ -24,7 +23,7 @@ from braidpoly import (
 )
 from braidpoly import invariants
 from braidpoly.corpus import alternating_words
-from braidpoly.resolver import ASCENDING, DESCENDING
+from braidpoly.resolver import ASCENDING, DESCENDING, enumerate_leaves
 
 FIG8 = "1 -2 1 -2"
 
@@ -50,7 +49,7 @@ class TestCertificate:
         cert = braid_index_certificate(parse_braid(FIG8))
         assert cert.certified and cert.braid_index == 3
         assert (cert.E, cert.e) == (2, -2)
-        assert cert.u_star is not None and cert.v_star is not None
+        assert cert.blocks[0].u_star is not None and cert.blocks[0].v_star is not None
 
     def test_trefoil_certifies_two(self):
         cert = braid_index_certificate(parse_braid("1 1 1"))

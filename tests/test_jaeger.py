@@ -7,7 +7,6 @@ from braidpoly import (
     BraidWord,
     CircuitPartition,
     enumerate_admissible,
-    enumerate_leaves,
     homfly,
     homfly_jaeger,
     is_admissible,
@@ -16,7 +15,7 @@ from braidpoly import (
 )
 from braidpoly.braid import walk
 from braidpoly.jaeger import DUAL, STANDARD
-from braidpoly.resolver import ASCENDING, DESCENDING
+from braidpoly.resolver import ASCENDING, DESCENDING, enumerate_leaves
 
 EXAMPLE_WORD = "-1 3 -2 -4 -4 -4 1 -3"
 

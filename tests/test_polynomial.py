@@ -148,7 +148,7 @@ class TestMirrorSubstitution:
 
 class TestAlexanderSubstitution:
     def test_unknot(self):
-        assert LaurentPoly2.one().substitute_alexander() == LaurentPoly1.one()
+        assert LaurentPoly2.one().substitute_alexander() == LaurentPoly1({0: 1})
 
     def test_figure_eight(self):
         p = P("a^2 + a^-2 - 1 - z^2")
@@ -170,7 +170,7 @@ class TestAlexanderSubstitution:
         d = LaurentPoly1.from_text("-s^2 + 3 - s^-2")
         assert d.leading() == (2, -1)
         with pytest.raises(ZeroPolynomialError):
-            LaurentPoly1.zero().leading()
+            LaurentPoly1().leading()
 
 
 class TestSympyCrossCheck:

@@ -15,12 +15,10 @@ from braidpoly import (
     LaurentPoly2,
     ResolvedDiagram,
     SMOOTHED,
-    enumerate_leaves,
     first_violation,
     homfly,
     homfly_jaeger,
     leaf_membership_test,
-    leaf_statistics,
     mirror,
     parse_braid,
     split_at,
@@ -30,8 +28,9 @@ from braidpoly.resolver import (
     ASCENDING,
     DESCENDING,
     assemble_tree_sum,
+    enumerate_leaves,
     leaf_search,
-    leaf_stream,
+    leaf_statistics,
 )
 
 from _brute import brute_homfly, brute_leaves, poly2_to_sympy, word_letters
@@ -48,6 +47,13 @@ def words(max_len=6, max_gap=3):
 
 def leaf_string(leaf) -> str:
     return "".join(STATE_CHAR[s] for s in leaf.states)
+
+
+def leaf_records(word, ascending):
+    """The records ``leaf_search`` appends, in tree order."""
+    records = []
+    leaf_search(word, ascending, records)
+    return records
 
 
 def literal_leaves(word, mode):
@@ -144,18 +150,18 @@ class TestLeafEnumeration:
     def test_empty_word_is_one_leaf_of_free_strands(self):
         for n in range(1, 7):
             for ascending in (False, True):
-                assert list(leaf_stream(BraidWord((), n), ascending)) == [(0, 0, n, 0, 0)]
+                assert leaf_records(BraidWord((), n), ascending) == [(0, 0, n, 0, 0)]
 
     def test_untouched_override_strands_count_as_components(self):
-        # the stream stops at its last letter, before the walk reaches the
+        # the search stops at its last letter, before the walk reaches the
         # free strands on the right, so their components come from the
         # writhe alone
-        assert list(leaf_stream(BraidWord((1,), 5), False)) == [(0, 1, 4, 0, 0), (1, 0, 5, 1, 0)]
-        assert list(leaf_stream(BraidWord((1,), 5), True)) == [(0, 0, 4, 0, 0)]
-        assert list(leaf_stream(BraidWord((-2, -2), 6), False)) == [
+        assert leaf_records(BraidWord((1,), 5), False) == [(0, 1, 4, 0, 0), (1, 0, 5, 1, 0)]
+        assert leaf_records(BraidWord((1,), 5), True) == [(0, 0, 4, 0, 0)]
+        assert leaf_records(BraidWord((-2, -2), 6), False) == [
             (0, 2, 6, 0, 0), (2, 0, 5, 1, 1)
         ]
-        assert list(leaf_stream(BraidWord((-2, -2), 6), True)) == [
+        assert leaf_records(BraidWord((-2, -2), 6), True) == [
             (0, 1, 6, 0, 0), (1, 2, 5, 1, 1), (3, 0, 6, 2, 2)
         ]
 
@@ -167,8 +173,11 @@ class TestLeafEnumeration:
         n = word.strands
         for mode, sign in ((DESCENDING, -1), (ASCENDING, 1)):
             for d in literal_leaves(word, mode):
-                cut = d.smoothed
-                w = sum(d.effective_sign(j) for j in range(len(word)) if j not in cut)
+                w = sum(
+                    -s if st is FLIPPED else s
+                    for s, st in zip(word.signs, d.states)
+                    if st is not SMOOTHED
+                )
                 assert len(d.permutation().cycles) + sign * w == n
             for leaf in enumerate_leaves(word, mode):
                 assert leaf.gamma + sign * leaf.writhe == n
@@ -179,9 +188,6 @@ class TestLeafEnumeration:
         for leaf in enumerate_leaves(word, DESCENDING):
             assert leaf.t == sum(1 for s in leaf.states if s is SMOOTHED)
             assert 0 <= leaf.t_neg <= leaf.t
-            assert leaf.smoothed == frozenset(
-                i for i, s in enumerate(leaf.states) if s is SMOOTHED
-            )
 
 
 class TestMembership:
