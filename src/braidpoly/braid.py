@@ -38,7 +38,7 @@ import enum
 import random
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
@@ -71,6 +71,15 @@ class BraidWord:
 
     letters: tuple[int, ...]
     strands: int
+    homfly_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    """This word's HOMFLY polynomials computed so far, keyed by engine.
+
+    Filled by :func:`braidpoly.resolver.homfly` (one key per tree mode)
+    and :func:`braidpoly.hecke.homfly_hecke` (key ``"hecke"``, also on each
+    of :attr:`split_blocks`), so every caller holding this object shares
+    one evaluation per engine.  The memo belongs to the instance: an equal
+    word parsed separately evaluates afresh.
+    """
 
     def __post_init__(self):
         if self.strands < 1:
@@ -190,18 +199,6 @@ class BraidWord:
             return self
         return self.sub_braid(first, last)
 
-    @cached_property
-    def homfly_memo(self) -> dict:
-        """This word's HOMFLY polynomials computed so far, keyed by engine.
-
-        Filled by :func:`braidpoly.resolver.homfly` (one key per tree mode)
-        and :func:`braidpoly.hecke.homfly_hecke` (key ``"hecke"``, also on each
-        of :attr:`split_blocks`), so every caller holding this object shares
-        one evaluation per engine.  The memo belongs to the instance: an equal
-        word parsed separately evaluates afresh.
-        """
-        return {}
-
 
 @dataclass(frozen=True)
 class ResolvedDiagram:
@@ -222,9 +219,7 @@ class ResolvedDiagram:
         return cls(word, (KEPT,) * len(word))
 
     def with_state(self, i: int, state: CrossingState) -> "ResolvedDiagram":
-        states = list(self.states)
-        states[i] = state
-        return ResolvedDiagram(self.word, tuple(states))
+        return ResolvedDiagram(self.word, self.states[:i] + (state,) + self.states[i + 1 :])
 
     def permutation(self) -> "StrandPermutation":
         """Strand permutation with smoothed letters acting as the identity.

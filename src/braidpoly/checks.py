@@ -69,9 +69,16 @@ def skein_triple(word: BraidWord, i: int) -> tuple[BraidWord, BraidWord, BraidWo
 
 
 def check_skein(word: BraidWord) -> Optional[str]:
-    """a*P(+) - a^-1*P(-) = z*P(0) at every letter."""
+    """a*P(+) - a^-1*P(-) = z*P(0) at every letter.
+
+    Neighbouring equal letters give equal smoothed words; each distinct word
+    is kept as one object, so its memo answers every letter after the first.
+    """
+    distinct = {word: word}
     for i in range(len(word)):
-        plus, minus, zero = (homfly(w, DESCENDING) for w in skein_triple(word, i))
+        plus, minus, zero = (
+            homfly(distinct.setdefault(w, w), DESCENDING) for w in skein_triple(word, i)
+        )
         lhs = plus.scale_monomial(da=1) - minus.scale_monomial(da=-1)
         rhs = zero.scale_monomial(dz=1)
         if lhs != rhs:
@@ -87,12 +94,17 @@ def check_mirror(word: BraidWord) -> Optional[str]:
 
 
 def check_markov(word: BraidWord, *, seed: int, count: int) -> Optional[str]:
-    """Every word-rewrite variant closes to the same link, hence same P."""
+    """Every word-rewrite variant closes to the same link, hence same P.
+
+    A variant equal to the word, or to an earlier variant, is evaluated as
+    that word's object, so its memo answers; every comparison still runs.
+    """
     reference = homfly(word, DESCENDING)
+    distinct = {word: word}
     for variant in markov_variants(word, seed=seed, count=count):
         # the partition sum runs the same leaf search as ``homfly``, so this
         # checks invariance under the moves, not one engine against another
-        if homfly_jaeger(variant.word, STANDARD) != reference:
+        if homfly_jaeger(distinct.setdefault(variant.word, variant.word), STANDARD) != reference:
             return (
                 f"invariance fails on {word.text()!r}: variant "
                 f"{variant.word.text()!r} (n={variant.word.strands}) via "

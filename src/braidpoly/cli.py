@@ -6,8 +6,10 @@ Subcommands: ``compute`` (polynomial by one or all methods), ``analyze``
 
 Exit codes are a stable contract: 0 success, 2 input error, 3 verification
 failure, which includes an engine contradiction (``ConsistencyError`` or
-``SubstitutionError``), reported as one ``error:`` line.  All behavior is
-controlled by flags; there are no config files or environment variables.
+``SubstitutionError``), reported as one ``error:`` line, and 4 out of memory
+(``MemoryError``), reported as the line ``error: out of memory``.  All
+behavior is controlled by flags; there are no config files or environment
+variables.
 
 :func:`main` may be called repeatedly in one process and reuses one parser,
 built on its first call, while :func:`build_parser` still returns a fresh one.
@@ -58,6 +60,7 @@ from .resolver import homfly
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
+EXIT_MEMORY = 4
 
 _METHODS = ("descending", "ascending", "jaeger", "jaeger-dual", "hecke")
 
@@ -507,6 +510,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # an engine contradiction: the polynomial broke an identity it must keep
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_MEMORY
     except BrokenPipeError:
         return EXIT_OK
 

@@ -80,7 +80,8 @@ def _add(out: dict[tuple[int, ...], Coeff], perm: tuple[int, ...], coeff: Coeff,
     """``out[perm] += sign * z^dz * a^da * coeff``.
 
     An unshifted ``coeff`` may be stored as it is, so callers pass only
-    coefficients of an element they discard afterwards.
+    coefficients of an element they discard afterwards.  A permutation whose
+    coefficient cancels is dropped, so no later step carries it.
     """
     target = out.get(perm)
     if target is None:
@@ -95,6 +96,8 @@ def _add(out: dict[tuple[int, ...], Coeff], perm: tuple[int, ...], coeff: Coeff,
             target[key] = v
         else:
             del target[key]
+    if not target:
+        del out[perm]
 
 
 def _times(elem: dict[tuple[int, ...], Coeff], t: int) -> dict[tuple[int, ...], Coeff]:

@@ -25,11 +25,12 @@ children share their parent's walk up to the split: one search
 either keeps the crossing (it already has the requested form) or branches
 into the flipped and the smoothed child.  That search is also the admissible
 circuit-partition enumeration of :mod:`braidpoly.jaeger`.  It walks a slot
-table built once per search, one entry per (letter, column) arrival, and a
-next-slot table that records, for each letter already decided on the
-current path, where its one arrival still to come continues; passing such a
-letter is a single list lookup.  An undo trail resets the entries decided
-after a split when the search backtracks to the smoothed child.  A letter is
+table built once per search, in one pass over the word's letters, one entry
+per (letter, column) arrival, and a next-slot table that records, for each
+letter already decided on the current path, where its one arrival still to
+come continues; passing such a letter is a single list lookup.  An undo
+trail resets the entries decided after a split when the search backtracks
+to the smoothed child.  A letter is
 decided only at its first visit, so a path ends at the first visit of its
 last undecided letter: the rest of the closure only passes decided letters
 and closes components, and the leaf's ``gamma`` follows from the identity
@@ -48,10 +49,11 @@ The step API (:func:`first_violation`, :func:`split_at`) and
 :func:`leaf_membership_test` restart the walk at every node instead, as the
 definition does: they read the first-visit test
 :func:`braidpoly.braid._violations` on :func:`braidpoly.braid.walk`, which
-finds each next letter by bisection in :attr:`BraidWord.column_index` and
-shares nothing with the slot table.  That walk serves as the reference the
-search is checked against, and its leaves get their ``gamma`` by counting
-the closure's components in that same walk.
+finds each next letter by bisection in :attr:`BraidWord.column_index`.  The
+search never reads that index, nor ``gaps`` or ``signs``, so the two share
+no table.  That walk serves as the reference the search is checked against,
+and its leaves get their ``gamma`` by counting the closure's components in
+that same walk.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ from .braid import (
     CrossingState,
     ResolvedDiagram,
     _violations,
-    writhe,
 )
 from .polynomial import LaurentPoly2, difference_power
 
@@ -101,13 +102,15 @@ def leaf_search(
     any other is a tree node whose flipped child the walk continues with
     and whose smoothed child is resumed later from a snapshot.
 
-    The walker moves over a slot table built once per search from
-    :attr:`BraidWord.column_index`.  Slot ``2i + side`` means "arriving at
-    letter ``i`` in its left (``side`` 0, column ``gaps[i]``) or right
-    (``side`` 1) column"; on ``m`` letters, ``2m + c`` is the bottom of
-    column ``c``.  ``below[s]`` is the next slot down the same column and
-    ``top[c]`` the first slot of column ``c`` (its bottom when no letter
-    touches it).  A smoothed letter continues at ``below[s]``, a kept or
+    The walker moves over a slot table built once per search from the
+    word's letters.  Slot ``2i + side`` means "arriving at letter ``i`` in
+    its left (``side`` 0, column ``|letters[i]|``) or right (``side`` 1)
+    column"; on ``m`` letters, ``2m + c`` is the bottom of column ``c``.
+    ``below[s]`` is the next slot down the same column and ``top[c]`` the
+    first slot of column ``c`` (its bottom when no letter touches it).  One
+    pass from the last letter up fills both: each of a letter's two slots
+    points at the slot its column held so far, and then the column holds
+    that slot.  A smoothed letter continues at ``below[s]``, a kept or
     flipped one crosses the gap and continues at ``below[s ^ 1]``.
 
     A closed walk arrives at every slot once, so after the first visit to a
@@ -135,30 +138,38 @@ def leaf_search(
     a letter not yet visited may lie on a component not yet started.
     """
     n = word.strands
-    gaps = word.gaps
-    signs = word.signs
-    m = len(signs)
+    letters = word.letters
+    m = len(letters)
     if not m:
         if leaves is not None:
             leaves.append((0, 0, n, 0, 0))
         return {(n, 0): 1}
     bottom = 2 * m
     below = [0] * bottom
-    top = []
-    for c, lst in enumerate(word.column_index):
-        s = bottom + c
-        for i in reversed(lst):
-            slot = 2 * i + (gaps[i] != c)
-            below[slot] = s
-            s = slot
-        top.append(s)
-    # per slot: whether a first visit there branches instead of keeping the
-    # letter
-    branch = [(side == 0) == ((sign > 0) != ascending) for sign in signs for side in (0, 1)]
+    # what each column holds so far, from the last letter up: at the end, the
+    # first slot of the column
+    top = list(range(bottom, bottom + n + 1))
     # per letter: its sign, negated on the ascending tree, so that a leaf's
     # gamma is n plus the sum of the unsmoothed letters' (flipped: negated)
     # entries
-    sigma = [-sign for sign in signs] if ascending else signs
+    sigma = [-1] * m
+    # per slot: whether a first visit there branches instead of keeping the
+    # letter; that is its left slot when its sigma is positive, else its right
+    branch = [False] * bottom
+    s = bottom
+    for g in reversed(letters):
+        s -= 2
+        if (g > 0) != ascending:
+            sigma[s >> 1] = 1
+            branch[s] = True
+        else:
+            branch[s + 1] = True
+        if g < 0:
+            g = -g
+        below[s] = top[g]
+        below[s + 1] = top[g + 1]
+        top[g] = s
+        top[g + 1] = s + 1
     nxt = [-1] * bottom + [-2] * (n + 1)
     trail: list[int] = []
     # signed leaf counts keyed by gamma * stride + t, as 0 <= t < stride
@@ -188,14 +199,15 @@ def leaf_search(
                     i = s >> 1
                     d = sigma[i] * stride
                     tally[key - 2 * d] = tally.get(key - 2 * d, 0) + sign
-                    if signs[i] < 0:
+                    if letters[i] < 0:
                         sign = -sign
                     tally[key - d + 1] = tally.get(key - d + 1, 0) + sign
                     if leaves is not None:
                         bit = 1 << i
                         leaves.append((smoothed, flipped | bit, gamma - 2 * sigma[i], t, t_neg))
                         leaves.append(
-                            (smoothed | bit, flipped, gamma - sigma[i], t + 1, t_neg + (signs[i] < 0))
+                            (smoothed | bit, flipped, gamma - sigma[i], t + 1,
+                             t_neg + (letters[i] < 0))
                         )
                 else:
                     tally[key] = tally.get(key, 0) + sign
@@ -217,7 +229,7 @@ def leaf_search(
                 bit = 1 << i
                 stack.append(
                     (depth, o, smoothed | bit, flipped, visited, below[s], pivot,
-                     gamma - sigma[i], t + 1, t_neg + (signs[i] < 0))
+                     gamma - sigma[i], t + 1, t_neg + (letters[i] < 0))
                 )
                 flipped |= bit
                 gamma -= 2 * sigma[i]
@@ -394,7 +406,9 @@ def homfly(word: BraidWord, mode: Mode = DESCENDING) -> LaurentPoly2:
     poly = memo.get(mode)
     if poly is None:
         counts = leaf_search(word, ascending)
-        poly = memo[mode] = assemble_tree_sum(counts, word.strands, writhe(word), ascending)
+        # the writhe from the letters, as :func:`writhe` would build ``word.signs``
+        w = sum(1 if x > 0 else -1 for x in word.letters)
+        poly = memo[mode] = assemble_tree_sum(counts, word.strands, w, ascending)
     return poly
 
 

@@ -16,7 +16,8 @@ import braidpoly.cli
 import braidpoly.hecke
 import braidpoly.invariants
 from braidpoly import LaurentPoly2, SubstitutionError, homfly, parse_braid
-from braidpoly.checks import CheckResult, selftest_corpus
+from braidpoly.braid import markov_variants
+from braidpoly.checks import CheckResult, selftest_corpus, skein_triple
 from braidpoly.cli import _indented_json, build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -156,6 +157,22 @@ class TestCompute:
         assert got == hopf * unknot_factor
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["compute", "1 1 1", "--method", "all"], ["analyze", "1 1 1", "--json"], ["verify", "1 1 1"]],
+    ids=["compute", "analyze", "verify"],
+)
+def test_out_of_memory_exits_4(capsys, monkeypatch, argv):
+    def exhausted(*_args):
+        raise MemoryError
+
+    monkeypatch.setattr(braidpoly.cli, "parse_braid", exhausted)
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
 class TestAnalyze:
     def test_running_example_report(self, capsys):
         code, out, _ = run(capsys, "analyze", "-1 3 -2 -4 -4 -4 1 -3")
@@ -239,6 +256,49 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: --json" in captured.err
+
+
+class TestSharedWordsHideNoFailure:
+    """``check_skein`` and ``check_markov`` evaluate equal words as one object.
+
+    A wrong polynomial on any one word value must still fail the check.
+    """
+
+    @pytest.mark.parametrize("text", ["1 1 1", "1 -2 1 2 2"])
+    def test_a_wrong_smoothed_word_fails_the_skein_check(self, monkeypatch, text):
+        word = parse_braid(text)
+        assert braidpoly.checks.check_skein(word) is None
+        smoothed = {skein_triple(word, i)[2] for i in range(len(word))}
+        real = braidpoly.checks.homfly
+        for bad in smoothed:
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    braidpoly.checks,
+                    "homfly",
+                    lambda w, mode, bad=bad: LaurentPoly2.one() + real(w, mode)
+                    if w == bad
+                    else real(w, mode),
+                )
+                assert braidpoly.checks.check_skein(parse_braid(text)) is not None, bad
+
+    def test_a_wrong_variant_fails_the_markov_check(self, monkeypatch):
+        word = parse_braid("1 1 1")
+        variants = {v.word for v in markov_variants(word, seed=3, count=20)}
+        # the draw holds the word itself too, which shares the word's object
+        assert word in variants
+        assert braidpoly.checks.check_markov(word, seed=3, count=20) is None
+        real = braidpoly.checks.homfly_jaeger
+        for bad in variants - {word}:
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    braidpoly.checks,
+                    "homfly_jaeger",
+                    lambda w, variant, bad=bad: LaurentPoly2.one()
+                    if w == bad
+                    else real(w, variant),
+                )
+                message = braidpoly.checks.check_markov(parse_braid("1 1 1"), seed=3, count=20)
+                assert message is not None, bad
 
 
 class TestBatch:
@@ -596,9 +656,13 @@ class TestSearchCounts:
 
     @pytest.mark.parametrize("word", ["1 1 1", "1 -2 1 2 2"])
     def test_verify_skein_searches_original_word_once(self, capsys, leaf_searches, word):
+        # neighbouring equal letters give equal smoothed words, searched once
         code, _, _ = run(capsys, "verify", word, "--moves", "skein")
         assert code == 0
-        assert len(leaf_searches) == 2 * len(word.split()) + 1
+        assert len(set(leaf_searches)) == len(leaf_searches)
+        w = parse_braid(word)
+        distinct = {v for i in range(len(w)) for v in skein_triple(w, i)}
+        assert len(leaf_searches) == len(distinct)
 
 
     def test_selftest_searches_each_corpus_word_once_per_suite_and_mode(
@@ -622,17 +686,23 @@ class TestSearchCounts:
             capsys, "selftest", "--max-crossings", "2", "--max-strands", "2", "--samples", "10"
         )
         assert code == 0
-        n = len(braidpoly.checks.selftest_corpus(2, 2, 10, 1))
+        corpus = braidpoly.checks.selftest_corpus(2, 2, 10, 1)
+        n = len(corpus)
         # both modes of every corpus word for the polynomials and once more for
-        # the bijection; the mirror and each of the five Markov variants is a
-        # new word.  The alternating suites run on a corpus of their own.
+        # the bijection; the mirror is a new word, and so is each distinct
+        # Markov variant (seed 1 + 2) that differs from its corpus word.  The
+        # alternating suites run on a corpus of their own.
+        markov = sum(
+            len({v.word for v in markov_variants(w, seed=3, count=5)} - {w}) for w in corpus
+        )
+        assert markov < 5 * n
         alternating = ("reduced alternating degree law", "Alexander unit leading coefficient")
         assert {k: v for k, v in per_suite.items() if k not in alternating} == {
             "four-method equality": 2 * n,
             "MFW degree window": 0,
             "leaf/partition bijection": 2 * n,
             "mirror identity": n,
-            "Markov-move invariance": 5 * n,
+            "Markov-move invariance": markov,
         }
         # the equality suite traces every corpus word once, except the two
         # empty words on two strands, which split into free strands that need

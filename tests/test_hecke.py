@@ -314,6 +314,35 @@ class TestEarlyTraceOut:
         assert poly == homfly(word)
 
 
+def dense_word(strands, seed):
+    """A dense word: 3(strands - 1) + 1 letters, every gap at least twice, random signs."""
+    rng = random.Random(seed)
+    gaps = [g for g in range(1, strands) for _ in (0, 1)]
+    gaps += [rng.randint(1, strands - 1) for _ in range(strands)]
+    rng.shuffle(gaps)
+    return BraidWord(tuple(g * rng.choice((1, -1)) for g in gaps), strands)
+
+
+def test_a_cancelled_permutation_is_dropped(monkeypatch):
+    # on this word, keeping cancelled permutations let 464 empty
+    # coefficients through ``_times``
+    word = dense_word(14, 51)
+    empty = []
+    times = braidpoly.hecke._times
+
+    def counted(elem, t):
+        empty.extend(perm for perm, coeff in elem.items() if not coeff)
+        out = times(elem, t)
+        empty.extend(perm for perm, coeff in out.items() if not coeff)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(braidpoly.hecke, "_times", counted)
+        poly = homfly_hecke(word)
+    assert empty == []
+    assert poly == homfly(BraidWord(word.letters, word.strands))
+
+
 @st.composite
 def negative_words(draw, max_strands=8, max_len=10):
     """Words of negative writhe on 2 to ``max_strands`` strands, most of them one block."""

@@ -168,6 +168,14 @@ class TestBijection:
         assert verify_bijection(word, STANDARD)
         assert verify_bijection(word, DUAL)
 
+    @pytest.mark.parametrize("text", ["3 -4 3 -4 4", "-3 4 4 -3 3 -4", "4", "-4 -4 3"])
+    def test_untouched_columns_on_both_sides(self, text):
+        # the search's slot table and the literal tree's walk each route the
+        # walker through columns 1, 2, 6 and 7, which no letter touches
+        word = parse_braid(text, 7)
+        assert verify_bijection(word, STANDARD)
+        assert verify_bijection(word, DUAL)
+
     def test_leaf_breaking_the_component_writhe_identity_is_rejected(self, monkeypatch):
         # With no violation reported, the literal tree of "1" is its all-kept
         # root, and a search yielding that root matches it leaf for leaf.  The

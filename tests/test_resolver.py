@@ -330,6 +330,25 @@ class TestMemo:
             homfly(word, mode)
         assert [ascending for _, _, ascending in leaf_searches] == [False, True]
 
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda w: homfly(w, DESCENDING),
+            lambda w: homfly(w, ASCENDING),
+            lambda w: homfly_jaeger(w, "standard"),
+            lambda w: homfly_jaeger(w, "dual"),
+        ],
+        ids=["descending", "ascending", "jaeger", "jaeger-dual"],
+    )
+    @pytest.mark.parametrize("text, strands", [("1 -2 1 -2", None), ("3 -4 4", 7), ("", 3)])
+    def test_a_fresh_evaluation_builds_no_letter_tables(
+        self, leaf_searches, evaluate, text, strands
+    ):
+        word = parse_braid(text, strands)
+        assert evaluate(word) == homfly(parse_braid(text, strands), DESCENDING)
+        assert len(leaf_searches) == 2
+        assert {"gaps", "signs", "column_index"}.isdisjoint(vars(word))
+
     def test_jaeger_reads_the_paired_tree_memo(self, leaf_searches):
         word = parse_braid("1 -2 1 -2")
         assert homfly_jaeger(word, "standard") is homfly(word)
