@@ -37,7 +37,6 @@ from __future__ import annotations
 import enum
 import random
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -116,17 +115,35 @@ class BraidWord:
         return tuple(1 if t > 0 else -1 for t in self.letters)
 
     @cached_property
-    def column_index(self) -> tuple[tuple[int, ...], ...]:
-        """For each column ``1..n``, the sorted letter positions touching it.
+    def column_index(self) -> tuple[dict[int, Optional[int]], ...]:
+        """For each column ``1..n``, the successor table of the letters touching it.
 
-        A letter at gap ``g`` occupies columns ``g`` and ``g+1``.  Entry 0 is
+        A letter at gap ``g`` occupies columns ``g`` and ``g+1``.
+        ``column_index[c][p]`` is the next letter position below ``p`` that
+        touches column ``c``, or ``None`` when ``p`` is the column's last;
+        key ``-1`` gives the first, so a column that no letter touches maps
+        ``-1`` to ``None``.  Built in one pass over the letters.  Entry 0 is
         an unused placeholder so columns index directly.
         """
-        cols: list[list[int]] = [[] for _ in range(self.strands + 1)]
+        after: list[dict[int, Optional[int]]] = [{} for _ in range(self.strands + 1)]
+        last = [-1] * (self.strands + 1)  # the last position seen in each column
         for i, g in enumerate(self.gaps):
-            cols[g].append(i)
-            cols[g + 1].append(i)
-        return tuple(tuple(c) for c in cols)
+            after[g][last[g]] = i
+            after[g + 1][last[g + 1]] = i
+            last[g] = last[g + 1] = i
+        for c in range(1, self.strands + 1):
+            after[c][last[c]] = None
+        return tuple(after)
+
+    @cached_property
+    def under_columns(self) -> tuple[int, ...]:
+        """The column from which the walker reaches each letter on its original under-arm.
+
+        By the drawing convention the under-arm of a positive crossing arrives
+        from the left, in the gap column, and that of a negative one from the
+        right; arriving from the other column is arriving on the over-arm.
+        """
+        return tuple(t if t > 0 else 1 - t for t in self.letters)
 
     def sub_braid(self, first: int, last: int) -> "BraidWord":
         """The letters at gaps ``first..last``, re-indexed to start at gap 1.
@@ -405,7 +422,8 @@ def walk(
     pivot column, every strand is walked top to bottom, and the closure arc
     returns the walker to the top of the column it ended in.  Smoothed
     letters keep the walker in its column; any other state swaps it across
-    the gap.  Yields ``(i, col, first)``:
+    the gap.  Each step reads the next letter down the walker's column from
+    :attr:`BraidWord.column_index`.  Yields ``(i, col, first)``:
 
     * ``i >= 0``: the walker passes letter ``i``, arriving in column ``col``,
       for the first time when ``first`` (every letter is passed twice);
@@ -416,7 +434,7 @@ def walk(
     so a consumer may decide a letter's state when the walker reaches it.
     """
     gaps = word.gaps
-    adj = word.column_index
+    after = word.column_index
     seen = [False] * len(gaps)
     visited = [False] * (word.strands + 1)
     for pivot in range(1, word.strands + 1):
@@ -426,29 +444,15 @@ def walk(
         while True:
             visited[col] = True
             yield -1, col, col == pivot
-            pos = -1
-            while True:
-                lst = adj[col]
-                k = bisect_right(lst, pos)
-                if k == len(lst):
-                    break
-                pos = lst[k]
+            pos = after[col][-1]
+            while pos is not None:
                 yield pos, col, not seen[pos]
                 seen[pos] = True
                 if states[pos] is not SMOOTHED:
                     col = 2 * gaps[pos] + 1 - col
+                pos = after[col][pos]
             if col == pivot:
                 break
-
-
-def _under_columns(word: BraidWord) -> list[int]:
-    """The column from which the walker reaches each letter on its original under-arm.
-
-    By the drawing convention the under-arm of a positive crossing arrives
-    from the left, in the gap column, and that of a negative one from the
-    right; arriving from the other column is arriving on the over-arm.
-    """
-    return [t if t > 0 else 1 - t for t in word.letters]
 
 
 def _violations(
@@ -471,16 +475,40 @@ def _violations(
     :meth:`ResolvedDiagram.permutation` reads, and the leaves of
     :func:`braidpoly.jaeger.verify_bijection` read it.  The list is whole
     only once the walk is exhausted.
+
+    The walk is the natural traversal of :func:`walk`, stepped here in its
+    own loop over the same :attr:`BraidWord.column_index` and reading each
+    letter's under-arm column from :attr:`BraidWord.under_columns`, so a
+    caller resumes one generator per violation rather than two per passage.
     """
-    under = _under_columns(word)
-    for i, col, first in walk(word, states):
-        if i < 0:
+    gaps = word.gaps
+    after = word.column_index
+    under = word.under_columns
+    seen = [False] * len(gaps)
+    visited = [False] * (word.strands + 1)
+    for pivot in range(1, word.strands + 1):
+        if visited[pivot]:
+            continue
+        if cycles is not None:
+            labels: list[int] = []
+            cycles.append(labels)
+        col = pivot
+        while True:
+            visited[col] = True
             if cycles is not None:
-                if first:
-                    cycles.append([])
-                cycles[-1].append(col)
-        elif first and ((col == under[i]) == ascending) != (states[i] is KEPT):
-            yield i
+                labels.append(col)
+            pos = after[col][-1]
+            while pos is not None:
+                state = states[pos]
+                if not seen[pos]:
+                    seen[pos] = True
+                    if ((col == under[pos]) == ascending) != (state is KEPT):
+                        yield pos
+                if state is not SMOOTHED:
+                    col = 2 * gaps[pos] + 1 - col
+                pos = after[col][pos]
+            if col == pivot:
+                break
 
 
 def permutation_and_kinds(

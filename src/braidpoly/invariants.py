@@ -37,7 +37,6 @@ from .braid import (
     KEPT,
     ResolvedDiagram,
     SMOOTHED,
-    _under_columns,
     classify,
     gap_profile,
     mirror,
@@ -171,7 +170,7 @@ def construct_u_prime(word: BraidWord) -> ResolvedDiagram:
     _require_positive_leading(word)
     n = word.strands
     gaps = word.gaps
-    under = _under_columns(word)
+    under = word.under_columns
     profile = gap_profile(word)
     states: list[Optional[CrossingState]] = [None] * len(gaps)
 

@@ -30,10 +30,12 @@ no record built per partition; :func:`enumerate_admissible` passes the
 search a list, so it still holds every record of the tree in memory at
 once, O(leaves).
 :func:`verify_bijection` checks that search against the resolving tree
-expanded literally, one restarted walk per node, and checks that each leaf
-closes to a trivial link.  Each node's walk is also its component count: a
-leaf's walk goes round the whole closure to find no violation, so its gamma
-comes from that same walk.  Both sides reduce a leaf to the ints
+expanded literally, one walk per node restarted from the top, and checks
+that each leaf closes to a trivial link.  Each node's walk is also its
+component count: a leaf's walk goes round the whole closure to find no
+violation, so its gamma comes from that same walk.  The walk steps over
+tables that :mod:`braidpoly.braid` builds once per word, and shares no
+code or table with the search.  Both sides reduce a leaf to the ints
 ``(smoothed, flipped, gamma, t, t')``, with the two sets as bit masks; the
 search side reads them, and its tally, from one :func:`leaf_search` run, so
 the check also holds the tally to the records.
@@ -141,11 +143,14 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
 
     The paired resolving tree (descending for the standard variant, ascending
     for the dual) is expanded literally with :func:`split_at`, restarting the
-    walk at every node.  One run of :func:`braidpoly.braid._violations` finds
-    the node's first violation on an unsmoothed letter, as
-    :func:`braidpoly.resolver.first_violation` does; at a leaf it finds none
-    only after going round the whole closure, so the cycles it collected on
-    the way give the leaf's gamma.  One pass over the leaf's states gives its
+    walk from the top at every node.  One run of
+    :func:`braidpoly.braid._violations` finds the node's first violation on
+    an unsmoothed letter, as :func:`braidpoly.resolver.first_violation` does;
+    at a leaf it finds none only after going round the whole closure, so the
+    cycles it collected on the way give the leaf's gamma.  That walk steps
+    over the word's successor and under-arm tables, which
+    :mod:`braidpoly.braid` builds on the first node and every later node
+    reuses.  One pass over the leaf's states gives its
     record ``(smoothed, flipped, gamma, t, t')`` of ints, the two sets as bit
     masks over letter positions.  Both sides take a leaf's writhe ``w`` from
     its masks, by :func:`braidpoly.resolver.leaf_writhe`.
@@ -158,10 +163,11 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     polynomial, and the tally must equal the signed sum of the records, so
     the check reaches the counting code the polynomial is read from.  Every
     leaf must also close to a trivial link: gamma - w = n on the descending
-    tree, gamma + w = n on the ascending one.  The literal tree never touches
-    the search's slot table and its gamma is a component count, so there this
-    is a check of the identity; the search reads its gamma off the writhe, so
-    there it checks the search's bookkeeping.
+    tree, gamma + w = n on the ascending one.  The literal tree reads no
+    table of :func:`braidpoly.resolver.leaf_search` and its gamma is a
+    component count, so there this is a check of the identity; the search
+    reads its gamma off the writhe, so there it checks the search's
+    bookkeeping.
     """
     ascending = _paired_mode(variant) == ASCENDING
     sign = 1 if ascending else -1

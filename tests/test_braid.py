@@ -20,7 +20,7 @@ from braidpoly import (
     permutation,
     writhe,
 )
-from braidpoly.braid import permutation_and_kinds, walk
+from braidpoly.braid import _violations, permutation_and_kinds, walk
 
 EXAMPLE_WORD = "-1 3 -2 -4 -4 -4 1 -3"
 
@@ -488,6 +488,51 @@ class TestNaturalTraversal:
         for c in components:
             assert [ends[label] for label in c] == c[1:] + c[:1]
         assert tuple(map(tuple, components)) == permutation(word).cycles
+
+    def test_column_index_is_a_successor_table(self):
+        # letters at gaps 1 and 3 on 5 strands: gaps 2 and 4 are empty and
+        # no letter touches column 5
+        word = parse_braid("1 3 -1 -3 1", strands=5)
+        assert word.column_index[1:] == (
+            {-1: 0, 0: 2, 2: 4, 4: None},
+            {-1: 0, 0: 2, 2: 4, 4: None},
+            {-1: 1, 1: 3, 3: None},
+            {-1: 1, 1: 3, 3: None},
+            {-1: None},
+        )
+        assert parse_braid("", strands=2).column_index[1:] == ({-1: None}, {-1: None})
+
+    def test_under_columns(self):
+        assert parse_braid("1 -1 3 -3").under_columns == (1, 2, 3, 4)
+
+    @given(
+        st.lists(st.integers(1, 4).flatmap(lambda g: st.sampled_from([g, -g])), max_size=8),
+        st.integers(0, 2),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300)
+    @example([3, -3], 2, False, random.Random(0))  # untouched columns 1, 2, 5 and 6
+    @example([1, 4], 0, True, random.Random(1))  # empty gaps 2 and 3
+    def test_violations_reads_the_walk(self, tokens, extra, ascending, rng):
+        # ``_violations`` steps the closure in its own loop; its verdicts and
+        # cycles must be what ``walk``'s passages give under the first-visit
+        # rule and the strand starts
+        word = BraidWord.from_tokens(tokens, max((abs(t) + 1 for t in tokens), default=1) + extra)
+        states = tuple(rng.choice((KEPT, FLIPPED, SMOOTHED)) for _ in tokens)
+        expected, expected_cycles = [], []
+        for i, col, first in walk(word, states):
+            if i < 0:
+                if first:
+                    expected_cycles.append([])
+                expected_cycles[-1].append(col)
+            elif first and (arm(word, i, col) == ("over" if ascending else "under")) == (
+                states[i] is KEPT
+            ):
+                expected.append(i)
+        cycles = []
+        assert list(_violations(word, states, ascending, cycles)) == expected
+        assert cycles == expected_cycles
 
 
 class TestMarkovVariants:

@@ -209,14 +209,15 @@ class TestAnalyze:
         assert err == "error: degrees [99, 99] escape the window [-4, -2] for word '1 1 1'\n"
 
     def test_json_report_walks_the_diagram_once(self, capsys, monkeypatch):
+        # each run of ``_violations`` is one walk of the closed diagram
         walks = []
-        walk = braidpoly.braid.walk
+        violations = braidpoly.braid._violations
 
-        def counted(word, states):
+        def counted(word, states, ascending, cycles=None):
             walks.append(word.letters)
-            return walk(word, states)
+            return violations(word, states, ascending, cycles)
 
-        monkeypatch.setattr(braidpoly.braid, "walk", counted)
+        monkeypatch.setattr(braidpoly.braid, "_violations", counted)
         code, out, _ = run(capsys, "analyze", "-1 3 -2 -4 -4 -4 1 -3", "--json")
         assert code == 0
         assert walks == [(-1, 3, -2, -4, -4, -4, 1, -3)]

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -249,6 +251,32 @@ class TestBijection:
 
         monkeypatch.setattr(braidpoly.jaeger, "split_at", split_twice)
         assert not verify_bijection(word, variant)
+
+    def test_literal_tree_builds_its_word_tables_once(self, monkeypatch):
+        # every node restarts the walk, but the successor and under-arm
+        # tables depend on the word alone
+        builds = []
+        for name in ("column_index", "under_columns"):
+            build = vars(BraidWord)[name].func
+
+            def counted(word, build=build, name=name):
+                builds.append(name)
+                return build(word)
+
+            table = functools.cached_property(counted)
+            table.__set_name__(BraidWord, name)
+            monkeypatch.setattr(BraidWord, name, table)
+        nodes = []
+        split = braidpoly.jaeger.split_at
+
+        def counted_split(diagram, i):
+            nodes.append(i)
+            return split(diagram, i)
+
+        monkeypatch.setattr(braidpoly.jaeger, "split_at", counted_split)
+        assert verify_bijection(parse_braid(EXAMPLE_WORD), STANDARD)
+        assert len(nodes) > 1
+        assert sorted(builds) == ["column_index", "under_columns"]
 
     @given(words(max_len=6))
     @settings(max_examples=60, deadline=None)

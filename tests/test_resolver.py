@@ -347,7 +347,7 @@ class TestMemo:
         word = parse_braid(text, strands)
         assert evaluate(word) == homfly(parse_braid(text, strands), DESCENDING)
         assert len(leaf_searches) == 2
-        assert {"gaps", "signs", "column_index"}.isdisjoint(vars(word))
+        assert {"gaps", "signs", "column_index", "under_columns"}.isdisjoint(vars(word))
 
     def test_jaeger_reads_the_paired_tree_memo(self, leaf_searches):
         word = parse_braid("1 -2 1 -2")
