@@ -16,6 +16,7 @@ from .corpus import all_words, alternating_words, exhaustive_count, random_words
 from .hecke import homfly_hecke
 from .invariants import alexander, braid_index_certificate, mfw_bounds
 from .jaeger import DUAL, STANDARD, homfly_jaeger, verify_bijection
+from .polynomial import skein_holds
 from .resolver import ASCENDING, DESCENDING, homfly
 
 
@@ -73,15 +74,15 @@ def check_skein(word: BraidWord) -> Optional[str]:
 
     Neighbouring equal letters give equal smoothed words; each distinct word
     is kept as one object, so its memo answers every letter after the first.
+    Each letter's identity is tested in one pass over the three polynomials'
+    terms (:func:`braidpoly.polynomial.skein_holds`), building none.
     """
     distinct = {word: word}
     for i in range(len(word)):
         plus, minus, zero = (
             homfly(distinct.setdefault(w, w), DESCENDING) for w in skein_triple(word, i)
         )
-        lhs = plus.scale_monomial(da=1) - minus.scale_monomial(da=-1)
-        rhs = zero.scale_monomial(dz=1)
-        if lhs != rhs:
+        if not skein_holds(plus, minus, zero):
             return f"skein relation fails at letter {i} of {word.text()!r}"
     return None
 

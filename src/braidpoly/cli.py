@@ -14,7 +14,9 @@ variables.
 :func:`main` may be called repeatedly in one process and reuses one parser,
 built on its first call, while :func:`build_parser` still returns a fresh one.
 That pays only for repeated in-process calls (the benchmark worker, the tests);
-a console run calls :func:`main` once.
+a console run calls :func:`main` once.  A line that names a command is
+parsed once, by that command's own sub-parser; messages and exit codes stay
+the full parser's.
 
 ``compute --json`` and ``analyze --json`` print the bytes of
 ``json.dumps(doc, indent=2)``, written by :func:`_indented_json`, since any
@@ -494,14 +496,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser :func:`main` reuses; parsing leaves it unchanged."""
-    return build_parser()
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser :func:`main` reuses and, read from it, its sub-parsers by name."""
+    parser = build_parser()
+    (commands,) = (
+        action.choices
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return parser, commands
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     _print_any_int()
-    args = _shared_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _shared_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        # no command named, or help: the full parser reports it
+        args = parser.parse_args(argv)
+    else:
+        # what the full parser does for a named command, with one pattern match
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run a parsed command, mapping what it raises to the exit codes."""
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -146,7 +146,7 @@ def _delta_power(k: int) -> LaurentPoly2:
     longer polynomials: about 0.6 s at ``k = 999``, which ``analyze 1
     --strands 1000`` needs, where this takes milliseconds.
     """
-    return LaurentPoly2({(-k, e): c for e, c in difference_power(k)})
+    return LaurentPoly2._from_clean({(-k, e): c for e, c in difference_power(k)})
 
 
 def _live_widths(letters: Sequence[int]) -> list[int]:

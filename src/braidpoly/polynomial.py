@@ -19,6 +19,8 @@ descending, then ``z``-degree descending, e.g. ``a^2*z^-2 - 2*z^-2 + a^-2*z^-2``
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from typing import Iterable, Iterator, Mapping
 
@@ -36,7 +38,23 @@ class SubstitutionError(ValueError):
     """
 
 
-def difference_power(k: int) -> list[tuple[int, int]]:
+# Rows ``k < _KEPT_ROWS`` of :func:`difference_power` are kept once expanded.
+_KEPT_ROWS = 64
+
+
+def _expand_row(k: int) -> tuple[tuple[int, int], ...]:
+    terms = []
+    b = 1
+    for j in range(k + 1):
+        terms.append((k - 2 * j, -b if j & 1 else b))
+        b = b * (k - j) // (j + 1)
+    return tuple(terms)
+
+
+_kept_row = functools.lru_cache(maxsize=_KEPT_ROWS)(_expand_row)
+
+
+def difference_power(k: int) -> tuple[tuple[int, int], ...]:
     """``(x - x^-1)^k`` as ``(exponent, coefficient)`` pairs, exponents descending.
 
     The term ``x^(k - 2j)`` has coefficient ``(-1)^j C(k, j)``, and each
@@ -47,13 +65,32 @@ def difference_power(k: int) -> list[tuple[int, int]]:
     Every weight of the package is one of these: ``delta^k = (a - a^-1)^k
     z^-k``, the resolving-tree weights ``a^(+-k) delta^k`` and the
     Alexander substitution's ``(s - s^-1)^k``.
+
+    A row depends on ``k`` alone, so rows ``k < 64`` are expanded once per
+    process and return the same tuple.  Row ``k`` holds ``k + 1`` ints below
+    ``2^k``, so the kept rows never take more than 0.22 MB.  A wider row (a
+    leaf or split of more than 64 components, a ``z^64`` or higher) is
+    expanded on every call and freed with its result: row 5,499 alone takes
+    3.5 MB.  A negative ``k`` raises ``ValueError``.
     """
-    terms = []
-    b = 1
-    for j in range(k + 1):
-        terms.append((k - 2 * j, -b if j & 1 else b))
-        b = b * (k - j) // (j + 1)
-    return terms
+    if 0 <= k < _KEPT_ROWS:
+        return _kept_row(k)
+    if k < 0:
+        raise ValueError(f"difference_power needs k >= 0, got {k}")
+    return _expand_row(k)
+
+
+def skein_holds(plus: LaurentPoly2, minus: LaurentPoly2, zero: LaurentPoly2) -> bool:
+    """Whether ``a*plus - a^-1*minus = z*zero``, in one pass over the three
+    term maps and with no polynomial built."""
+    acc = {(dz, da + 1): c for (dz, da), c in plus._terms.items()}
+    for (dz, da), c in minus._terms.items():
+        key = (dz, da - 1)
+        acc[key] = acc.get(key, 0) - c
+    for (dz, da), c in zero._terms.items():
+        if acc.pop((dz + 1, da), 0) != c:
+            return False
+    return not any(acc.values())
 
 
 def _format_terms(terms, var_names):
@@ -121,14 +158,25 @@ class LaurentPoly2:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
+        """Take ``terms``, dropping zeros; a non-integer raises ``TypeError``."""
         clean = {}
         if terms:
+            index = operator.index
             for (dz, da), c in terms.items():
+                key = (index(dz), index(da))
+                c = index(c)
                 if c:
-                    clean[(int(dz), int(da))] = int(c)
+                    clean[key] = c
         self._terms = clean
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _from_clean(cls, terms: dict[tuple[int, int], int]) -> "LaurentPoly2":
+        """Own ``terms`` as they are, with no per-term pass: int pairs to nonzero ints."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     @classmethod
     def zero(cls) -> "LaurentPoly2":
@@ -160,14 +208,10 @@ class LaurentPoly2:
                 acc[k] = v
             else:
                 acc.pop(k, None)
-        out = LaurentPoly2.__new__(LaurentPoly2)
-        out._terms = acc
-        return out
+        return LaurentPoly2._from_clean(acc)
 
     def __neg__(self) -> "LaurentPoly2":
-        out = LaurentPoly2.__new__(LaurentPoly2)
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
+        return LaurentPoly2._from_clean({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
         return self + (-other)
@@ -184,9 +228,7 @@ class LaurentPoly2:
                     acc[k] = v
                 else:
                     acc.pop(k, None)
-        out = LaurentPoly2.__new__(LaurentPoly2)
-        out._terms = acc
-        return out
+        return LaurentPoly2._from_clean(acc)
 
     def __pow__(self, k: int) -> "LaurentPoly2":
         if k < 0:
@@ -204,17 +246,15 @@ class LaurentPoly2:
         """Multiply by ``coeff * z^dz * a^da`` in one pass."""
         if coeff == 0:
             return LaurentPoly2.zero()
-        out = LaurentPoly2.__new__(LaurentPoly2)
-        out._terms = {(z + dz, a + da): c * coeff for (z, a), c in self._terms.items()}
-        return out
+        return LaurentPoly2._from_clean(
+            {(z + dz, a + da): c * coeff for (z, a), c in self._terms.items()}
+        )
 
     def mirrored(self) -> "LaurentPoly2":
         """Substitute ``z -> -z`` and ``a -> a^-1`` (mirror-image identity)."""
-        out = LaurentPoly2.__new__(LaurentPoly2)
-        out._terms = {
-            (dz, -da): (-c if dz % 2 else c) for (dz, da), c in self._terms.items()
-        }
-        return out
+        return LaurentPoly2._from_clean(
+            {(dz, -da): (-c if dz % 2 else c) for (dz, da), c in self._terms.items()}
+        )
 
     # -- inspection --------------------------------------------------------
 
@@ -276,6 +316,8 @@ class LaurentPoly2:
             raise SubstitutionError("a negative power of z survives a = 1")
         acc: dict[int, int] = {}
         for k, c in q.items():
+            if not c:
+                continue  # a vanished power, negative ones included
             for e, b in difference_power(k):
                 acc[e] = acc.get(e, 0) + c * b
         return LaurentPoly1(acc)
@@ -287,11 +329,15 @@ class LaurentPoly1:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, int] | None = None):
+        """Take ``terms``, dropping zeros; a non-integer raises ``TypeError``."""
         clean = {}
         if terms:
+            index = operator.index
             for k, c in terms.items():
+                k = index(k)
+                c = index(c)
                 if c:
-                    clean[int(k)] = int(c)
+                    clean[k] = c
         self._terms = clean
 
     @classmethod

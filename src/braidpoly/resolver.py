@@ -366,29 +366,33 @@ def assemble_tree_sum(
     ``counts`` maps ``(gamma, t)`` to the signed multiplicity
     ``sum (-1)^t'`` of leaves (or circuit partitions) with those statistics.
     Addition is commutative, so any accumulation order gives identical output.
-    Only the powers ``k = gamma - 1`` that occur are expanded, once each.
+    Each ``k = gamma - 1`` that occurs reads its row of
+    :func:`difference_power` once per call, in ascending order of ``gamma``;
+    the rows below ``k = 64`` are expanded once per process.  The sum stores
+    no zero coefficient and only int keys, so it becomes the polynomial
+    without a second pass over its terms.
     """
     prefactor = (strands - 1 - total_writhe) if ascending else (1 - strands - total_writhe)
-    powers: dict[int, list[tuple[int, int]]] = {}
     acc: dict[tuple[int, int], int] = {}
-    for (gamma, t), mult in counts.items():
+    row_k = None
+    for (gamma, t), mult in sorted(counts.items()):
         if mult == 0:
             continue
         k = gamma - 1
-        terms = powers.get(k)
-        if terms is None:
+        if k != row_k:
             # ((a^2-1) z^-1)^k = a^k delta^k and ((1-a^-2) z^-1)^k = a^-k delta^k,
             # with delta^k = (a - a^-1)^k z^-k, as (a-degree, coeff) terms
+            row_k, row = k, difference_power(k)
             shift = prefactor - k if ascending else prefactor + k
-            terms = powers[k] = [(e + shift, c) for e, c in difference_power(k)]
-        for da, c in terms:
-            key = (t - k, da)
+        dz = t - k
+        for e, c in row:
+            key = (dz, e + shift)
             v = acc.get(key, 0) + mult * c
             if v:
                 acc[key] = v
             else:
                 del acc[key]
-    return LaurentPoly2(acc)
+    return LaurentPoly2._from_clean(acc)
 
 
 def homfly(word: BraidWord, mode: Mode = DESCENDING) -> LaurentPoly2:

@@ -282,6 +282,24 @@ class TestSharedWordsHideNoFailure:
                 )
                 assert braidpoly.checks.check_skein(parse_braid(text)) is not None, bad
 
+    @pytest.mark.parametrize("text", ["1 1 1", "1 -2 1 2 2", "-1 3 -2 -4 -4 -4 1 -3"])
+    def test_a_smoothed_value_one_term_off_fails_at_its_letter(self, monkeypatch, text):
+        word = parse_braid(text)
+        smoothed = [skein_triple(word, i)[2] for i in range(len(word))]
+        real = braidpoly.checks.homfly
+        extra = LaurentPoly2({(3, -5): 1})
+        for i, bad in enumerate(smoothed):
+            if bad in smoothed[:i]:
+                continue  # the first letter with this smoothed word fails first
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    braidpoly.checks,
+                    "homfly",
+                    lambda w, mode, bad=bad: real(w, mode) + extra if w == bad else real(w, mode),
+                )
+                message = braidpoly.checks.check_skein(parse_braid(text))
+            assert message == f"skein relation fails at letter {i} of {word.text()!r}"
+
     def test_a_wrong_variant_fails_the_markov_check(self, monkeypatch):
         word = parse_braid("1 1 1")
         variants = {v.word for v in markov_variants(word, seed=3, count=20)}
@@ -783,6 +801,87 @@ class TestParserReuse:
         for action in _actions(build_parser()):
             assert isinstance(action.default, immutable), action.dest
             assert isinstance(action.const, immutable), action.dest
+
+
+# The README's command-line examples (``selftest``'s only as a usage error, as
+# its report prints timings), then help, usage errors, ``--``, abbreviations
+# and words that start with ``-``.
+ONE_PARSE_ARGVS = [
+    ["compute", "1 1 1", "--method", "all"],
+    ["compute", "", "--strands", "3"],
+    ["analyze", "-1 3 -2 -4 -4 -4 1 -3", "--json"],
+    ["verify", "1 -2 1 -2", "--moves", "all", "--samples", "20", "--seed", "7"],
+    ["batch", "words.txt", "--jobs", "4", "--json"],
+    ["selftest", "--max-crossings", "8", "--max-strands", "4", "--samples", "0"],
+    ["compute", "1", "--bogus"],
+    ["nosuch", "1"],
+    ["comp", "1"],
+    ["compute", "-h"],
+    ["verify", "--help"],
+    ["--help"],
+    ["-h"],
+    [],
+    ["compute"],
+    ["compute", "1", "--", "-2"],
+    ["compute", "--", "-1 2"],
+    ["--", "compute", "1"],
+    ["analyze", "--json", "--", "-1 3 -2 -4 -4 -4 1 -3"],
+    ["compute", "--he"],
+    ["compute", "1", "--meth", "all"],
+    ["compute", "1", "--method", "bogus"],
+    ["compute", "-1"],
+    ["compute", "-1", "-2"],
+    ["compute", "1", "--strands=4", "--method=hecke", "--json"],
+    ["compute", "1", "--strands", "x"],
+    ["compute", "1", "--strands"],
+    ["compute", "1 -1 4 4", "--strands", "7", "--method", "all"],
+    ["analyze", "1 junk"],
+    ["analyze", "1 1 1", "extra", "more"],
+    ["verify", "1 1", "--json"],
+    ["verify", "1 1 1", "--samples", "0"],
+    ["verify", "1 -2 1 -2", "--bogus", "--moves", "bogus"],
+    ["batch", "missing.txt"],
+    ["batch", "words.txt", "--jobs", "0"],
+    ["-x", "compute", "1"],
+    ["compute", "1", "-x"],
+]
+
+
+class TestOneParsePerCall:
+    """``main`` parses a named command with that command's own sub-parser.
+
+    Output and exit code must be those of the full parser followed by the
+    command, as ``main`` ran it before.
+    """
+
+    @staticmethod
+    def _outcome(capsys, call):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return captured.out, captured.err, code
+
+    @pytest.mark.parametrize("argv", ONE_PARSE_ARGVS, ids=" ".join)
+    def test_same_output_as_the_full_parser(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "words.txt").write_text("1 1 1  # trefoil\n")
+        reference = self._outcome(
+            capsys, lambda: braidpoly.cli._run(build_parser().parse_args(argv))
+        )
+        assert self._outcome(capsys, lambda: main(argv)) == reference
+
+    def test_a_named_command_skips_the_full_parser(self, capsys, monkeypatch):
+        parser, _ = braidpoly.cli._shared_parser()
+
+        def refused(*_args, **_kwargs):
+            raise AssertionError("the full parser ran")
+
+        monkeypatch.setattr(parser, "parse_args", refused)
+        monkeypatch.setattr(parser, "parse_known_args", refused)
+        assert run(capsys, "compute", "1 1 1")[0] == 0
+        assert run(capsys, "verify", "1 1", "--moves", "mirror")[0] == 0
 
 
 def test_import_leaves_process_pool_unloaded():

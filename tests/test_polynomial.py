@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from braidpoly.polynomial import (
     SubstitutionError,
     ZeroPolynomialError,
     difference_power,
+    skein_holds,
 )
 from braidpoly.braid import parse_braid
 from braidpoly.hecke import _delta_power, homfly_hecke
@@ -51,6 +53,35 @@ poly_terms = st.dictionaries(
     st.integers(-9, 9),
     max_size=6,
 )
+
+
+class TestConstructors:
+    """Both constructors take integers only; they never truncate or keep a zero."""
+
+    @pytest.mark.parametrize(
+        "terms", [{(0, 0): 0.4}, {(0, 0): 2.5}, {(1.5, 0): 1}, {(0, 2.0): 1}, {(0, 0): "1"}]
+    )
+    def test_two_variables_reject_non_integers(self, terms):
+        with pytest.raises(TypeError):
+            LaurentPoly2(terms)
+
+    @pytest.mark.parametrize("terms", [{1.5: 2.9}, {1: 2.9}, {1.0: 1}, {0: 0.0}])
+    def test_one_variable_rejects_non_integers(self, terms):
+        with pytest.raises(TypeError):
+            LaurentPoly1(terms)
+
+    def test_zero_coefficients_are_dropped(self):
+        assert LaurentPoly2({(0, 0): 0, (1, 1): 2}) == LaurentPoly2({(1, 1): 2})
+        assert LaurentPoly2({(0, 0): 0}).is_zero()
+        assert LaurentPoly2({(0, 0): 0}) == LaurentPoly2()
+        assert LaurentPoly1({3: 0}).is_zero()
+
+    def test_integer_types_are_stored_as_int(self):
+        p = LaurentPoly2({(True, 0): True})
+        ((key, coeff),) = p.terms()
+        assert type(coeff) is int and all(type(e) is int for e in key)
+        assert p == LaurentPoly2({(1, 0): 1})
+        assert LaurentPoly1({False: True}) == LaurentPoly1({0: 1})
 
 
 class TestRingAxioms:
@@ -267,3 +298,80 @@ class TestBinomialRow:
             expected = sp.Poly(sp.expand((s - 1 / s) ** k * s**k), s)
             terms = {e - k: int(c) for (e,), c in expected.terms()}
             assert LaurentPoly2({(k, 0): 1}).substitute_alexander() == LaurentPoly1(terms)
+
+
+class TestKeptRows:
+    """Rows are expanded once per process and returned as the same tuple."""
+
+    def test_rows_against_math_comb(self):
+        for k in range(61):
+            row = difference_power(k)
+            assert row == tuple((k - 2 * j, (-1) ** j * math.comb(k, j)) for j in range(k + 1))
+            assert difference_power(k) is row
+
+    def test_wide_rows_are_not_kept(self):
+        from braidpoly.polynomial import _kept_row
+
+        for k in (63, 64, 65, 200):
+            difference_power(k)
+        assert _kept_row.cache_info().currsize <= _kept_row.cache_info().maxsize == 64
+        row = difference_power(200)
+        assert row == tuple((200 - 2 * j, (-1) ** j * math.comb(200, j)) for j in range(201))
+        assert difference_power(200) is not row
+
+    @pytest.mark.parametrize("k", [-1, -64])
+    def test_negative_power_rejected(self, k):
+        with pytest.raises(ValueError):
+            difference_power(k)
+
+    def test_tree_sum_rejects_a_leaf_with_no_component(self):
+        with pytest.raises(ValueError):
+            assemble_tree_sum({(0, 0): 1}, 2, 0, False)
+
+
+tallies = st.dictionaries(
+    st.tuples(st.integers(1, 9), st.integers(0, 8)), st.integers(-4, 4), max_size=12
+)
+
+
+class TestCleanTreeSum:
+    @given(tallies, st.integers(1, 6), st.integers(-8, 8), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_sum_is_clean_and_equals_the_weights(self, counts, strands, writhe, ascending):
+        result = assemble_tree_sum(counts, strands, writhe, ascending)
+        assert all(c != 0 for _, c in result.terms())
+        assert result == LaurentPoly2(dict(result.terms()))
+        # the same sum in polynomial arithmetic: each leaf times its weight
+        base = P("1*z^-1 - a^-2*z^-1") if ascending else P("a^2*z^-1 - z^-1")
+        prefactor = strands - 1 - writhe if ascending else 1 - strands - writhe
+        expected = LaurentPoly2()
+        for (gamma, t), mult in counts.items():
+            expected = expected + (base ** (gamma - 1)).scale_monomial(t, prefactor, mult)
+        assert result == expected
+
+
+class TestSkeinHolds:
+    """The one-pass skein test against the same identity in polynomial arithmetic."""
+
+    @given(poly_terms, poly_terms, poly_terms)
+    @settings(max_examples=200)
+    def test_matches_arithmetic(self, t1, t2, t3):
+        plus, minus, zero = LaurentPoly2(t1), LaurentPoly2(t2), LaurentPoly2(t3)
+        lhs = plus.scale_monomial(da=1) - minus.scale_monomial(da=-1)
+        assert skein_holds(plus, minus, zero) == (lhs == zero.scale_monomial(dz=1))
+
+    @given(poly_terms, poly_terms, st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+    @settings(max_examples=200)
+    def test_holds_on_the_solved_zero_and_fails_one_term_off(self, t1, t2, key):
+        plus, minus = LaurentPoly2(t1), LaurentPoly2(t2)
+        zero = (plus.scale_monomial(da=1) - minus.scale_monomial(da=-1)).scale_monomial(dz=-1)
+        assert skein_holds(plus, minus, zero)
+        assert not skein_holds(plus, minus, zero + LaurentPoly2({key: 1}))
+        assert not skein_holds(plus + LaurentPoly2({key: 1}), minus, zero)
+        assert not skein_holds(plus, minus + LaurentPoly2({key: 1}), zero)
+
+    def test_trefoil_at_its_first_letter(self):
+        trefoil = homfly(parse_braid("1 1 1"))
+        hopf = homfly(parse_braid("1 1"))
+        assert skein_holds(trefoil, homfly(parse_braid("-1 1 1")), hopf)
+        assert not skein_holds(trefoil, homfly(parse_braid("-1 1 1")), trefoil)
