@@ -5,15 +5,18 @@ For any closed braid the a-degrees of the HOMFLY polynomial are confined to
 (the Morton-Frank-Williams inequality); :func:`mfw_bounds` is the one place
 that reads it off.  For a reduced alternating braid with no empty gaps the
 bound is sharp: the extreme degrees are attained exactly, the a-span is
-``2(n-1)``, and the braid index is therefore ``n``.  Sharpness is witnessed by
-two explicit resolving-tree leaves (``u_star`` descending, ``v_star``
-ascending) whose closures keep all ``n`` components.
+``2(n-1)``, and the braid index is therefore ``n``.  The paper witnesses
+sharpness by two explicit resolving-tree leaves whose closures keep all ``n``
+components; :func:`construct_u_star` (descending) and :func:`construct_v_star`
+(ascending) build them, and the tests check them against the leaf streams.
 
 The certificate applies one rule to each split block: a block is certified
 when it is reduced, alternating and has no empty gap, and the engine is then
 held to ``mfw_bounds(block).lower_bound == strands`` (the whole word likewise
 when every block is certified).  Inside the window that :func:`mfw_bounds`
 enforces, that equality holds exactly when both extreme degrees are reached.
+The certificate holds each block's flags and the outcome of that check; it
+builds no witness.
 
 A third construction, ``u_prime``, produces the unique knot-like descending
 leaf of maximal smoothing (``gamma = 1``, ``t = c - n + 1``); its term
@@ -39,7 +42,6 @@ from .braid import (
     SMOOTHED,
     classify,
     gap_profile,
-    mirror,
     walk,
     writhe,
 )
@@ -47,7 +49,8 @@ from .hecke import homfly_hecke
 from .polynomial import LaurentPoly1
 from .resolver import DESCENDING, leaf_membership_test
 
-# ``perfbench/tracing.py`` wraps this by its name here, so it stays bound
+# ``perfbench/tracing.py`` wraps these by their names here, so they stay bound
+from .braid import mirror  # noqa: F401
 from .resolver import homfly  # noqa: F401
 
 
@@ -71,8 +74,6 @@ class MfwReport:
     e: int
     span: int
     lower_bound: int
-    strands: int
-    writhe: int
 
 
 def mfw_bounds(word: BraidWord) -> MfwReport:
@@ -92,7 +93,7 @@ def mfw_bounds(word: BraidWord) -> MfwReport:
             f"degrees [{e}, {E}] escape the window [{1 - n - w}, {n - 1 - w}] "
             f"for word {word.text()!r}"
         )
-    return MfwReport(E=E, e=e, span=span, lower_bound=span // 2 + 1, strands=n, writhe=w)
+    return MfwReport(E=E, e=e, span=span, lower_bound=span // 2 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +101,7 @@ def mfw_bounds(word: BraidWord) -> MfwReport:
 # ---------------------------------------------------------------------------
 
 
-def _require_positive_leading(word: BraidWord) -> DiagramClass:
+def _require_positive_leading(word: BraidWord) -> None:
     flags = classify(word)
     if not (flags.positive_leading and flags.reduced and flags.non_split):
         raise ConstructionError(
@@ -109,7 +110,6 @@ def _require_positive_leading(word: BraidWord) -> DiagramClass:
             + (" (apply to the mirror for negative-leading input)"
                if flags.negative_leading else "")
         )
-    return flags
 
 
 def _keep_first_flip_last(word: BraidWord, parity: int) -> ResolvedDiagram:
@@ -231,19 +231,16 @@ def construct_u_prime(word: BraidWord) -> ResolvedDiagram:
 class BlockCertificate:
     """Certificate data for one empty-gap-separated block of the word.
 
-    The block word is re-indexed to start at gap 1.  A certifiable block with
-    letters has been held to ``mfw_bounds(block).lower_bound == strands``;
-    its witnesses live on the block word, or on its mirror when the block is
-    negative-leading (``mirrored`` set).
+    The block word is re-indexed to start at gap 1.  ``flags`` is its
+    :func:`~braidpoly.braid.classify` result, so ``flags.negative_leading``
+    gives its leading sign.  A certified block with letters has been held to
+    ``mfw_bounds(block).lower_bound == strands``.
     """
 
     first_strand: int
     word: BraidWord
     flags: DiagramClass
     certified: bool
-    u_star: Optional[ResolvedDiagram]
-    v_star: Optional[ResolvedDiagram]
-    mirrored: bool
 
     @property
     def strands(self) -> int:
@@ -263,8 +260,6 @@ class BraidIndexCertificate:
     certified: bool
     braid_index: Optional[int]
     lower_bound: int
-    strands: int
-    writhe: int
     E: int
     e: int
     blocks: tuple[BlockCertificate, ...]
@@ -282,15 +277,9 @@ def _require_sharp(word: BraidWord, report: MfwReport) -> None:
 def _block_certificate(first_strand: int, block: BraidWord) -> BlockCertificate:
     flags = classify(block)
     certified = flags.alternating and flags.reduced and flags.non_split
-    if not certified or len(block) == 0:
-        return BlockCertificate(first_strand, block, flags, certified, None, None, False)
-    _require_sharp(block, mfw_bounds(block))
-    mirrored = flags.negative_leading
-    witness_word = mirror(block) if mirrored else block
-    return BlockCertificate(
-        first_strand, block, flags, True,
-        construct_u_star(witness_word), construct_v_star(witness_word), mirrored,
-    )
+    if certified and len(block):
+        _require_sharp(block, mfw_bounds(block))
+    return BlockCertificate(first_strand, block, flags, certified)
 
 
 def braid_index_certificate(word: BraidWord) -> BraidIndexCertificate:
@@ -314,8 +303,6 @@ def braid_index_certificate(word: BraidWord) -> BraidIndexCertificate:
         certified=certified,
         braid_index=word.strands if certified else None,
         lower_bound=whole.lower_bound,
-        strands=word.strands,
-        writhe=whole.writhe,
         E=whole.E,
         e=whole.e,
         blocks=blocks,

@@ -49,22 +49,27 @@ def brute_walk(strands, letters, states):
     return firsts, components
 
 
+def breaks_rule(letters, states, i, col, ascending=False):
+    """Whether letter ``i``, first visited arriving in column ``col``, breaks
+    the first-visit rule.
+
+    The descending tree wants smoothed letters reached from the original
+    under-arm and live ones from the live over-arm; the ascending tree swaps
+    both arms."""
+    gap, sign = letters[i]
+    from_left = col == gap
+    if states[i] == SMOOTH:
+        descending_ok = from_left == (sign > 0)
+    else:
+        live_sign = sign if states[i] == KEEP else -sign
+        descending_ok = (not from_left) == (live_sign > 0)
+    return descending_ok == ascending
+
+
 def is_leaf(strands, letters, states, ascending=False):
-    """First-visit rule of the descending tree: smoothed letters reached from
-    the original under-arm, live ones from the live over-arm.  The ascending
-    tree swaps both arms."""
+    """Whether no letter breaks the first-visit rule of the requested tree."""
     firsts, _ = brute_walk(strands, letters, states)
-    for i, col in firsts:
-        gap, sign = letters[i]
-        from_left = col == gap
-        if states[i] == SMOOTH:
-            descending_ok = from_left == (sign > 0)
-        else:
-            live_sign = sign if states[i] == KEEP else -sign
-            descending_ok = (not from_left) == (live_sign > 0)
-        if descending_ok == ascending:
-            return False
-    return True
+    return not any(breaks_rule(letters, states, i, col, ascending) for i, col in firsts)
 
 
 def brute_leaves(strands, letters, ascending=False):

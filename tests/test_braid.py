@@ -22,6 +22,8 @@ from braidpoly import (
 )
 from braidpoly.braid import _violations, permutation_and_kinds, walk
 
+from _brute import FLIP, KEEP, SMOOTH, breaks_rule, brute_walk, word_letters
+
 EXAMPLE_WORD = "-1 3 -2 -4 -4 -4 1 -3"
 
 
@@ -533,6 +535,28 @@ class TestNaturalTraversal:
         cycles = []
         assert list(_violations(word, states, ascending, cycles)) == expected
         assert cycles == expected_cycles
+
+    @given(
+        st.lists(st.integers(1, 4).flatmap(lambda g: st.sampled_from([g, -g])), max_size=8),
+        st.integers(0, 2),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300)
+    @example([3, -3], 2, False, random.Random(0))  # untouched columns 1, 2, 5 and 6
+    @example([1, 4], 0, True, random.Random(1))  # empty gaps 2 and 3
+    def test_violations_match_the_brute_walk(self, tokens, extra, ascending, rng):
+        # the brute oracle scans every letter height once per passage and
+        # shares no code with the package
+        word = BraidWord.from_tokens(tokens, max((abs(t) + 1 for t in tokens), default=1) + extra)
+        states = tuple(rng.choice((KEPT, FLIPPED, SMOOTHED)) for _ in tokens)
+        letters = word_letters(word)
+        codes = "".join({KEPT: KEEP, FLIPPED: FLIP, SMOOTHED: SMOOTH}[s] for s in states)
+        firsts, components = brute_walk(word.strands, letters, codes)
+        expected = [i for i, col in firsts if breaks_rule(letters, codes, i, col, ascending)]
+        cycles = []
+        assert list(_violations(word, states, ascending, cycles)) == expected
+        assert len(cycles) == components
 
 
 class TestMarkovVariants:

@@ -225,6 +225,26 @@ class TestAnalyze:
         assert doc["permutation"]["cycles"] == "(1 4)(2)(3 5)"
         assert doc["crossing_kinds"] == ["descending"] * 4 + ["ascending"] + ["descending"] * 3
 
+    def test_certificate_builds_no_witness(self, capsys, monkeypatch, tmp_path):
+        # certified blocks, one of them negative-leading: the report reads
+        # only their flags and MFW check, so the witness constructions and
+        # the mirror are never called
+        texts = ["1 -2 1 -2", "1 1 1 4 4 4", "-1 -1 3 3"]
+        batch = tmp_path / "words.txt"
+        batch.write_text("".join(text + "\n" for text in texts))
+        argvs = [["analyze", "--json", "--", text] for text in texts]
+        argvs.append(["batch", str(batch), "--json"])
+        before = [run(capsys, *argv) for argv in argvs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certificate built a witness")
+
+        for name in ("construct_u_star", "construct_v_star", "mirror"):
+            monkeypatch.setattr(braidpoly.invariants, name, refuse)
+        after = [run(capsys, *argv) for argv in argvs]
+        assert after == before
+        assert all(code == 0 for code, _, _ in after)
+
 
 class TestVerify:
     def test_trefoil_all_checks_pass(self, capsys):

@@ -46,10 +46,12 @@ class TestMfwBounds:
 
 class TestCertificate:
     def test_figure_eight_certifies_three(self):
-        cert = braid_index_certificate(parse_braid(FIG8))
+        word = parse_braid(FIG8)
+        cert = braid_index_certificate(word)
         assert cert.certified and cert.braid_index == 3
         assert (cert.E, cert.e) == (2, -2)
-        assert cert.blocks[0].u_star is not None and cert.blocks[0].v_star is not None
+        assert leaf_membership_test(word, construct_u_star(word).states, DESCENDING)
+        assert leaf_membership_test(word, construct_v_star(word).states, ASCENDING)
 
     def test_trefoil_certifies_two(self):
         cert = braid_index_certificate(parse_braid("1 1 1"))
@@ -72,7 +74,11 @@ class TestCertificate:
     def test_negative_leading_certifies_via_mirror(self):
         cert = braid_index_certificate(parse_braid("-1 -1 2 2 -1"))
         assert cert.certified and cert.braid_index == 3
-        assert cert.blocks[0].mirrored
+        block = cert.blocks[0]
+        assert block.flags.negative_leading
+        image = mirror(block.word)
+        assert leaf_membership_test(image, construct_u_star(image).states, DESCENDING)
+        assert leaf_membership_test(image, construct_v_star(image).states, ASCENDING)
 
     def test_mirror_consistency(self):
         for text in (FIG8, "1 1 1", "1 1 -2 -2 1"):
