@@ -1,4 +1,4 @@
-"""Braid words, closed-braid combinatorics, and the natural traversal walk.
+"""Braid words, closed-braid combinatorics, and the natural traversal.
 
 A braid word on ``n`` strands is a top-to-bottom sequence of letters, each a
 signed generator stored as a plain int: ``i`` crosses the strands in columns
@@ -15,7 +15,8 @@ Conventions fixed here and relied on everywhere else:
   standard form gives the *return order*; cycle leaders are *pivot* labels.
 * *Natural traversal* walks the closed diagram component by component in pivot
   order, starting at the pivot's top endpoint and following the downward
-  orientation, jumping through closure arcs at the bottom.
+  orientation, jumping through closure arcs at the bottom.  One loop steps
+  it: :func:`_violations`.
 * Over/under drawing convention: at a positive crossing the strand arriving in
   column ``gap+1`` (from the right) passes over; at a negative crossing the
   strand arriving in column ``gap`` (from the left) passes over.  This is the
@@ -81,13 +82,18 @@ class BraidWord:
     """
 
     def __post_init__(self):
+        if type(self.strands) is not int:
+            raise TypeError(f"strand count must be an int, got {self.strands!r}")
         if self.strands < 1:
             raise ValueError(f"strand count must be >= 1, got {self.strands}")
+        top = self.strands - 1
         for pos, t in enumerate(self.letters):
-            if not 1 <= abs(t) <= self.strands - 1:
+            if type(t) is not int:
+                raise TypeError(f"letter {pos} must be an int, got {t!r}")
+            if not 1 <= abs(t) <= top:
                 raise ValueError(
                     f"letter {pos} is {t}, but a letter on {self.strands} strands "
-                    f"must be a nonzero generator index of size at most {self.strands - 1}"
+                    f"must be a nonzero generator index of size at most {top}"
                 )
 
     @classmethod
@@ -413,48 +419,6 @@ def classify(word: BraidWord) -> DiagramClass:
 # ---------------------------------------------------------------------------
 
 
-def walk(
-    word: BraidWord, states: Sequence[Optional[CrossingState]]
-) -> Iterator[tuple[int, int, bool]]:
-    """The natural traversal of the closed diagram, one step at a time.
-
-    Components are walked in pivot order: each starts at the top of its
-    pivot column, every strand is walked top to bottom, and the closure arc
-    returns the walker to the top of the column it ended in.  Smoothed
-    letters keep the walker in its column; any other state swaps it across
-    the gap.  Each step reads the next letter down the walker's column from
-    :attr:`BraidWord.column_index`.  Yields ``(i, col, first)``:
-
-    * ``i >= 0``: the walker passes letter ``i``, arriving in column ``col``,
-      for the first time when ``first`` (every letter is passed twice);
-    * ``i == -1``: the walker starts a strand at the top of column ``col``,
-      the pivot of a new component when ``first``.
-
-    ``states[i]`` is read only after the passage at letter ``i`` is yielded,
-    so a consumer may decide a letter's state when the walker reaches it.
-    """
-    gaps = word.gaps
-    after = word.column_index
-    seen = [False] * len(gaps)
-    visited = [False] * (word.strands + 1)
-    for pivot in range(1, word.strands + 1):
-        if visited[pivot]:
-            continue
-        col = pivot
-        while True:
-            visited[col] = True
-            yield -1, col, col == pivot
-            pos = after[col][-1]
-            while pos is not None:
-                yield pos, col, not seen[pos]
-                seen[pos] = True
-                if states[pos] is not SMOOTHED:
-                    col = 2 * gaps[pos] + 1 - col
-                pos = after[col][pos]
-            if col == pivot:
-                break
-
-
 def _violations(
     word: BraidWord,
     states: Sequence[CrossingState],
@@ -476,10 +440,16 @@ def _violations(
     :func:`braidpoly.jaeger.verify_bijection` read it.  The list is whole
     only once the walk is exhausted.
 
-    The walk is the natural traversal of :func:`walk`, stepped here in its
-    own loop over the same :attr:`BraidWord.column_index` and reading each
+    The walk is the natural traversal, and this is the one loop in the
+    package that steps it; only the slot-table search of
+    :func:`braidpoly.resolver.leaf_search`, the independent engine, walks
+    the closure over a table of its own.  Each strand is walked top to
+    bottom and the closure arc returns the walker to the top of the column
+    it ended in; a smoothed letter keeps the walker in its column and any
+    other state swaps it across the gap.  Each step reads the next letter
+    down the walker's column from :attr:`BraidWord.column_index` and the
     letter's under-arm column from :attr:`BraidWord.under_columns`, so a
-    caller resumes one generator per violation rather than two per passage.
+    caller resumes one generator per violation.
     """
     gaps = word.gaps
     after = word.column_index

@@ -18,10 +18,13 @@ enforces, that equality holds exactly when both extreme degrees are reached.
 The certificate holds each block's flags and the outcome of that check; it
 builds no witness.
 
-A third construction, ``u_prime``, produces the unique knot-like descending
-leaf of maximal smoothing (``gamma = 1``, ``t = c - n + 1``); its term
-dominates the Alexander specialization ``a = 1``, ``z = s - s^-1`` and forces
-a unit leading coefficient for every reduced alternating braid.
+A third construction, :func:`construct_u_prime`, produces the unique
+knot-like descending leaf of maximal smoothing (``gamma = 1``,
+``t = c - n + 1``); its term dominates the Alexander specialization
+``a = 1``, ``z = s - s^-1`` and forces a unit leading coefficient for every
+reduced alternating braid.  It sets a staircase of flips, one per odd gap,
+in closed form and then follows the descending tree's smoothed children
+down to the leaf, with the tree step of :mod:`braidpoly.resolver`.
 
 Every invariant here reads the polynomial from
 :func:`~braidpoly.hecke.homfly_hecke`, the Hecke trace memoized on the word.
@@ -34,7 +37,6 @@ from typing import Optional
 
 from .braid import (
     BraidWord,
-    CrossingState,
     DiagramClass,
     FLIPPED,
     KEPT,
@@ -42,12 +44,11 @@ from .braid import (
     SMOOTHED,
     classify,
     gap_profile,
-    walk,
     writhe,
 )
 from .hecke import homfly_hecke
 from .polynomial import LaurentPoly1
-from .resolver import DESCENDING, leaf_membership_test
+from .resolver import DESCENDING, first_violation, leaf_membership_test, split_at
 
 # ``perfbench/tracing.py`` wraps these by their names here, so they stay bound
 from .braid import mirror  # noqa: F401
@@ -150,71 +151,53 @@ def _cyclic_predecessor(positions: tuple[int, ...], entry: int) -> int:
     final position visited before returning to ``entry`` is the largest one
     below it, or the overall largest when none is.
     """
-    below = [p for p in positions if p < entry]
-    return max(below) if below else max(positions)
+    return max((p for p in positions if p < entry), default=max(positions))
 
 
 def construct_u_prime(word: BraidWord) -> ResolvedDiagram:
     """The knot-like descending leaf of maximal smoothing.
 
-    A guided natural traversal decides each crossing at its first visit: in
-    gap 1 smooth every crossing except the cyclically last one, which is
-    flipped to carry the walker rightward; each forced keep at an even gap
-    pushes into the next odd gap, where everything is smoothed up to the
-    cyclically last crossing relative to the entry height, flipped in turn.
-    Once the last column is reached the walk returns, smoothing every crossing
-    not yet visited.  The result has a single closure component and
-    ``t = c - n + 1`` smoothed crossings; both are validated before returning,
-    together with descending-leaf membership.
+    In a positive-leading reduced alternating word the natural traversal
+    first reaches every letter in an odd column on its under-arm, and every
+    letter in an even column on its over-arm, which forces a keep.  So the
+    leaf is fixed by its flips, and they form a staircase: the walker enters
+    gap 1 at the top and flips the cyclically last letter of the gap, the
+    next letter of gap 2 below that flip (cyclically) is kept and carries it
+    into gap 3 at that height, where it flips the cyclically last letter
+    again, and so on until it reaches column ``n``.  Every other letter
+    first reached on its under-arm is smoothed: from the staircase, with
+    everything else kept, the descent below takes the smoothed child of the
+    descending tree at each first violation until none is left.  Neither
+    child moves the walker before its split, so each restart passes the
+    same letters in the same order.  The result has a single closure
+    component and ``t = c - n + 1`` smoothed crossings; both are validated
+    before returning, together with descending-leaf membership.
     """
     _require_positive_leading(word)
     n = word.strands
-    gaps = word.gaps
-    under = word.under_columns
     profile = gap_profile(word)
-    states: list[Optional[CrossingState]] = [None] * len(gaps)
+    states = [KEPT] * len(word)
+    height = 0
+    for gap in range(1, n, 2):
+        flip = _cyclic_predecessor(profile.tally(gap).positions, height)
+        states[flip] = FLIPPED
+        if gap + 1 < n:
+            right = profile.tally(gap + 1).positions
+            height = min((p for p in right if p > flip), default=min(right))
+    diagram = ResolvedDiagram(word, tuple(states))
+    while (i := first_violation(diagram)) is not None:
+        diagram = split_at(diagram, i)[1]
 
-    flip_target: Optional[int] = _cyclic_predecessor(profile.tally(1).positions, 0)
-    reached_last_column = n == 1
-    components = 0
-    for i, col, first in walk(word, states):
-        if i < 0:
-            components += first
-            continue
-        if not first:
-            continue
-        new_col = 2 * gaps[i] + 1 - col
-        if col != under[i]:
-            # arrival on the over-arm forces a keep; rightward keeps steer
-            # the outbound walk
-            states[i] = KEPT
-            if not reached_last_column and new_col > col:
-                if new_col == n:
-                    reached_last_column = True
-                    flip_target = None
-                else:
-                    flip_target = _cyclic_predecessor(
-                        profile.tally(new_col).positions, i
-                    )
-        elif i == flip_target:
-            states[i] = FLIPPED
-            if new_col == n:
-                reached_last_column = True
-            flip_target = None
-        else:
-            states[i] = SMOOTHED
-
-    if components != 1 or any(st is None for st in states):
+    if len(diagram.permutation().cycles) != 1:
         raise ConsistencyError(
             f"single-component construction failed for word {word.text()!r}"
         )
     expected_t = len(word) - n + 1
-    if states.count(SMOOTHED) != expected_t:
+    if diagram.states.count(SMOOTHED) != expected_t:
         raise ConsistencyError(
             f"maximal-smoothing construction smoothed the wrong number of "
             f"crossings for word {word.text()!r}"
         )
-    diagram = ResolvedDiagram(word, tuple(states))
     if not leaf_membership_test(word, diagram.states, DESCENDING):
         raise ConsistencyError(
             f"constructed diagram is not a descending leaf for word {word.text()!r}"

@@ -18,22 +18,26 @@ KEEP, FLIP, SMOOTH = "K", "F", "S"
 
 
 def brute_walk(strands, letters, states):
-    """Walk the closed diagram; return (first-visit records, component count).
+    """Walk the closed diagram; return (first-visit records, cycles).
 
     ``letters`` is a list of (gap, sign) pairs top to bottom; ``states`` a
     string over K/F/S.  Each first-visit record is (letter index, arrival
-    column).  Components start at the smallest unvisited top column.
+    column).  Components start at the smallest unvisited top column; each
+    cycle lists the top columns at which one component starts its strands,
+    in the order it starts them, and the cycles come in that order too.
     """
     firsts = []
     seen = set()
     visited = set()
-    components = 0
+    cycles = []
     for pivot in range(1, strands + 1):
         if pivot in visited:
             continue
-        visited.add(pivot)
+        cycle = []
         col = pivot
         while True:
+            visited.add(col)
+            cycle.append(col)
             for i, (gap, _sign) in enumerate(letters):
                 if col not in (gap, gap + 1):
                     continue
@@ -44,9 +48,8 @@ def brute_walk(strands, letters, states):
                     col = gap + (gap + 1) - col
             if col == pivot:
                 break
-            visited.add(col)
-        components += 1
-    return firsts, components
+        cycles.append(cycle)
+    return firsts, cycles
 
 
 def breaks_rule(letters, states, i, col, ascending=False):
@@ -90,7 +93,7 @@ def brute_homfly(strands, letters, ascending=False):
         prefactor, base = A ** (1 - strands - w), (A**2 - 1) / Z
     total = sp.Integer(0)
     for states in brute_leaves(strands, letters, ascending):
-        _, gamma = brute_walk(strands, letters, states)
+        gamma = len(brute_walk(strands, letters, states)[1])
         t = states.count(SMOOTH)
         t_neg = sum(
             1 for st, (_, sign) in zip(states, letters) if st == SMOOTH and sign < 0

@@ -20,7 +20,7 @@ from braidpoly import (
     permutation,
     writhe,
 )
-from braidpoly.braid import _violations, permutation_and_kinds, walk
+from braidpoly.braid import _violations, permutation_and_kinds
 
 from _brute import FLIP, KEEP, SMOOTH, breaks_rule, brute_walk, word_letters
 
@@ -117,6 +117,20 @@ class TestParsing:
     def test_direct_construction_is_validated(self, letters, strands, message):
         with pytest.raises(ValueError, match=message):
             BraidWord(letters, strands)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: BraidWord((1.5,), 3),
+            lambda: BraidWord((), 2.0),
+            lambda: BraidWord.from_tokens([1.0]),
+            lambda: BraidWord((True, 2), 3),
+        ],
+        ids=["float letter", "float strands", "float token", "bool letter"],
+    )
+    def test_non_int_input_is_rejected(self, build):
+        with pytest.raises(TypeError):
+            build()
 
     def test_strands_override(self):
         assert parse_braid("1 1", strands=5).strands == 5
@@ -227,11 +241,9 @@ class TestCrossingClassification:
     def test_agrees_with_traversal_arrival(self, word):
         # a crossing is descending exactly when the walk first reaches it on
         # the over-arm of its live sign
-        d = ResolvedDiagram.all_kept(word)
-        kinds = classify_crossings(d)
-        for i, col, first in walk(word, d.states):
-            if i < 0 or not first:
-                continue
+        kinds = classify_crossings(ResolvedDiagram.all_kept(word))
+        firsts, _ = brute_walk(word.strands, word_letters(word), KEEP * len(word))
+        for i, col in firsts:
             expected = "descending" if arm(word, i, col) == "over" else "ascending"
             assert kinds[i] == expected
 
@@ -433,38 +445,40 @@ class TestMirror:
 
 
 class TestNaturalTraversal:
-    """The passages of :func:`walk`, read as ``(i, col, first)`` triples."""
+    """The natural traversal: first arrivals from the brute oracle, cycles from :func:`_violations`."""
+
+    @staticmethod
+    def cycles(word, states):
+        cycles = []
+        list(_violations(word, states, False, cycles))
+        return cycles
 
     def test_single_crossing_events(self):
+        # the first arrival is from the left (the gap column), on the
+        # under-arm of the positive crossing
         word = parse_braid("1")
-        steps = list(walk(word, (KEPT,)))
-        assert steps == [(-1, 1, True), (0, 1, True), (-1, 2, False), (0, 2, False)]
-        # first passage from the left (the gap column) on the under-arm of the
-        # positive crossing, the second from the right on its over-arm
-        assert [arm(word, i, col) for i, col, _ in steps if i >= 0] == ["under", "over"]
+        firsts, _ = brute_walk(2, word_letters(word), KEEP)
+        assert firsts == [(0, 1)]
+        assert arm(word, 0, 1) == "under"
+        assert self.cycles(word, (KEPT,)) == [[1, 2]]
 
     def test_smoothed_triple_first_visits_from_left(self):
         word = parse_braid("1 1 1")
-        steps = list(walk(word, (SMOOTHED,) * 3))
-        assert [(i, col) for i, col, first in steps if i >= 0 and first] == [
-            (0, 1), (1, 1), (2, 1)
-        ]
-        assert [(i, col) for i, col, first in steps if i >= 0 and not first] == [
-            (0, 2), (1, 2), (2, 2)
-        ]
-        assert [(col, first) for i, col, first in steps if i < 0] == [(1, True), (2, True)]
+        firsts, _ = brute_walk(2, word_letters(word), SMOOTH * 3)
+        assert firsts == [(0, 1), (1, 1), (2, 1)]
+        assert self.cycles(word, (SMOOTHED,) * 3) == [[1], [2]]
 
     def test_empty_word(self):
-        steps = list(walk(parse_braid("", strands=4), ()))
-        assert steps == [(-1, 1, True), (-1, 2, True), (-1, 3, True), (-1, 4, True)]
+        assert self.cycles(parse_braid("", strands=4), ()) == [[1], [2], [3], [4]]
 
     @given(words())
     @settings(max_examples=80)
-    def test_each_letter_visited_twice(self, word):
-        steps = [(i, first) for i, _, first in walk(word, (KEPT,) * len(word)) if i >= 0]
-        assert len(steps) == 2 * len(word)
-        for i in range(len(word)):
-            assert sorted(first for j, first in steps if j == i) == [False, True]
+    def test_kept_violations_of_the_two_modes_split_the_letters(self, word):
+        # each letter's first arrival is on exactly one arm, which breaks
+        # exactly one of the two forms
+        states = (KEPT,) * len(word)
+        both = list(_violations(word, states, False)) + list(_violations(word, states, True))
+        assert sorted(both) == list(range(len(word)))
 
     @given(words())
     @settings(max_examples=60)
@@ -474,13 +488,7 @@ class TestNaturalTraversal:
         for g in word.gaps:
             columns[g], columns[g + 1] = columns[g + 1], columns[g]
         ends = {label: col for col, label in enumerate(columns)}
-        components = []
-        for i, col, first in walk(word, (KEPT,) * len(word)):
-            if i < 0:
-                if first:
-                    components.append([col])
-                else:
-                    components[-1].append(col)
+        components = self.cycles(word, (KEPT,) * len(word))
         pivots = [c[0] for c in components]
         assert pivots == sorted(set(pivots))
         assert all(c[0] == min(c) for c in components)
@@ -516,35 +524,6 @@ class TestNaturalTraversal:
     @settings(max_examples=300)
     @example([3, -3], 2, False, random.Random(0))  # untouched columns 1, 2, 5 and 6
     @example([1, 4], 0, True, random.Random(1))  # empty gaps 2 and 3
-    def test_violations_reads_the_walk(self, tokens, extra, ascending, rng):
-        # ``_violations`` steps the closure in its own loop; its verdicts and
-        # cycles must be what ``walk``'s passages give under the first-visit
-        # rule and the strand starts
-        word = BraidWord.from_tokens(tokens, max((abs(t) + 1 for t in tokens), default=1) + extra)
-        states = tuple(rng.choice((KEPT, FLIPPED, SMOOTHED)) for _ in tokens)
-        expected, expected_cycles = [], []
-        for i, col, first in walk(word, states):
-            if i < 0:
-                if first:
-                    expected_cycles.append([])
-                expected_cycles[-1].append(col)
-            elif first and (arm(word, i, col) == ("over" if ascending else "under")) == (
-                states[i] is KEPT
-            ):
-                expected.append(i)
-        cycles = []
-        assert list(_violations(word, states, ascending, cycles)) == expected
-        assert cycles == expected_cycles
-
-    @given(
-        st.lists(st.integers(1, 4).flatmap(lambda g: st.sampled_from([g, -g])), max_size=8),
-        st.integers(0, 2),
-        st.booleans(),
-        st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=300)
-    @example([3, -3], 2, False, random.Random(0))  # untouched columns 1, 2, 5 and 6
-    @example([1, 4], 0, True, random.Random(1))  # empty gaps 2 and 3
     def test_violations_match_the_brute_walk(self, tokens, extra, ascending, rng):
         # the brute oracle scans every letter height once per passage and
         # shares no code with the package
@@ -552,11 +531,11 @@ class TestNaturalTraversal:
         states = tuple(rng.choice((KEPT, FLIPPED, SMOOTHED)) for _ in tokens)
         letters = word_letters(word)
         codes = "".join({KEPT: KEEP, FLIPPED: FLIP, SMOOTHED: SMOOTH}[s] for s in states)
-        firsts, components = brute_walk(word.strands, letters, codes)
+        firsts, expected_cycles = brute_walk(word.strands, letters, codes)
         expected = [i for i, col in firsts if breaks_rule(letters, codes, i, col, ascending)]
         cycles = []
         assert list(_violations(word, states, ascending, cycles)) == expected
-        assert len(cycles) == components
+        assert cycles == expected_cycles
 
 
 class TestMarkovVariants:

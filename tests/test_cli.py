@@ -326,15 +326,15 @@ class TestSharedWordsHideNoFailure:
         # the draw holds the word itself too, which shares the word's object
         assert word in variants
         assert braidpoly.checks.check_markov(word, seed=3, count=20) is None
-        real = braidpoly.checks.homfly_jaeger
+        real = braidpoly.checks.homfly
         for bad in variants - {word}:
             with monkeypatch.context() as patch:
                 patch.setattr(
                     braidpoly.checks,
-                    "homfly_jaeger",
-                    lambda w, variant, bad=bad: LaurentPoly2.one()
+                    "homfly",
+                    lambda w, mode, bad=bad: LaurentPoly2.one()
                     if w == bad
-                    else real(w, variant),
+                    else real(w, mode),
                 )
                 message = braidpoly.checks.check_markov(parse_braid("1 1 1"), seed=3, count=20)
                 assert message is not None, bad

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from braidpoly import (
+    BraidWord,
     ConsistencyError,
     ConstructionError,
     FLIPPED,
@@ -194,6 +197,26 @@ class TestUPrime:
     def test_non_alternating_rejected(self):
         with pytest.raises(ConstructionError):
             construct_u_prime(parse_braid("1 -1"))
+
+    def test_only_knot_leaf_of_maximal_smoothing(self):
+        # every positive-leading reduced alternating word on 2-4 strands with
+        # at most 2(n-1)+2 letters
+        checked = 0
+        for n in (2, 3, 4):
+            alphabet = [g if g % 2 else -g for g in range(1, n)]
+            for length in range(2 * (n - 1), 2 * (n - 1) + 3):
+                for tokens in itertools.product(alphabet, repeat=length):
+                    if min(map(tokens.count, alphabet)) < 2:
+                        continue
+                    word = BraidWord(tokens, n)
+                    matching = [
+                        leaf.states
+                        for leaf in enumerate_leaves(word, DESCENDING)
+                        if leaf.gamma == 1 and leaf.t == length - n + 1
+                    ]
+                    assert matching == [construct_u_prime(word).states], word.text()
+                    checked += 1
+        assert checked == 3739
 
 
 class TestAlexander:

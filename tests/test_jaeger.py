@@ -15,9 +15,10 @@ from braidpoly import (
     parse_braid,
     verify_bijection,
 )
-from braidpoly.braid import walk
 from braidpoly.jaeger import DUAL, STANDARD
 from braidpoly.resolver import ASCENDING, DESCENDING, enumerate_leaves
+
+from _brute import KEEP, SMOOTH, brute_walk, word_letters
 
 EXAMPLE_WORD = "-1 3 -2 -4 -4 -4 1 -3"
 
@@ -91,8 +92,9 @@ class TestAdmissibility:
         # under-arm arrival rule, across all single-crossing smoothings
         for i in range(len(word)):
             partition = CircuitPartition(word, frozenset({i}))
-            steps = walk(word, partition.as_diagram().states)
-            col = next(col for j, col, first in steps if j == i and first)
+            codes = "".join(SMOOTH if j == i else KEEP for j in range(len(word)))
+            firsts, _ = brute_walk(word.strands, word_letters(word), codes)
+            col = dict(firsts)[i]
             under = (col == word.gaps[i]) == (word.signs[i] > 0)
             assert is_admissible(partition, STANDARD) == under
             assert is_admissible(partition, DUAL) == (not under)
