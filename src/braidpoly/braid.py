@@ -82,6 +82,8 @@ class BraidWord:
     """
 
     def __post_init__(self):
+        if type(self.letters) is not tuple:
+            raise TypeError(f"letters must be a tuple, got {type(self.letters).__name__}")
         if type(self.strands) is not int:
             raise TypeError(f"strand count must be an int, got {self.strands!r}")
         if self.strands < 1:

@@ -163,6 +163,7 @@ def _run(
 
     A checker that raises fails the suite on that word: an engine that
     contradicts itself raises (``ConsistencyError``) rather than answers.
+    ``MemoryError`` is not a failure of the word, so it propagates.
     """
     result = CheckResult(name=name, checked=0)
     start = time.perf_counter()
@@ -170,6 +171,8 @@ def _run(
         result.checked += 1
         try:
             message = checker(word)
+        except MemoryError:
+            raise
         except Exception as exc:
             message = f"{name} raised on {word.text()!r}: {type(exc).__name__}: {exc}"
         if message is not None:

@@ -7,7 +7,9 @@ Subcommands: ``compute`` (polynomial by one or all methods), ``analyze``
 Exit codes are a stable contract: 0 success, 2 input error, 3 verification
 failure, which includes an engine contradiction (``ConsistencyError`` or
 ``SubstitutionError``), reported as one ``error:`` line, and 4 out of memory
-(``MemoryError``), reported as the line ``error: out of memory``.  All
+(``MemoryError``), reported as the line ``error: out of memory``.  One place,
+:func:`_run`, maps the library's exceptions to these codes, a word that does
+not parse (``BraidParseError``) included, so no command exits by itself.  All
 behavior is controlled by flags; there are no config files or environment
 variables.
 
@@ -189,26 +191,12 @@ def _analyze_json(word: BraidWord) -> dict:
         "writhe": writhe(word),
         "permutation": {
             "cycles": perm.cycle_text(),
-            "return_order": list(perm.return_order),
-            "pivots": list(perm.pivots),
+            "return_order": perm.return_order,
+            "pivots": perm.pivots,
         },
-        "crossing_kinds": list(crossing_kinds),
-        "gap_profile": [
-            {
-                "gap": t.gap,
-                "positive": t.positive,
-                "negative": t.negative,
-                "positions": list(t.positions),
-            }
-            for t in profile.gaps
-        ],
-        "classification": {
-            "alternating": flags.alternating,
-            "positive_leading": flags.positive_leading,
-            "negative_leading": flags.negative_leading,
-            "reduced": flags.reduced,
-            "non_split": flags.non_split,
-        },
+        "crossing_kinds": crossing_kinds,
+        "gap_profile": [dict(vars(t)) for t in profile.gaps],
+        "classification": dict(vars(flags)),
         "homfly": {"descending": poly.to_json_terms()},
         "homfly_text": poly.to_text(),
         "degrees": {"E": cert.E, "e": cert.e, "span": cert.E - cert.e},
@@ -221,14 +209,6 @@ def _analyze_json(word: BraidWord) -> dict:
             "leading_is_unit": alex.leading_is_unit,
         },
     }
-
-
-def _parse_word_or_exit(text: str, strands: Optional[int]) -> BraidWord:
-    try:
-        return parse_braid(text, strands)
-    except BraidParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
 
 
 def _below_minimum(args, minimums: dict[str, int]) -> bool:
@@ -252,7 +232,7 @@ def _cert_line(cert_json: dict) -> str:
 
 
 def cmd_compute(args) -> int:
-    word = _parse_word_or_exit(args.word, args.strands)
+    word = parse_braid(args.word, args.strands)
     methods = _METHODS if args.method == "all" else [args.method]
     values = {m: _compute_method(word, m) for m in methods}
     # printing big coefficients can cost more than computing them, so each
@@ -285,7 +265,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    word = _parse_word_or_exit(args.word, args.strands)
+    word = parse_braid(args.word, args.strands)
     doc = _analyze_json(word)
     if args.json:
         print(_indented_json(doc))
@@ -313,7 +293,7 @@ def cmd_analyze(args) -> int:
 def cmd_verify(args) -> int:
     if _below_minimum(args, {"samples": 1}):
         return EXIT_INPUT
-    word = _parse_word_or_exit(args.word, args.strands)
+    word = parse_braid(args.word, args.strands)
     # built per call, so that the check_* names are read when the command runs
     checkers = {
         "markov": functools.partial(check_markov, seed=args.seed, count=args.samples),
@@ -347,10 +327,12 @@ def _print_any_int() -> None:
 
 
 def _batch_line(item: tuple[int, str]) -> tuple[int, dict]:
-    """Worker for one batch line; returns (status, the line's record)."""
+    """Worker for one batch line, given as (line number, text before any ``#``).
+
+    Returns (status, the line's record).
+    """
     _print_any_int()
-    lineno, line = item
-    body = line.split("#", 1)[0].strip()
+    lineno, body = item
     strands = None
     if ";" in body:
         head, body = body.split(";", 1)
@@ -383,9 +365,9 @@ def cmd_batch(args) -> int:
         print(f"error: {args.file}: not UTF-8 text ({exc})", file=sys.stderr)
         return EXIT_INPUT
     items = [
-        (lineno, line)
+        (lineno, body)
         for lineno, line in enumerate(lines, start=1)
-        if line.split("#", 1)[0].strip()
+        if (body := line.split("#", 1)[0].strip())
     ]
     workers = min(args.jobs, len(items))
     if workers > 1:
@@ -524,11 +506,17 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Run a parsed command, mapping what it raises to the exit codes."""
+    """Run a parsed command, mapping what it raises to the exit codes.
+
+    This is the one place where a library exception becomes an exit code: a
+    word that does not parse (``BraidParseError``) exits 2, an engine
+    contradiction 3 and ``MemoryError`` 4, each with one ``error:`` line.
+    """
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_INPUT
+    except BraidParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except (ConsistencyError, SubstitutionError) as exc:
         # an engine contradiction: the polynomial broke an identity it must keep
         print(f"error: {exc}", file=sys.stderr)

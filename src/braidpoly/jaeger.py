@@ -36,9 +36,10 @@ component count: a leaf's walk goes round the whole closure to find no
 violation, so its gamma comes from that same walk.  The walk steps over
 tables that :mod:`braidpoly.braid` builds once per word, and shares no
 code or table with the search.  Both sides reduce a leaf to the ints
-``(smoothed, flipped, gamma, t, t')``, with the two sets as bit masks; the
-search side reads them, and its tally, from one :func:`leaf_search` run, so
-the check also holds the tally to the records.
+``(smoothed, flipped, gamma, t, t')``, with the two sets as bit masks, and
+the two leaf sequences are compared in tree order; the search side reads its
+records, and its tally, from one :func:`leaf_search` run, so the check also
+holds the tally to the records.
 """
 
 from __future__ import annotations
@@ -156,8 +157,10 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     its masks, by :func:`braidpoly.resolver.leaf_writhe`.
 
     The leaves must have distinct smoothed sets, which makes those sets a
-    family of partitions, and their records must equal, as a multiset, those
-    of the leaf search that enumerates the admissible partitions.  One run of
+    family of partitions, and their records must equal, in tree order, those
+    of the leaf search that enumerates the admissible partitions.  The two
+    children of a node share the parent's walk up to the split, so expanding
+    the flipped child first gives the leaves in the search's order.  One run of
     :func:`braidpoly.resolver.leaf_search` gives both those records and the
     signed ``(gamma, t)`` tally that :func:`homfly` turns into the
     polynomial, and the tally must equal the signed sum of the records, so
@@ -174,7 +177,7 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     n = word.strands
     signs = word.signs
     writhe_of = leaf_writhe(word)
-    tree = set()
+    tree: list[tuple[int, int, int, int, int]] = []
     smoothed_sets = set()
     stack = [ResolvedDiagram.all_kept(word)]
     while stack:
@@ -183,7 +186,8 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
         cycles: list[list[int]] = []
         for i in _violations(word, states, ascending, cycles):
             if states[i] is not SMOOTHED:
-                stack += split_at(diagram, i)
+                # the flipped child on top, so leaves come out in the search's order
+                stack += reversed(split_at(diagram, i))
                 break
         else:
             smoothed = flipped = t = t_neg = 0
@@ -200,7 +204,7 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
             gamma = len(cycles)
             if gamma + sign * writhe_of(smoothed, flipped) != n:
                 return False
-            tree.add((smoothed, flipped, gamma, t, t_neg))
+            tree.append((smoothed, flipped, gamma, t, t_neg))
     records: list[tuple[int, int, int, int, int]] = []
     tally = leaf_search(word, ascending, records)
     counts: dict[tuple[int, int], int] = {}
@@ -210,4 +214,4 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
         counts[gamma, t] = counts.get((gamma, t), 0) + (-1 if t_neg & 1 else 1)
     if {k: v for k, v in tally.items() if v} != {k: v for k, v in counts.items() if v}:
         return False  # the tally ``homfly`` reads is not the records' sum
-    return len(records) == len(tree) and set(records) == tree
+    return records == tree

@@ -132,6 +132,12 @@ class TestParsing:
         with pytest.raises(TypeError):
             build()
 
+    def test_letters_must_be_a_tuple(self):
+        # a list would make the word unhashable, and the checks key dicts by word
+        with pytest.raises(TypeError, match="tuple"):
+            BraidWord([1, 1, 1], 2)
+        assert BraidWord.from_tokens([1, 1, 1]) == BraidWord((1, 1, 1), 2)
+
     def test_strands_override(self):
         assert parse_braid("1 1", strands=5).strands == 5
         with pytest.raises(BraidParseError, match="too small"):

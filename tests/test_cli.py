@@ -158,19 +158,37 @@ class TestCompute:
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["compute", "1 1 1", "--method", "all"], ["analyze", "1 1 1", "--json"], ["verify", "1 1 1"]],
-    ids=["compute", "analyze", "verify"],
+    "argv, module, name",
+    [
+        (["compute", "1 1 1", "--method", "all"], braidpoly.cli, "parse_braid"),
+        (["analyze", "1 1 1", "--json"], braidpoly.cli, "parse_braid"),
+        (["verify", "1 1 1"], braidpoly.cli, "parse_braid"),
+        # a suite's checker that runs out of memory is not a suite failure
+        (
+            ["selftest", "--max-crossings", "1", "--max-strands", "2", "--samples", "5"],
+            braidpoly.checks,
+            "homfly",
+        ),
+    ],
+    ids=["compute", "analyze", "verify", "selftest"],
 )
-def test_out_of_memory_exits_4(capsys, monkeypatch, argv):
+def test_out_of_memory_exits_4(capsys, monkeypatch, argv, module, name):
     def exhausted(*_args):
         raise MemoryError
 
-    monkeypatch.setattr(braidpoly.cli, "parse_braid", exhausted)
+    monkeypatch.setattr(module, name, exhausted)
     code, out, err = run(capsys, *argv)
     assert code == 4
     assert out == ""
     assert err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize("command", ["compute", "analyze", "verify"])
+def test_parse_error_is_one_line_and_exits_2(capsys, command):
+    code, out, err = run(capsys, command, "1 x")
+    assert code == 2
+    assert out == ""
+    assert err == "error: invalid braid token 'x'\n"
 
 
 class TestAnalyze:

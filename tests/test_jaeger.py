@@ -211,6 +211,7 @@ class TestBijection:
             pytest.param(lambda leaves: leaves + leaves[:1], id="repeated"),
             pytest.param(lambda leaves: bumped(leaves, 2), id="wrong-gamma"),
             pytest.param(lambda leaves: bumped(leaves, 4), id="wrong-t-neg"),
+            pytest.param(lambda leaves: leaves[::-1], id="reordered"),
         ],
     )
     def test_faulty_search_is_rejected(self, monkeypatch, fault, variant):
