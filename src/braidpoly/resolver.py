@@ -39,11 +39,13 @@ above and the leaf's writhe, tracked along the path.  On the benchmark's
 search closes that last decision on the spot, counting its one kept leaf or
 its flipped and smoothed leaves with no snapshot, trail entry or undo, and
 keeps the signed ``(gamma, t)`` tally :func:`homfly` needs inside its own
-loop.  It builds a record per leaf only when its caller passes a sink.
-:func:`enumerate_leaves` passes a list, so it still holds every record of
-the tree in memory at once, O(leaves); :func:`homfly` passes none and
-holds no records, and :func:`leaf_statistics` passes a sink that only
-counts them.
+loop, carrying one int key for ``(gamma, t)`` and a sign for ``(-1)^t'``
+along the path.  Only when its caller passes a sink does it build a record
+per leaf, rebuilding the leaf's masks and ``t'`` from its undo trail at the
+path's end.  :func:`enumerate_leaves` passes a list, so it still holds every
+record of the tree in memory at once, O(leaves); :func:`homfly` passes none
+and builds no records, and :func:`leaf_statistics` passes a sink that only
+counts them, though each is still built.
 
 The step API (:func:`first_violation`, :func:`split_at`) and
 :func:`leaf_membership_test` restart the walk at every node instead, as the
@@ -130,14 +132,23 @@ def leaf_search(
     undecided letter.  The search closes that decision on the spot: it
     counts the kept leaf, or the flipped and the smoothed leaf, and
     backtracks, with no trail entry and no snapshot for it.  What is left of
-    the closure would only pass decided letters.  Inside the loop the tally
-    is keyed by the one int ``gamma * (m + 1) + t``, split back into
-    ``(gamma, t)`` once per distinct key when the search ends.  ``gamma`` is not counted
+    the closure would only pass decided letters.  ``gamma`` is not counted
     but kept as ``n + w`` on the descending tree and ``n - w`` on the
     ascending one, ``w`` the writhe of the path's letters: it starts from the
     word's writhe, a flip moves it by twice the letter's sign and a
-    smoothing by once.  The walk still routes through column bottoms, since
-    a letter not yet visited may lie on a component not yet started.
+    smoothing by once.  The path carries ``gamma`` and ``t`` as the one int
+    ``key = gamma * (m + 1) + t``, and ``(-1)^t'`` as a ``sign`` of +-1; the
+    slot table stores, per branching slot, the key's shift to either child
+    and the smoothed child's sign factor, so a snapshot holds no more than
+    the walk's place, the key and the sign.  The tally is keyed by that int
+    and split back into ``(gamma, t)`` once per distinct key when the search
+    ends.  The walk still routes through column bottoms, since a letter not
+    yet visited may lie on a component not yet started.
+
+    The path keeps no bit masks and no ``t'``.  Only when ``leaves`` is
+    given does each path's end rebuild them from the undo trail, whose
+    entries are exactly the letters decided on the path: a pass over the
+    trail, ``O(m)`` per path, so a sink costs more than the tally alone.
     """
     n = word.strands
     letters = word.letters
@@ -147,26 +158,36 @@ def leaf_search(
             leaves.append((0, 0, n, 0, 0))
         return {(n, 0): 1}
     bottom = 2 * m
+    # signed leaf counts keyed by gamma * stride + t, as 0 <= t < stride
+    stride = m + 1
     below = [0] * bottom
     # what each column holds so far, from the last letter up: at the end, the
     # first slot of the column
     top = list(range(bottom, bottom + n + 1))
-    # per letter: its sign, negated on the ascending tree, so that a leaf's
-    # gamma is n plus the sum of the unsmoothed letters' (flipped: negated)
-    # entries
-    sigma = [-1] * m
-    # per slot: whether a first visit there branches instead of keeping the
-    # letter; that is its left slot when its sigma is positive, else its right
-    branch = [False] * bottom
+    # per slot where a first visit branches (a letter's left slot when its
+    # sign, negated on the ascending tree, is positive, else its right
+    # slot): the key's shift to the flipped child, the shift to the smoothed
+    # child and that child's sign factor; ``flip`` is ``None`` where a first
+    # visit keeps the letter.  gamma starts at n plus those signs.
+    flip: list[Optional[int]] = [None] * bottom
+    smooth = [0] * bottom
+    turn = [1] * bottom
+    gamma = n
     s = bottom
     for g in reversed(letters):
         s -= 2
         if (g > 0) != ascending:
-            sigma[s >> 1] = 1
-            branch[s] = True
+            gamma += 1
+            b = s
+            flip[b] = -2 * stride
+            smooth[b] = 1 - stride
         else:
-            branch[s + 1] = True
+            gamma -= 1
+            b = s + 1
+            flip[b] = 2 * stride
+            smooth[b] = 1 + stride
         if g < 0:
+            turn[b] = -1
             g = -g
         below[s] = top[g]
         below[s + 1] = top[g + 1]
@@ -174,18 +195,17 @@ def leaf_search(
         top[g + 1] = s + 1
     nxt = [-1] * bottom + [-2] * (n + 1)
     trail: list[int] = []
-    # signed leaf counts keyed by gamma * stride + t, as 0 <= t < stride
-    stride = m + 1
     tally: dict[int, int] = {}
-    # snapshot: (trail length, slot to set, smoothed, flipped, visited
-    # columns, slot, pivot, gamma, t, t_neg); bit 0 of ``visited`` is always
-    # set so that its lowest clear bit is the next pivot
+    # snapshot: (trail length, slot to set, visited columns, slot, pivot,
+    # key, sign); bit 0 of ``visited`` is always set so that its lowest clear
+    # bit is the next pivot
     stack = []
     # ``depth`` is the trail's length, kept apart so that the test for a
     # path's last letter is one comparison
     last = m - 1
-    smoothed = flipped = t = t_neg = depth = 0
-    gamma = n + sum(sigma)
+    depth = 0
+    key = gamma * stride
+    sign = 1
     visited, s, pivot = 3, top[1], 1
     while True:
         while (u := nxt[s]) >= 0:
@@ -195,29 +215,19 @@ def leaf_search(
             if depth == last:
                 # the path's last undecided letter: count its kept leaf, or
                 # its flipped and its smoothed leaf, and backtrack
-                key = gamma * stride + t
-                sign = -1 if t_neg & 1 else 1
-                if branch[s]:
-                    i = s >> 1
-                    d = sigma[i] * stride
-                    tally[key - 2 * d] = tally.get(key - 2 * d, 0) + sign
-                    if letters[i] < 0:
-                        sign = -sign
-                    tally[key - d + 1] = tally.get(key - d + 1, 0) + sign
-                    if leaves is not None:
-                        bit = 1 << i
-                        leaves.append((smoothed, flipped | bit, gamma - 2 * sigma[i], t, t_neg))
-                        leaves.append(
-                            (smoothed | bit, flipped, gamma - sigma[i], t + 1,
-                             t_neg + (letters[i] < 0))
-                        )
-                else:
+                f = flip[s]
+                if f is None:
                     tally[key] = tally.get(key, 0) + sign
-                    if leaves is not None:
-                        leaves.append((smoothed, flipped, gamma, t, t_neg))
+                else:
+                    k = key + f
+                    tally[k] = tally.get(k, 0) + sign
+                    k = key + smooth[s]
+                    tally[k] = tally.get(k, 0) + sign * turn[s]
+                if leaves is not None:
+                    _path_records(leaves, letters, trail, nxt, below, flip, smooth, stride, key, s)
                 if not stack:
                     return {divmod(k, stride): v for k, v in tally.items()}
-                depth, o, smoothed, flipped, visited, s, pivot, gamma, t, t_neg = stack.pop()
+                depth, o, visited, s, pivot, key, sign = stack.pop()
                 while len(trail) > depth:
                     nxt[trail.pop()] = -1
                 nxt[o] = below[o]
@@ -226,15 +236,12 @@ def leaf_search(
             nxt[o] = below[s]
             trail.append(o)
             depth += 1
-            if branch[s]:
-                i = s >> 1
-                bit = 1 << i
+            f = flip[s]
+            if f is not None:
                 stack.append(
-                    (depth, o, smoothed | bit, flipped, visited, below[s], pivot,
-                     gamma - sigma[i], t + 1, t_neg + (letters[i] < 0))
+                    (depth, o, visited, below[s], pivot, key + smooth[s], sign * turn[s])
                 )
-                flipped |= bit
-                gamma -= 2 * sigma[i]
+                key += f
             s = below[o]
         elif (col := s - bottom) != pivot:
             # bottom of a column: the next strand of this component
@@ -247,6 +254,37 @@ def leaf_search(
             pivot = low.bit_length() - 1
             visited |= low
             s = top[pivot]
+
+
+def _path_records(leaves, letters, trail, nxt, below, flip, smooth, stride, key, s) -> None:
+    """Append the records of the leaves that end a path of :func:`leaf_search`.
+
+    Each trail entry ``o`` is the pending slot of a letter decided on the
+    path: smoothed when its next-slot entry goes straight down the column
+    (``below[o]``), otherwise flipped when its first visit, at ``o ^ 1``,
+    branched, and kept when it did not.  The letter first visited at the
+    path's last step, at slot ``s``, ends the path with one kept leaf or with
+    its flipped and its smoothed leaf, and ``key`` gives the path's
+    ``(gamma, t)``.
+    """
+    smoothed = flipped = t_neg = 0
+    for o in trail:
+        i = o >> 1
+        if nxt[o] == below[o]:
+            smoothed |= 1 << i
+            t_neg += letters[i] < 0
+        elif flip[o ^ 1] is not None:
+            flipped |= 1 << i
+    f = flip[s]
+    if f is None:
+        leaves.append((smoothed, flipped, *divmod(key, stride), t_neg))
+    else:
+        i = s >> 1
+        bit = 1 << i
+        leaves.append((smoothed, flipped | bit, *divmod(key + f, stride), t_neg))
+        leaves.append(
+            (smoothed | bit, flipped, *divmod(key + smooth[s], stride), t_neg + (letters[i] < 0))
+        )
 
 
 @dataclass(frozen=True)

@@ -27,13 +27,22 @@ from braidpoly import (
 from braidpoly.resolver import (
     ASCENDING,
     DESCENDING,
+    LeafStatistics,
     assemble_tree_sum,
     enumerate_leaves,
     leaf_search,
     leaf_statistics,
 )
 
-from _brute import brute_homfly, brute_leaves, poly2_to_sympy, word_letters
+from _brute import (
+    FLIP,
+    SMOOTH,
+    brute_homfly,
+    brute_leaves,
+    brute_walk,
+    poly2_to_sympy,
+    word_letters,
+)
 
 EXAMPLE_WORD = "-1 3 -2 -4 -4 -4 1 -3"
 
@@ -409,6 +418,36 @@ class TestBruteForceOracle:
             for got in (homfly(word, ASCENDING), homfly_jaeger(word, "dual")):
                 assert (expected - poly2_to_sympy(got)).expand() == 0, word.text()
 
+    def override_words(self):
+        """Random words with one or two free strands from a strand override."""
+        rng = random.Random(31)
+        for _ in range(12):
+            used = rng.randint(2, 3)
+            tokens = tuple(
+                rng.randint(1, used - 1) * rng.choice((1, -1))
+                for _ in range(rng.randint(3, 5))
+            )
+            yield BraidWord(tokens, used + rng.randint(1, 2))
+
+    def test_records_match(self):
+        # every leaf's whole record, gamma and t' included, not only its states
+        for word in itertools.chain(
+            self.all_small_words(), self.random_larger_words(), self.override_words()
+        ):
+            letters = word_letters(word)
+            for ascending in (False, True):
+                expected = []
+                for states in brute_leaves(word.strands, letters, ascending):
+                    smoothed = sum(1 << i for i, c in enumerate(states) if c == SMOOTH)
+                    flipped = sum(1 << i for i, c in enumerate(states) if c == FLIP)
+                    gamma = len(brute_walk(word.strands, letters, states)[1])
+                    t_neg = sum(
+                        1 for c, (_, sign) in zip(states, letters) if c == SMOOTH and sign < 0
+                    )
+                    expected.append((smoothed, flipped, gamma, states.count(SMOOTH), t_neg))
+                got = sorted(leaf_records(word, ascending))
+                assert got == sorted(expected), (word.text(), word.strands, ascending)
+
 
 class TestLeafSearchTally:
     """The signed ``(gamma, t)`` tally that ``homfly`` reads, held to the
@@ -425,8 +464,12 @@ class TestLeafSearchTally:
             assert {k: v for k, v in tally.items() if v} == {
                 k: v for k, v in signed.items() if v
             }, (word.text(), word.strands, ascending)
-            # asking for no records changes nothing in the tally
+            # asking for no records, or only for their number, changes nothing
+            # in the tally
             assert leaf_search(word, ascending) == tally
+            stats = LeafStatistics()
+            assert leaf_search(word, ascending, stats) == tally
+            assert stats.count == len(records)
             got = assemble_tree_sum(tally, word.strands, writhe(word), ascending)
             expected = brute_homfly(word.strands, word_letters(word), ascending)
             assert (expected - poly2_to_sympy(got)).expand() == 0, (word.text(), ascending)
