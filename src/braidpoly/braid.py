@@ -38,9 +38,8 @@ from __future__ import annotations
 import enum
 import random
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 
 class BraidParseError(ValueError):
@@ -60,43 +59,70 @@ FLIPPED = CrossingState.FLIPPED
 SMOOTHED = CrossingState.SMOOTHED
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class _Frozen:
+    """Refuses to assign or delete an attribute once the constructor has run.
+
+    Constructors write their fields straight into the instance ``__dict__``,
+    and so does :class:`functools.cached_property`, so caching a derived
+    table still works on a frozen value.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BraidWord(_Frozen):
     """An ordered braid word plus its strand count.
 
     ``letters`` are the signed generator tokens: ``k > 0`` crosses gap ``k``
     positively and ``-k`` negatively.  The empty word is legal on any number
-    of strands ``n >= 1``.
+    of strands ``n >= 1``.  Two words are equal, and hash equal, exactly
+    when their letters and strand counts are.
+
+    ``homfly_memo`` holds this word's HOMFLY polynomials computed so far,
+    keyed by engine.  It is filled by :func:`braidpoly.resolver.homfly` (one
+    key per tree mode) and :func:`braidpoly.hecke.homfly_hecke` (key
+    ``"hecke"``, also on each of :attr:`split_blocks`), so every caller
+    holding this object shares one evaluation per engine.  The memo belongs
+    to the instance and takes no part in equality, hashing or the repr: an
+    equal word parsed separately evaluates afresh.
     """
 
     letters: tuple[int, ...]
     strands: int
-    homfly_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    """This word's HOMFLY polynomials computed so far, keyed by engine.
+    homfly_memo: dict
 
-    Filled by :func:`braidpoly.resolver.homfly` (one key per tree mode)
-    and :func:`braidpoly.hecke.homfly_hecke` (key ``"hecke"``, also on each
-    of :attr:`split_blocks`), so every caller holding this object shares
-    one evaluation per engine.  The memo belongs to the instance: an equal
-    word parsed separately evaluates afresh.
-    """
-
-    def __post_init__(self):
-        if type(self.letters) is not tuple:
-            raise TypeError(f"letters must be a tuple, got {type(self.letters).__name__}")
-        if type(self.strands) is not int:
-            raise TypeError(f"strand count must be an int, got {self.strands!r}")
-        if self.strands < 1:
-            raise ValueError(f"strand count must be >= 1, got {self.strands}")
-        top = self.strands - 1
-        for pos, t in enumerate(self.letters):
+    def __init__(self, letters: tuple[int, ...], strands: int):
+        if type(letters) is not tuple:
+            raise TypeError(f"letters must be a tuple, got {type(letters).__name__}")
+        if type(strands) is not int:
+            raise TypeError(f"strand count must be an int, got {strands!r}")
+        if strands < 1:
+            raise ValueError(f"strand count must be >= 1, got {strands}")
+        top = strands - 1
+        for pos, t in enumerate(letters):
             if type(t) is not int:
                 raise TypeError(f"letter {pos} must be an int, got {t!r}")
             if not 1 <= abs(t) <= top:
                 raise ValueError(
-                    f"letter {pos} is {t}, but a letter on {self.strands} strands "
+                    f"letter {pos} is {t}, but a letter on {strands} strands "
                     f"must be a nonzero generator index of size at most {top}"
                 )
+        self.__dict__.update(letters=letters, strands=strands, homfly_memo={})
+
+    def __eq__(self, other):
+        if other.__class__ is not BraidWord:
+            return NotImplemented
+        return self.letters == other.letters and self.strands == other.strands
+
+    def __hash__(self) -> int:
+        return hash((self.letters, self.strands))
+
+    def __repr__(self) -> str:
+        return f"BraidWord(letters={self.letters!r}, strands={self.strands!r})"
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[int], strands: int | None = None) -> "BraidWord":
@@ -225,26 +251,41 @@ class BraidWord:
         return self.sub_braid(first, last)
 
 
-@dataclass(frozen=True)
-class ResolvedDiagram:
-    """A braid word together with a per-crossing resolution state."""
+class ResolvedDiagram(_Frozen):
+    """A braid word together with a per-crossing resolution state.
+
+    ``states`` is a tuple of :class:`CrossingState`, one per letter.  Two
+    diagrams are equal, and hash equal, exactly when their words and
+    states are.
+    """
 
     word: BraidWord
     states: tuple[CrossingState, ...]
 
-    def __post_init__(self):
-        if len(self.states) != len(self.word):
+    def __init__(self, word: BraidWord, states: tuple[CrossingState, ...]):
+        if type(states) is not tuple:
+            raise TypeError(f"states must be a tuple, got {type(states).__name__}")
+        if len(states) != len(word):
             raise ValueError(
-                f"state vector length {len(self.states)} does not match "
-                f"{len(self.word)} letters"
+                f"state vector length {len(states)} does not match "
+                f"{len(word)} letters"
             )
+        self.__dict__.update(word=word, states=states)
+
+    def __eq__(self, other):
+        if other.__class__ is not ResolvedDiagram:
+            return NotImplemented
+        return self.word == other.word and self.states == other.states
+
+    def __hash__(self) -> int:
+        return hash((self.word, self.states))
+
+    def __repr__(self) -> str:
+        return f"ResolvedDiagram(word={self.word!r}, states={self.states!r})"
 
     @classmethod
     def all_kept(cls, word: BraidWord) -> "ResolvedDiagram":
         return cls(word, (KEPT,) * len(word))
-
-    def with_state(self, i: int, state: CrossingState) -> "ResolvedDiagram":
-        return ResolvedDiagram(self.word, self.states[:i] + (state,) + self.states[i + 1 :])
 
     def permutation(self) -> "StrandPermutation":
         """Strand permutation with smoothed letters acting as the identity.
@@ -303,8 +344,7 @@ def mirror(word: BraidWord) -> BraidWord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StrandPermutation:
+class StrandPermutation(NamedTuple):
     """A strand permutation in standard cycle form.
 
     Cycles each start at their minimum label and are sorted by those minima,
@@ -317,7 +357,7 @@ class StrandPermutation:
     def pivots(self) -> tuple[int, ...]:
         return tuple(c[0] for c in self.cycles)
 
-    @cached_property
+    @property
     def return_order(self) -> tuple[int, ...]:
         return tuple(label for cycle in self.cycles for label in cycle)
 
@@ -334,20 +374,18 @@ def permutation(word: BraidWord) -> StrandPermutation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GapTally:
+class GapTally(NamedTuple):
     gap: int
     positive: int
     negative: int
     positions: tuple[int, ...]
 
     @property
-    def count(self) -> int:
+    def count(self) -> int:  # shadows ``tuple.count``
         return self.positive + self.negative
 
 
-@dataclass(frozen=True)
-class GapProfile:
+class GapProfile(NamedTuple):
     """Per-gap crossing tallies for gaps ``1..strands-1``, in gap order."""
 
     gaps: tuple[GapTally, ...]
@@ -373,8 +411,7 @@ def gap_profile(word: BraidWord) -> GapProfile:
     return GapProfile(tallies)
 
 
-@dataclass(frozen=True)
-class DiagramClass:
+class DiagramClass(NamedTuple):
     """Diagram-level flags of a closed braid word.
 
     ``alternating``: odd gaps carry one sign and even gaps the opposite sign
@@ -512,8 +549,7 @@ def classify_crossings(diagram: ResolvedDiagram) -> tuple[Optional[str], ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MarkovVariant:
+class MarkovVariant(NamedTuple):
     word: BraidWord
     moves: tuple[str, ...]
 

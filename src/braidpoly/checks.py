@@ -8,7 +8,6 @@ These back both the ``verify`` and ``selftest`` CLI commands and the tests.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .braid import BraidWord, markov_variants, mirror
@@ -20,12 +19,29 @@ from .polynomial import skein_holds
 from .resolver import ASCENDING, DESCENDING, homfly
 
 
-@dataclass
 class CheckResult:
-    name: str
-    checked: int
-    failures: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
+    """One suite's tally: words checked, failure messages and seconds taken.
+
+    A suite runner fills it in as it goes, so it is the one mutable record.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        checked: int,
+        failures: Optional[list[str]] = None,
+        elapsed: float = 0.0,
+    ):
+        self.name = name
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+        self.elapsed = elapsed
+
+    def __repr__(self) -> str:
+        return (
+            f"CheckResult(name={self.name!r}, checked={self.checked!r}, "
+            f"failures={self.failures!r}, elapsed={self.elapsed!r})"
+        )
 
     @property
     def passed(self) -> bool:

@@ -195,8 +195,8 @@ def _analyze_json(word: BraidWord) -> dict:
             "pivots": perm.pivots,
         },
         "crossing_kinds": crossing_kinds,
-        "gap_profile": [dict(vars(t)) for t in profile.gaps],
-        "classification": dict(vars(flags)),
+        "gap_profile": [t._asdict() for t in profile.gaps],
+        "classification": flags._asdict(),
         "homfly": {"descending": poly.to_json_terms()},
         "homfly_text": poly.to_text(),
         "degrees": {"E": cert.E, "e": cert.e, "span": cert.E - cert.e},

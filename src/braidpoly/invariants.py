@@ -32,8 +32,7 @@ Every invariant here reads the polynomial from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .braid import (
     BraidWord,
@@ -67,8 +66,7 @@ class ConsistencyError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class MfwReport:
+class MfwReport(NamedTuple):
     """Degree extremes of the HOMFLY polynomial and the braid-index bound."""
 
     E: int
@@ -210,8 +208,7 @@ def construct_u_prime(word: BraidWord) -> ResolvedDiagram:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockCertificate:
+class BlockCertificate(NamedTuple):
     """Certificate data for one empty-gap-separated block of the word.
 
     The block word is re-indexed to start at gap 1.  ``flags`` is its
@@ -230,8 +227,7 @@ class BlockCertificate:
         return self.word.strands
 
 
-@dataclass(frozen=True)
-class BraidIndexCertificate:
+class BraidIndexCertificate(NamedTuple):
     """Outcome of the braid-index test on a closed braid word.
 
     ``certified`` means every block is a reduced alternating braid with no
@@ -297,8 +293,7 @@ def braid_index_certificate(word: BraidWord) -> BraidIndexCertificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlexanderReport:
+class AlexanderReport(NamedTuple):
     """The Alexander specialization in ``s = x^(1/2)``, unnormalized.
 
     ``delta`` is the representative produced by direct substitution, with no

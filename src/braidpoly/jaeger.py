@@ -44,19 +44,18 @@ holds the tally to the records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .braid import FLIPPED, KEPT, SMOOTHED, BraidWord, ResolvedDiagram, _violations
+from .braid import FLIPPED, KEPT, SMOOTHED, BraidWord, ResolvedDiagram, _Frozen, _violations
 from .polynomial import LaurentPoly2
 from .resolver import (
     ASCENDING,
     DESCENDING,
     Mode,
+    _split_states,
     homfly,
     leaf_search,
     leaf_writhe,
-    split_at,
 )
 
 # ``perfbench/tracing.py`` wraps this by its name here, so it stays bound
@@ -77,20 +76,34 @@ def _paired_mode(variant: str) -> Mode:
     raise ValueError(f"variant must be 'standard' or 'dual', got {variant!r}")
 
 
-@dataclass(frozen=True)
-class CircuitPartition:
+class CircuitPartition(_Frozen):
     """A braid word with the crossings in ``smoothed`` smoothed.
 
-    Two partitions are equal exactly when their words and smoothed sets are.
+    ``smoothed`` is a frozenset of letter positions.  Two partitions are
+    equal, and hash equal, exactly when their words and smoothed sets are.
     """
 
     word: BraidWord
     smoothed: frozenset[int]
 
-    def __post_init__(self):
-        for i in self.smoothed:
-            if not 0 <= i < len(self.word):
+    def __init__(self, word: BraidWord, smoothed: frozenset[int]):
+        if type(smoothed) is not frozenset:
+            raise TypeError(f"smoothed must be a frozenset, got {type(smoothed).__name__}")
+        for i in smoothed:
+            if not 0 <= i < len(word):
                 raise ValueError(f"smoothed index {i} out of range")
+        self.__dict__.update(word=word, smoothed=smoothed)
+
+    def __eq__(self, other):
+        if other.__class__ is not CircuitPartition:
+            return NotImplemented
+        return self.word == other.word and self.smoothed == other.smoothed
+
+    def __hash__(self) -> int:
+        return hash((self.word, self.smoothed))
+
+    def __repr__(self) -> str:
+        return f"CircuitPartition(word={self.word!r}, smoothed={self.smoothed!r})"
 
     def as_diagram(self) -> ResolvedDiagram:
         states = tuple(
@@ -143,8 +156,9 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     """Check the leaf/partition correspondence exhaustively for one word.
 
     The paired resolving tree (descending for the standard variant, ascending
-    for the dual) is expanded literally with :func:`split_at`, restarting the
-    walk from the top at every node.  One run of
+    for the dual) is expanded literally, one state tuple per node, by the
+    tree step that :func:`braidpoly.resolver.split_at` also takes, restarting
+    the walk from the top at every node.  One run of
     :func:`braidpoly.braid._violations` finds the node's first violation on
     an unsmoothed letter, as :func:`braidpoly.resolver.first_violation` does;
     at a leaf it finds none only after going round the whole closure, so the
@@ -179,15 +193,14 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     writhe_of = leaf_writhe(word)
     tree: list[tuple[int, int, int, int, int]] = []
     smoothed_sets = set()
-    stack = [ResolvedDiagram.all_kept(word)]
+    stack = [(KEPT,) * len(word)]
     while stack:
-        diagram = stack.pop()
-        states = diagram.states
+        states = stack.pop()
         cycles: list[list[int]] = []
         for i in _violations(word, states, ascending, cycles):
             if states[i] is not SMOOTHED:
                 # the flipped child on top, so leaves come out in the search's order
-                stack += reversed(split_at(diagram, i))
+                stack += reversed(_split_states(states, i))
                 break
         else:
             smoothed = flipped = t = t_neg = 0

@@ -62,8 +62,7 @@ same walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Literal, Optional
+from typing import Callable, Iterator, Literal, NamedTuple, Optional
 
 from .braid import (
     FLIPPED,
@@ -287,8 +286,7 @@ def _path_records(leaves, letters, trail, nxt, below, flip, smooth, stride, key,
         )
 
 
-@dataclass(frozen=True)
-class LeafSummary:
+class LeafSummary(NamedTuple):
     """Statistics of one resolving-tree leaf.
 
     ``t`` counts smoothed crossings, ``t_neg`` those that were negative in
@@ -329,8 +327,21 @@ def split_at(diagram: ResolvedDiagram, i: int) -> tuple[ResolvedDiagram, Resolve
         raise ValueError(f"letter index {i} out of range")
     if diagram.states[i] is SMOOTHED:
         raise ValueError(f"letter {i} is already smoothed and cannot be split")
-    toggled = KEPT if diagram.states[i] is FLIPPED else FLIPPED
-    return diagram.with_state(i, toggled), diagram.with_state(i, SMOOTHED)
+    flipped, smoothed = _split_states(diagram.states, i)
+    return ResolvedDiagram(diagram.word, flipped), ResolvedDiagram(diagram.word, smoothed)
+
+
+def _split_states(
+    states: tuple[CrossingState, ...], i: int
+) -> tuple[tuple[CrossingState, ...], tuple[CrossingState, ...]]:
+    """The states of the flipped and the smoothed child at unsmoothed letter ``i``.
+
+    This is the one tree step: :func:`split_at` wraps it for diagrams, and
+    :func:`braidpoly.jaeger.verify_bijection` expands state tuples with it.
+    """
+    head, tail = states[:i], states[i + 1 :]
+    toggled = KEPT if states[i] is FLIPPED else FLIPPED
+    return head + (toggled,) + tail, head + (SMOOTHED,) + tail
 
 
 def leaf_writhe(word: BraidWord) -> Callable[[int, int], int]:

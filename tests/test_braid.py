@@ -144,6 +144,66 @@ class TestParsing:
             parse_braid("1 3", strands=3)
 
 
+class TestValueTypes:
+    def test_equal_words_hash_equal_whatever_their_memos(self):
+        a, b = BraidWord((1, -2, 1), 3), parse_braid("1 -2 1")
+        a.homfly_memo["descending"] = "filled"
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert {a: 1}[b] == 1
+        assert a != BraidWord((1, -2, 1), 4) and a != BraidWord((1, 2, 1), 3)
+        assert a != (a.letters, a.strands)
+        assert b.homfly_memo == {}
+
+    def test_words_and_diagrams_keep_their_repr(self):
+        word = parse_braid("1 -2")
+        assert repr(word) == "BraidWord(letters=(1, -2), strands=3)"
+        assert repr(ResolvedDiagram(word, (KEPT, SMOOTHED))) == (
+            "ResolvedDiagram(word=BraidWord(letters=(1, -2), strands=3), "
+            "states=(<CrossingState.KEPT: 'kept'>, <CrossingState.SMOOTHED: 'smoothed'>))"
+        )
+
+    @pytest.mark.parametrize(
+        "value, name",
+        [
+            (BraidWord((1,), 2), "letters"),
+            (BraidWord((1,), 2), "strands"),
+            (BraidWord((1,), 2), "homfly_memo"),
+            (BraidWord((1,), 2), "gaps"),
+            (ResolvedDiagram.all_kept(BraidWord((1,), 2)), "states"),
+            (gap_profile(BraidWord((1,), 2)).tally(1), "positive"),
+            (classify(BraidWord((1,), 2)), "reduced"),
+            (permutation(BraidWord((1,), 2)), "cycles"),
+        ],
+        ids=["letters", "strands", "memo", "cached table", "states", "tally", "flags", "cycles"],
+    )
+    def test_fields_cannot_be_assigned_or_deleted(self, value, name):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+    def test_cached_tables_still_fill_on_a_frozen_word(self):
+        word = parse_braid("1 -2 1")
+        assert word.gaps == (1, 2, 1)
+        assert vars(word)["gaps"] is word.gaps
+
+    def test_diagram_states_must_be_a_tuple(self):
+        # a list built, but could not be split or hashed
+        word = parse_braid("1 1")
+        with pytest.raises(TypeError, match="tuple"):
+            ResolvedDiagram(word, [KEPT, KEPT])
+        diagram = ResolvedDiagram(word, (KEPT, KEPT))
+        assert hash(diagram) == hash(ResolvedDiagram.all_kept(word))
+
+    def test_records_read_as_dicts_in_field_order(self):
+        tally = gap_profile(parse_braid("1 -1 2")).tally(1)
+        assert tally._asdict() == {"gap": 1, "positive": 1, "negative": 1, "positions": (0, 1)}
+        assert tally.count == 2
+        assert list(classify(parse_braid("1"))._asdict()) == [
+            "alternating", "positive_leading", "negative_leading", "reduced", "non_split",
+        ]
+
+
 class TestWrithe:
     def test_positive_triple(self):
         assert writhe(parse_braid("1 1 1")) == 3

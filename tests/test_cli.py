@@ -214,6 +214,22 @@ class TestAnalyze:
         ):
             assert key in doc
 
+    def test_json_keys_keep_their_order(self, capsys):
+        code, out, _ = run(capsys, "analyze", "1 2 -1 2", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == [
+            "word", "strands", "crossings", "writhe", "permutation", "crossing_kinds",
+            "gap_profile", "classification", "homfly", "homfly_text", "degrees",
+            "mfw_lower_bound", "braid_index", "alexander",
+        ]
+        assert [list(t) for t in doc["gap_profile"]] == [
+            ["gap", "positive", "negative", "positions"]
+        ] * 2
+        assert list(doc["classification"]) == [
+            "alternating", "positive_leading", "negative_leading", "reduced", "non_split",
+        ]
+
     def test_parse_error_exits_2(self, capsys):
         code, _, _ = run(capsys, "analyze", "1 junk")
         assert code == 2
@@ -920,6 +936,20 @@ class TestOneParsePerCall:
         monkeypatch.setattr(parser, "parse_known_args", refused)
         assert run(capsys, "compute", "1 1 1")[0] == 0
         assert run(capsys, "verify", "1 1", "--moves", "mirror")[0] == 0
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # ``-S`` keeps out whatever site-packages hooks import at start-up
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import braidpoly.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_import_leaves_process_pool_unloaded():

@@ -24,7 +24,7 @@ from braidpoly import (
     parse_braid,
     writhe,
 )
-from braidpoly import invariants
+from braidpoly import checks, invariants
 from braidpoly.corpus import alternating_words
 from braidpoly.resolver import ASCENDING, DESCENDING, enumerate_leaves
 
@@ -239,6 +239,25 @@ class TestAlexander:
         report = alexander(parse_braid("", strands=2))
         assert report.delta.is_zero()
         assert report.leading_coeff == 0 and not report.leading_is_unit
+
+
+def test_failed_certificate_message_keeps_its_text(monkeypatch):
+    # the message prints the certificate's repr, field by field
+    real = invariants.braid_index_certificate(parse_braid("1 1 3 3"))
+    assert repr(real.blocks[1]) == (
+        "BlockCertificate(first_strand=3, word=BraidWord(letters=(1, 1), strands=2), "
+        "flags=DiagramClass(alternating=True, positive_leading=True, negative_leading=False, "
+        "reduced=True, non_split=True), certified=True)"
+    )
+    cert = braid_index_certificate(parse_braid(FIG8))._replace(certified=False)
+    monkeypatch.setattr(checks, "braid_index_certificate", lambda word: cert)
+    assert checks.check_alternating_law(parse_braid(FIG8)) == (
+        "certificate fails on '1 -2 1 -2': BraidIndexCertificate(certified=False, "
+        "braid_index=3, lower_bound=3, E=2, e=-2, blocks=(BlockCertificate(first_strand=1, "
+        "word=BraidWord(letters=(1, -2, 1, -2), strands=3), flags=DiagramClass("
+        "alternating=True, positive_leading=True, negative_leading=False, reduced=True, "
+        "non_split=True), certified=True),))"
+    )
 
 
 class TestAlternatingCorpusLaws:

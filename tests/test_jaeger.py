@@ -85,6 +85,20 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             CircuitPartition(parse_braid("1"), frozenset({3}))
 
+    def test_smoothed_must_be_a_frozenset(self):
+        # a set built, but the partition could not be hashed
+        word = parse_braid("1 1")
+        with pytest.raises(TypeError, match="frozenset"):
+            CircuitPartition(word, {0})
+        partition = CircuitPartition(word, frozenset({0}))
+        assert partition == CircuitPartition(parse_braid("1 1"), frozenset({0}))
+        assert hash(partition) == hash(CircuitPartition(parse_braid("1 1"), frozenset({0})))
+        assert repr(partition) == (
+            "CircuitPartition(word=BraidWord(letters=(1, 1), strands=2), smoothed=frozenset({0}))"
+        )
+        with pytest.raises(AttributeError):
+            partition.smoothed = frozenset()
+
     @given(words(max_len=5))
     @settings(max_examples=50, deadline=None)
     def test_admissibility_is_first_arrival_from_under_arm(self, word):
@@ -246,13 +260,13 @@ class TestBijection:
         # out twice; the records of the copies are equal, so only the
         # distinct-smoothed-set check can see them
         word = parse_braid(EXAMPLE_WORD)
-        split = braidpoly.jaeger.split_at
+        split = braidpoly.jaeger._split_states
 
-        def split_twice(diagram, i):
-            flipped, smoothed = split(diagram, i)
+        def split_twice(states, i):
+            flipped, smoothed = split(states, i)
             return flipped, smoothed, smoothed
 
-        monkeypatch.setattr(braidpoly.jaeger, "split_at", split_twice)
+        monkeypatch.setattr(braidpoly.jaeger, "_split_states", split_twice)
         assert not verify_bijection(word, variant)
 
     def test_literal_tree_builds_its_word_tables_once(self, monkeypatch):
@@ -270,13 +284,13 @@ class TestBijection:
             table.__set_name__(BraidWord, name)
             monkeypatch.setattr(BraidWord, name, table)
         nodes = []
-        split = braidpoly.jaeger.split_at
+        split = braidpoly.jaeger._split_states
 
-        def counted_split(diagram, i):
+        def counted_split(states, i):
             nodes.append(i)
-            return split(diagram, i)
+            return split(states, i)
 
-        monkeypatch.setattr(braidpoly.jaeger, "split_at", counted_split)
+        monkeypatch.setattr(braidpoly.jaeger, "_split_states", counted_split)
         assert verify_bijection(parse_braid(EXAMPLE_WORD), STANDARD)
         assert len(nodes) > 1
         assert sorted(builds) == ["column_index", "under_columns"]
