@@ -60,12 +60,33 @@ SMOOTHED = CrossingState.SMOOTHED
 
 
 class _Frozen:
-    """Refuses to assign or delete an attribute once the constructor has run.
+    """Value identity and immutability, stated once for the value classes.
 
-    Constructors write their fields straight into the instance ``__dict__``,
-    and so does :class:`functools.cached_property`, so caching a derived
-    table still works on a frozen value.
+    A subclass names the fields that make up its value in ``_fields``.  Its
+    constructor checks its input and writes those fields, and ``_key``, the
+    tuple of their values in that order, straight into the instance
+    ``__dict__`` in one ``update`` call.  Two values are equal exactly when
+    they are of the same class and their keys are equal; the hash is the
+    key's hash, and the repr reads ``Class(field=value, ...)``.  Anything
+    else the instance holds (a memo, a cached table) takes no part in any
+    of the three.
+
+    Assigning or deleting an attribute raises ``AttributeError``.
+    :class:`functools.cached_property` writes to the instance ``__dict__``
+    too, so caching a derived table still works on a frozen value.
     """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key))
+        return f"{self.__class__.__name__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -91,6 +112,7 @@ class BraidWord(_Frozen):
     equal word parsed separately evaluates afresh.
     """
 
+    _fields = ("letters", "strands")
     letters: tuple[int, ...]
     strands: int
     homfly_memo: dict
@@ -111,18 +133,8 @@ class BraidWord(_Frozen):
                     f"letter {pos} is {t}, but a letter on {strands} strands "
                     f"must be a nonzero generator index of size at most {top}"
                 )
-        self.__dict__.update(letters=letters, strands=strands, homfly_memo={})
-
-    def __eq__(self, other):
-        if other.__class__ is not BraidWord:
-            return NotImplemented
-        return self.letters == other.letters and self.strands == other.strands
-
-    def __hash__(self) -> int:
-        return hash((self.letters, self.strands))
-
-    def __repr__(self) -> str:
-        return f"BraidWord(letters={self.letters!r}, strands={self.strands!r})"
+        key = (letters, strands)
+        self.__dict__.update(letters=letters, strands=strands, _key=key, homfly_memo={})
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[int], strands: int | None = None) -> "BraidWord":
@@ -195,32 +207,19 @@ class BraidWord(_Frozen):
     def split_blocks(self) -> tuple[tuple[int, "BraidWord"], ...]:
         """The closure's split blocks as ``(first_strand, block_word)`` pairs.
 
-        A gap that no letter uses splits the closure.  The blocks cover strands
-        ``1..n`` in order, each re-indexed to start at gap 1 (see
-        :meth:`sub_braid`); a strand between two empty gaps is a block with
-        the empty word.  A word with no empty gap is its own single block,
-        returned as is, so the block shares the word's memoized polynomials.
+        A gap that no letter uses splits the closure, and the strand right of
+        it starts a block.  The blocks cover strands ``1..n`` in order, each
+        cut by :meth:`sub_braid`, so re-indexed to start at gap 1; a strand
+        between two empty gaps is a block with the empty word.  A word with
+        no empty gap is its own single block, returned as is, so the block
+        shares the word's memoized polynomials.
         """
         used = set(self.gaps)
-        firsts = [1]
-        block_of = [0] * self.strands  # the block of each gap in use
-        for g in range(1, self.strands):
-            if g not in used:
-                firsts.append(g + 1)
-            block_of[g] = len(firsts) - 1
+        firsts = [1] + [g + 1 for g in range(1, self.strands) if g not in used]
         if len(firsts) == 1:
             return ((1, self),)
-        # one pass buckets the letters by block, re-indexed as in ``sub_braid``
-        blocks: list[list[int]] = [[] for _ in firsts]
-        for t in self.letters:
-            b = block_of[abs(t)]
-            shift = firsts[b] - 1
-            blocks[b].append(t - shift if t > 0 else t + shift)
         ends = firsts[1:] + [self.strands + 1]
-        return tuple(
-            (f, BraidWord(tuple(letters), end - f))
-            for f, end, letters in zip(firsts, ends, blocks)
-        )
+        return tuple((f, self.sub_braid(f, end - 2)) for f, end in zip(firsts, ends))
 
     @cached_property
     def destabilized(self) -> "BraidWord":
@@ -259,6 +258,7 @@ class ResolvedDiagram(_Frozen):
     states are.
     """
 
+    _fields = ("word", "states")
     word: BraidWord
     states: tuple[CrossingState, ...]
 
@@ -270,18 +270,10 @@ class ResolvedDiagram(_Frozen):
                 f"state vector length {len(states)} does not match "
                 f"{len(word)} letters"
             )
-        self.__dict__.update(word=word, states=states)
-
-    def __eq__(self, other):
-        if other.__class__ is not ResolvedDiagram:
-            return NotImplemented
-        return self.word == other.word and self.states == other.states
-
-    def __hash__(self) -> int:
-        return hash((self.word, self.states))
-
-    def __repr__(self) -> str:
-        return f"ResolvedDiagram(word={self.word!r}, states={self.states!r})"
+        for pos, state in enumerate(states):
+            if type(state) is not CrossingState:
+                raise TypeError(f"state {pos} must be a CrossingState, got {state!r}")
+        self.__dict__.update(word=word, states=states, _key=(word, states))
 
     @classmethod
     def all_kept(cls, word: BraidWord) -> "ResolvedDiagram":

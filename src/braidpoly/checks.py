@@ -8,7 +8,7 @@ These back both the ``verify`` and ``selftest`` CLI commands and the tests.
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .braid import BraidWord, markov_variants, mirror
 from .corpus import all_words, alternating_words, exhaustive_count, random_words
@@ -19,29 +19,13 @@ from .polynomial import skein_holds
 from .resolver import ASCENDING, DESCENDING, homfly
 
 
-class CheckResult:
-    """One suite's tally: words checked, failure messages and seconds taken.
+class CheckResult(NamedTuple):
+    """One suite's tally: words checked, failure messages and seconds taken."""
 
-    A suite runner fills it in as it goes, so it is the one mutable record.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        checked: int,
-        failures: Optional[list[str]] = None,
-        elapsed: float = 0.0,
-    ):
-        self.name = name
-        self.checked = checked
-        self.failures = [] if failures is None else failures
-        self.elapsed = elapsed
-
-    def __repr__(self) -> str:
-        return (
-            f"CheckResult(name={self.name!r}, checked={self.checked!r}, "
-            f"failures={self.failures!r}, elapsed={self.elapsed!r})"
-        )
+    name: str
+    checked: int
+    failures: tuple[str, ...] = ()
+    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -181,10 +165,11 @@ def _run(
     contradicts itself raises (``ConsistencyError``) rather than answers.
     ``MemoryError`` is not a failure of the word, so it propagates.
     """
-    result = CheckResult(name=name, checked=0)
+    checked = 0
+    failures: tuple[str, ...] = ()
     start = time.perf_counter()
     for word in words:
-        result.checked += 1
+        checked += 1
         try:
             message = checker(word)
         except MemoryError:
@@ -192,10 +177,9 @@ def _run(
         except Exception as exc:
             message = f"{name} raised on {word.text()!r}: {type(exc).__name__}: {exc}"
         if message is not None:
-            result.failures.append(message)
+            failures = (message,)
             break
-    result.elapsed = time.perf_counter() - start
-    return result
+    return CheckResult(name, checked, failures, time.perf_counter() - start)
 
 
 def selftest_corpus(
@@ -236,7 +220,7 @@ def run_selftest(
         max_strands=min(5, max(2, max_strands)),
         seed=seed + 1,
     )
-    results = [
+    return [
         _run("four-method equality", corpus, check_methods_agree),
         _run("MFW degree window", corpus, check_mfw),
         _run("leaf/partition bijection", corpus, check_bijection),
@@ -249,4 +233,3 @@ def run_selftest(
         _run("reduced alternating degree law", alt, check_alternating_law),
         _run("Alexander unit leading coefficient", alt, check_alexander_unit),
     ]
-    return results

@@ -83,6 +83,7 @@ class CircuitPartition(_Frozen):
     equal, and hash equal, exactly when their words and smoothed sets are.
     """
 
+    _fields = ("word", "smoothed")
     word: BraidWord
     smoothed: frozenset[int]
 
@@ -90,20 +91,11 @@ class CircuitPartition(_Frozen):
         if type(smoothed) is not frozenset:
             raise TypeError(f"smoothed must be a frozenset, got {type(smoothed).__name__}")
         for i in smoothed:
+            if type(i) is not int:
+                raise TypeError(f"smoothed index must be an int, got {i!r}")
             if not 0 <= i < len(word):
                 raise ValueError(f"smoothed index {i} out of range")
-        self.__dict__.update(word=word, smoothed=smoothed)
-
-    def __eq__(self, other):
-        if other.__class__ is not CircuitPartition:
-            return NotImplemented
-        return self.word == other.word and self.smoothed == other.smoothed
-
-    def __hash__(self) -> int:
-        return hash((self.word, self.smoothed))
-
-    def __repr__(self) -> str:
-        return f"CircuitPartition(word={self.word!r}, smoothed={self.smoothed!r})"
+        self.__dict__.update(word=word, smoothed=smoothed, _key=(word, smoothed))
 
     def as_diagram(self) -> ResolvedDiagram:
         states = tuple(

@@ -414,27 +414,24 @@ def assemble_tree_sum(
 
     ``counts`` maps ``(gamma, t)`` to the signed multiplicity
     ``sum (-1)^t'`` of leaves (or circuit partitions) with those statistics.
-    Addition is commutative, so any accumulation order gives identical output.
-    Each ``k = gamma - 1`` that occurs reads its row of
-    :func:`difference_power` once per call, in ascending order of ``gamma``;
-    the rows below ``k = 64`` are expanded once per process.  The sum stores
+    Addition is commutative, so any accumulation order gives identical output,
+    and the entries are read in the order ``counts`` holds them.  Each entry
+    reads the row of its ``k = gamma - 1`` from :func:`difference_power`,
+    which expands the rows below ``k = 64`` once per process.  The sum stores
     no zero coefficient and only int keys, so it becomes the polynomial
     without a second pass over its terms.
     """
     prefactor = (strands - 1 - total_writhe) if ascending else (1 - strands - total_writhe)
     acc: dict[tuple[int, int], int] = {}
-    row_k = None
-    for (gamma, t), mult in sorted(counts.items()):
+    for (gamma, t), mult in counts.items():
         if mult == 0:
             continue
         k = gamma - 1
-        if k != row_k:
-            # ((a^2-1) z^-1)^k = a^k delta^k and ((1-a^-2) z^-1)^k = a^-k delta^k,
-            # with delta^k = (a - a^-1)^k z^-k, as (a-degree, coeff) terms
-            row_k, row = k, difference_power(k)
-            shift = prefactor - k if ascending else prefactor + k
+        # ((a^2-1) z^-1)^k = a^k delta^k and ((1-a^-2) z^-1)^k = a^-k delta^k,
+        # with delta^k = (a - a^-1)^k z^-k, as (a-degree, coeff) terms
+        shift = prefactor - k if ascending else prefactor + k
         dz = t - k
-        for e, c in row:
+        for e, c in difference_power(k):
             key = (dz, e + shift)
             v = acc.get(key, 0) + mult * c
             if v:

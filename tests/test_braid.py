@@ -20,7 +20,10 @@ from braidpoly import (
     permutation,
     writhe,
 )
-from braidpoly.braid import _violations, permutation_and_kinds
+from braidpoly.braid import _Frozen, _violations, permutation_and_kinds
+from braidpoly.checks import CheckResult, run_selftest
+from braidpoly.jaeger import CircuitPartition
+from braidpoly.resolver import leaf_membership_test
 
 from _brute import FLIP, KEEP, SMOOTH, breaks_rule, brute_walk, word_letters
 
@@ -194,6 +197,62 @@ class TestValueTypes:
             ResolvedDiagram(word, [KEPT, KEPT])
         diagram = ResolvedDiagram(word, (KEPT, KEPT))
         assert hash(diagram) == hash(ResolvedDiagram.all_kept(word))
+
+    def test_diagram_states_must_be_crossing_states(self):
+        # strings built, and then the walk read every one of them as not kept
+        word = parse_braid("1 1 1")
+        with pytest.raises(TypeError, match="CrossingState"):
+            ResolvedDiagram(word, ("kept",) * 3)
+        with pytest.raises(TypeError, match="state 2"):
+            ResolvedDiagram(word, (KEPT, SMOOTHED, "smoothed"))
+        with pytest.raises(TypeError, match="CrossingState"):
+            leaf_membership_test(word, ("smoothed",) * 3)
+        assert leaf_membership_test(word, (SMOOTHED,) * 3)
+
+    def test_only_frozen_defines_value_identity(self):
+        for cls in (BraidWord, ResolvedDiagram, CircuitPartition):
+            assert not {"__eq__", "__hash__", "__repr__"} & set(vars(cls)), cls
+            assert {"__eq__", "__hash__", "__repr__"} <= set(vars(_Frozen))
+
+    def test_partitions_keep_their_repr_hash_and_equality(self):
+        partition = CircuitPartition(parse_braid("1 -1 1"), frozenset({0, 2}))
+        assert repr(partition) == (
+            "CircuitPartition(word=BraidWord(letters=(1, -1, 1), strands=2), "
+            "smoothed=frozenset({0, 2}))"
+        )
+        # the hash of the plain tuple of the fields, the word's being its own tuple's
+        assert hash(partition) == hash((((1, -1, 1), 2), frozenset({0, 2})))
+        assert partition == CircuitPartition(BraidWord((1, -1, 1), 2), frozenset({2, 0}))
+        assert partition != CircuitPartition(parse_braid("1 -1 1"), frozenset({0}))
+        assert partition != CircuitPartition(parse_braid("1 -1 1", 3), frozenset({0, 2}))
+        assert partition != (partition.word, partition.smoothed)
+        # a diagram with the same two field values is a different value
+        diagram = ResolvedDiagram.all_kept(partition.word)
+        assert CircuitPartition(partition.word, frozenset()) != diagram
+        assert len({partition, CircuitPartition(parse_braid("1 -1 1"), frozenset({0, 2}))}) == 1
+
+    def test_check_results_cannot_be_assigned(self):
+        result = CheckResult("suite", checked=2)
+        assert result.passed and result.failures == () and result.elapsed == 0.0
+        with pytest.raises(AttributeError):
+            result.checked = 3
+        with pytest.raises(AttributeError):
+            result.failures = ("late failure",)
+        assert not CheckResult("suite", 1, ("failed on 1",)).passed
+
+    def test_selftest_returns_the_seven_suites_by_name(self):
+        results = run_selftest(max_crossings=1, max_strands=2, samples=5, seed=1)
+        assert [r.name for r in results] == [
+            "four-method equality",
+            "MFW degree window",
+            "leaf/partition bijection",
+            "mirror identity",
+            "Markov-move invariance",
+            "reduced alternating degree law",
+            "Alexander unit leading coefficient",
+        ]
+        assert all(type(r) is CheckResult and r.passed and r.failures == () for r in results)
+        assert all(r.checked > 0 for r in results)
 
     def test_records_read_as_dicts_in_field_order(self):
         tally = gap_profile(parse_braid("1 -1 2")).tally(1)

@@ -85,6 +85,15 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             CircuitPartition(parse_braid("1"), frozenset({3}))
 
+    def test_smoothed_indices_must_be_ints(self):
+        # True and 0.0 passed the range test and were taken for index 1 and 0
+        word = parse_braid("1 1 1")
+        with pytest.raises(TypeError, match="int"):
+            CircuitPartition(word, frozenset({True}))
+        with pytest.raises(TypeError, match="int"):
+            CircuitPartition(word, frozenset({0.0}))
+        assert CircuitPartition(word, frozenset({1})).smoothed == {1}
+
     def test_smoothed_must_be_a_frozenset(self):
         # a set built, but the partition could not be hashed
         word = parse_braid("1 1")
