@@ -270,9 +270,9 @@ class ResolvedDiagram(_Frozen):
                 f"state vector length {len(states)} does not match "
                 f"{len(word)} letters"
             )
-        for pos, state in enumerate(states):
+        for state in states:
             if type(state) is not CrossingState:
-                raise TypeError(f"state {pos} must be a CrossingState, got {state!r}")
+                raise TypeError(f"state {states.index(state)} is not a CrossingState: {state!r}")
         self.__dict__.update(word=word, states=states, _key=(word, states))
 
     @classmethod
