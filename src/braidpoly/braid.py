@@ -372,10 +372,6 @@ class GapTally(NamedTuple):
     negative: int
     positions: tuple[int, ...]
 
-    @property
-    def count(self) -> int:  # shadows ``tuple.count``
-        return self.positive + self.negative
-
 
 class GapProfile(NamedTuple):
     """Per-gap crossing tallies for gaps ``1..strands-1``, in gap order."""

@@ -31,7 +31,8 @@ search a list, so it still holds every record of the tree in memory at
 once, O(leaves).
 :func:`verify_bijection` checks that search against the resolving tree
 expanded literally, one walk per node restarted from the top, and checks
-that each leaf closes to a trivial link.  Each node's walk is also its
+that each leaf of that tree closes to a trivial link; search records equal
+to the tree's close to one too.  Each node's walk is also its
 component count: a leaf's walk goes round the whole closure to find no
 violation, so its gamma comes from that same walk.  The walk steps over
 tables that :mod:`braidpoly.braid` builds once per word, and shares no
@@ -174,9 +175,10 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     leaf must also close to a trivial link: gamma - w = n on the descending
     tree, gamma + w = n on the ascending one.  The literal tree reads no
     table of :func:`braidpoly.resolver.leaf_search` and its gamma is a
-    component count, so there this is a check of the identity; the search
-    reads its gamma off the writhe, so there it checks the search's
-    bookkeeping.
+    component count, so this is a check of the identity.  The search reads
+    its gamma off the writhe; records equal to the tree's imply that its
+    bookkeeping holds too, so the records are not walked a second time: the
+    signed tally of the tree's leaves is summed in the same loop.
     """
     ascending = _paired_mode(variant) == ASCENDING
     sign = 1 if ascending else -1
@@ -184,6 +186,7 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     signs = word.signs
     writhe_of = leaf_writhe(word)
     tree: list[tuple[int, int, int, int, int]] = []
+    counts: dict[tuple[int, int], int] = {}
     smoothed_sets = set()
     stack = [(KEPT,) * len(word)]
     while stack:
@@ -210,13 +213,10 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
             if gamma + sign * writhe_of(smoothed, flipped) != n:
                 return False
             tree.append((smoothed, flipped, gamma, t, t_neg))
+            counts[gamma, t] = counts.get((gamma, t), 0) + (-1 if t_neg & 1 else 1)
     records: list[tuple[int, int, int, int, int]] = []
     tally = leaf_search(word, ascending, records)
-    counts: dict[tuple[int, int], int] = {}
-    for smoothed, flipped, gamma, t, t_neg in records:
-        if gamma + sign * writhe_of(smoothed, flipped) != n:
-            return False
-        counts[gamma, t] = counts.get((gamma, t), 0) + (-1 if t_neg & 1 else 1)
-    if {k: v for k, v in tally.items() if v} != {k: v for k, v in counts.items() if v}:
-        return False  # the tally ``homfly`` reads is not the records' sum
-    return records == tree
+    if records != tree:
+        return False
+    # the tally ``homfly`` reads must be the records' signed sum
+    return {k: v for k, v in tally.items() if v} == {k: v for k, v in counts.items() if v}

@@ -7,7 +7,7 @@ Two small value types live here:
 * :class:`LaurentPoly1` -- integer Laurent polynomials in a single variable
   ``s``, the Alexander polynomials with ``s`` standing for ``x^(1/2)``.  It
   is a result type with no arithmetic: values come from
-  :meth:`LaurentPoly2.substitute_alexander` or :meth:`LaurentPoly1.from_text`.
+  :meth:`LaurentPoly2.substitute_alexander`.
 
 Both are immutable values backed by sparse exponent->coefficient maps with no
 stored zero coefficients.  Coefficients are plain Python integers, so the
@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import functools
 import operator
-import re
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 
 class ZeroPolynomialError(ValueError):
@@ -114,39 +113,6 @@ def _format_terms(terms, var_names):
     return " ".join(pieces)
 
 
-_TERM_SPLIT = re.compile(r"(?<!\^)(?=[+-])")  # do not split inside exponents
-_FACTOR = re.compile(r"^([a-z])(?:\^(-?\d+))?$")
-
-
-def _parse_terms(text, var_names):
-    """Inverse of :func:`_format_terms`; returns a dict of exponent tuples."""
-    text = text.strip()
-    if text == "0" or not text:
-        return {}
-    acc: dict[tuple, int] = {}
-    for chunk in _TERM_SPLIT.split(text.replace(" ", "")):
-        if not chunk:
-            continue
-        sign = 1
-        if chunk[0] in "+-":
-            sign = -1 if chunk[0] == "-" else 1
-            chunk = chunk[1:]
-        coeff = sign
-        exps = [0] * len(var_names)
-        for factor in chunk.split("*"):
-            if re.fullmatch(r"\d+", factor):
-                coeff *= int(factor)
-                continue
-            m = _FACTOR.match(factor)
-            if m is None or m.group(1) not in var_names:
-                raise ValueError(f"unparseable factor {factor!r}")
-            idx = var_names.index(m.group(1))
-            exps[idx] += 1 if m.group(2) is None else int(m.group(2))
-        key = tuple(exps)
-        acc[key] = acc.get(key, 0) + coeff
-    return {k: v for k, v in acc.items() if v != 0}
-
-
 class LaurentPoly2:
     """An exact Laurent polynomial in ``z`` and ``a`` with integer coefficients.
 
@@ -185,16 +151,6 @@ class LaurentPoly2:
     @classmethod
     def one(cls) -> "LaurentPoly2":
         return cls({(0, 0): 1})
-
-    @classmethod
-    def from_text(cls, text: str) -> "LaurentPoly2":
-        """Parse the canonical text form, e.g. ``a^-2*z^2 + 2*a^-2 - a^-4``."""
-        raw = _parse_terms(text, ("z", "a"))
-        return cls(raw)
-
-    @classmethod
-    def from_json_terms(cls, items: Iterable[Mapping[str, int]]) -> "LaurentPoly2":
-        return cls({(t["z"], t["a"]): t["c"] for t in items})
 
     # -- ring operations ---------------------------------------------------
 
@@ -339,11 +295,6 @@ class LaurentPoly1:
                 if c:
                     clean[k] = c
         self._terms = clean
-
-    @classmethod
-    def from_text(cls, text: str) -> "LaurentPoly1":
-        raw = _parse_terms(text, ("s",))
-        return cls({k[0]: v for k, v in raw.items()})
 
     def is_zero(self) -> bool:
         return not self._terms

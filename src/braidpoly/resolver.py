@@ -417,21 +417,27 @@ def assemble_tree_sum(
     Addition is commutative, so any accumulation order gives identical output,
     and the entries are read in the order ``counts`` holds them.  Each entry
     reads the row of its ``k = gamma - 1`` from :func:`difference_power`,
-    which expands the rows below ``k = 64`` once per process.  The sum stores
-    no zero coefficient and only int keys, so it becomes the polynomial
-    without a second pass over its terms.
+    which expands the rows below ``k = 64`` once per process, and the rows
+    read are kept for the call, so a wider row is expanded once per distinct
+    ``k`` rather than once per entry.  The sum stores no zero coefficient and
+    only int keys, so it becomes the polynomial without a second pass over
+    its terms.
     """
     prefactor = (strands - 1 - total_writhe) if ascending else (1 - strands - total_writhe)
     acc: dict[tuple[int, int], int] = {}
+    rows: dict[int, tuple[tuple[int, int], ...]] = {}
     for (gamma, t), mult in counts.items():
         if mult == 0:
             continue
         k = gamma - 1
+        row = rows.get(k)
+        if row is None:
+            row = rows[k] = difference_power(k)
         # ((a^2-1) z^-1)^k = a^k delta^k and ((1-a^-2) z^-1)^k = a^-k delta^k,
         # with delta^k = (a - a^-1)^k z^-k, as (a-degree, coeff) terms
         shift = prefactor - k if ascending else prefactor + k
         dz = t - k
-        for e, c in difference_power(k):
+        for e, c in row:
             key = (dz, e + shift)
             v = acc.get(key, 0) + mult * c
             if v:
