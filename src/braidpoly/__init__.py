@@ -18,7 +18,6 @@ from .braid import (
     BraidWord,
     CrossingState,
     DiagramClass,
-    GapProfile,
     GapTally,
     MarkovVariant,
     ResolvedDiagram,

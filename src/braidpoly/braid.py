@@ -23,7 +23,11 @@ Conventions fixed here and relied on everywhere else:
   unique choice under which a one-crossing negative 2-braid is descending, the
   closure of a single positive crossing evaluates to 1, and descending
   closures satisfy components - writhe = strands.  An import-time self check
-  in the package root asserts the first two.
+  in the package root asserts the first two.  The walk applies it in one
+  place, the first-visit test of :func:`_violations`, from the letter's own
+  gap and sign: a letter is reached on its under-arm when the walker arrives
+  in the gap column at a positive letter or in the column right of it at a
+  negative one.
 * A crossing is *descending* when the natural traversal first arrives at it
   on its over-arm, *ascending* otherwise (:func:`classify_crossings`).  The
   walk starts the strands in return order, so this is the paper's statement
@@ -180,16 +184,6 @@ class BraidWord(_Frozen):
         for c in range(1, self.strands + 1):
             after[c][last[c]] = None
         return tuple(after)
-
-    @cached_property
-    def under_columns(self) -> tuple[int, ...]:
-        """The column from which the walker reaches each letter on its original under-arm.
-
-        By the drawing convention the under-arm of a positive crossing arrives
-        from the left, in the gap column, and that of a negative one from the
-        right; arriving from the other column is arriving on the over-arm.
-        """
-        return tuple(t if t > 0 else 1 - t for t in self.letters)
 
     def sub_braid(self, first: int, last: int) -> "BraidWord":
         """The letters at gaps ``first..last``, re-indexed to start at gap 1.
@@ -373,16 +367,11 @@ class GapTally(NamedTuple):
     positions: tuple[int, ...]
 
 
-class GapProfile(NamedTuple):
-    """Per-gap crossing tallies for gaps ``1..strands-1``, in gap order."""
+def gap_profile(word: BraidWord) -> tuple[GapTally, ...]:
+    """Per-gap crossing tallies for gaps ``1..strands-1``, in gap order.
 
-    gaps: tuple[GapTally, ...]
-
-    def tally(self, gap: int) -> GapTally:
-        return self.gaps[gap - 1]
-
-
-def gap_profile(word: BraidWord) -> GapProfile:
+    The tally of gap ``g`` is at index ``g - 1``.
+    """
     pos = [0] * word.strands
     neg = [0] * word.strands
     where: list[list[int]] = [[] for _ in range(word.strands)]
@@ -392,11 +381,10 @@ def gap_profile(word: BraidWord) -> GapProfile:
         else:
             neg[-t] += 1
         where[abs(t)].append(i)
-    tallies = tuple(
+    return tuple(
         GapTally(g, pos[g], neg[g], tuple(where[g]))
         for g in range(1, word.strands)
     )
-    return GapProfile(tallies)
 
 
 class DiagramClass(NamedTuple):
@@ -474,13 +462,23 @@ def _violations(
     bottom and the closure arc returns the walker to the top of the column
     it ended in; a smoothed letter keeps the walker in its column and any
     other state swaps it across the gap.  Each step reads the next letter
-    down the walker's column from :attr:`BraidWord.column_index` and the
-    letter's under-arm column from :attr:`BraidWord.under_columns`, so a
-    caller resumes one generator per violation.
+    down the walker's column from :attr:`BraidWord.column_index`, and a first
+    visit tests the arm from the letter's own gap and sign, the drawing
+    convention of the module docstring, so a caller resumes one generator
+    per violation.
+
+    After yielding a letter the walk reads that letter's state again before
+    it moves on.  So a caller that holds ``states`` as a list may resolve the
+    letter it was just handed, and the walk goes on as the walk of the
+    resolved diagram: a letter is first visited once, so nothing the walk
+    has passed depends on it.  That holds only for the yielded letter, and
+    only before the walk resumes; a change to any other letter is not
+    defined.  :func:`braidpoly.invariants.construct_u_prime` smooths its
+    violations this way.
     """
     gaps = word.gaps
+    letters = word.letters
     after = word.column_index
-    under = word.under_columns
     seen = [False] * len(gaps)
     visited = [False] * (word.strands + 1)
     for pivot in range(1, word.strands + 1):
@@ -499,8 +497,10 @@ def _violations(
                 state = states[pos]
                 if not seen[pos]:
                     seen[pos] = True
-                    if ((col == under[pos]) == ascending) != (state is KEPT):
+                    # the original under-arm is the gap column's at a positive letter
+                    if (((col == gaps[pos]) == (letters[pos] > 0)) == ascending) != (state is KEPT):
                         yield pos
+                        state = states[pos]
                 if state is not SMOOTHED:
                     col = 2 * gaps[pos] + 1 - col
                 pos = after[col][pos]

@@ -27,10 +27,6 @@ class CheckResult(NamedTuple):
     failures: tuple[str, ...] = ()
     elapsed: float = 0.0
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
 
 def check_methods_agree(word: BraidWord) -> Optional[str]:
     """All four formulas and the Hecke trace must produce the identical polynomial.
@@ -189,7 +185,8 @@ def selftest_corpus(
 
     When the exhaustive space over all strand counts fits within ``samples``
     words it is enumerated completely; otherwise ``samples`` random words are
-    drawn deterministically from the seed.
+    drawn deterministically from the seed.  Each distinct word is kept once,
+    in the order it first comes.
     """
     corpus = [BraidWord((), n) for n in range(1, max_strands + 1)]
     total = sum(
@@ -207,19 +204,21 @@ def selftest_corpus(
                 seed=seed,
             )
         )
-    return corpus
+    return list(dict.fromkeys(corpus))
 
 
 def run_selftest(
     *, max_crossings: int, max_strands: int, samples: int, seed: int
 ) -> list[CheckResult]:
-    """Run every property suite on a deterministic corpus."""
+    """Run every property suite on a deterministic corpus of distinct words."""
     corpus = selftest_corpus(max_crossings, max_strands, samples, seed)
-    alt = alternating_words(
-        max(20, samples // 5),
-        max_strands=min(5, max(2, max_strands)),
-        seed=seed + 1,
-    )
+    alt = list(dict.fromkeys(
+        alternating_words(
+            max(20, samples // 5),
+            max_strands=min(5, max(2, max_strands)),
+            seed=seed + 1,
+        )
+    ))
     return [
         _run("four-method equality", corpus, check_methods_agree),
         _run("MFW degree window", corpus, check_mfw),

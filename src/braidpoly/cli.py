@@ -154,7 +154,7 @@ def _certificate_json(cert) -> dict:
         blocks.append(
             {
                 "first_strand": b.first_strand,
-                "strands": b.strands,
+                "strands": b.word.strands,
                 "word": b.word.text(),
                 "alternating": b.flags.alternating,
                 "reduced": b.flags.reduced,
@@ -180,7 +180,6 @@ def _certificate_json(cert) -> dict:
 def _analyze_json(word: BraidWord) -> dict:
     perm, crossing_kinds = permutation_and_kinds(ResolvedDiagram.all_kept(word))
     flags = classify(word)
-    profile = gap_profile(word)
     cert = braid_index_certificate(word)
     poly = homfly_hecke(word)
     alex = alexander(word)
@@ -195,7 +194,7 @@ def _analyze_json(word: BraidWord) -> dict:
             "pivots": perm.pivots,
         },
         "crossing_kinds": crossing_kinds,
-        "gap_profile": [t._asdict() for t in profile.gaps],
+        "gap_profile": [t._asdict() for t in gap_profile(word)],
         "classification": flags._asdict(),
         "homfly": {"descending": poly.to_json_terms()},
         "homfly_text": poly.to_text(),
@@ -405,7 +404,7 @@ def cmd_selftest(args) -> int:
     )
     failed = False
     for r in results:
-        status = "pass" if r.passed else "FAIL"
+        status = "FAIL" if r.failures else "pass"
         print(f"{r.name}: {status} ({r.checked} checked, {r.elapsed:.2f}s)")
         for message in r.failures:
             failed = True

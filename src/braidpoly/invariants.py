@@ -23,8 +23,8 @@ knot-like descending leaf of maximal smoothing (``gamma = 1``,
 ``t = c - n + 1``); its term dominates the Alexander specialization
 ``a = 1``, ``z = s - s^-1`` and forces a unit leading coefficient for every
 reduced alternating braid.  It sets a staircase of flips, one per odd gap,
-in closed form and then follows the descending tree's smoothed children
-down to the leaf, with the tree step of :mod:`braidpoly.resolver`.
+in closed form and then smooths every other letter that breaks the
+descending form, in one walk of :func:`braidpoly.braid._violations`.
 
 Every invariant here reads the polynomial from
 :func:`~braidpoly.hecke.homfly_hecke`, the Hecke trace memoized on the word.
@@ -41,13 +41,14 @@ from .braid import (
     KEPT,
     ResolvedDiagram,
     SMOOTHED,
+    _violations,
     classify,
     gap_profile,
     writhe,
 )
 from .hecke import homfly_hecke
 from .polynomial import LaurentPoly1
-from .resolver import DESCENDING, first_violation, leaf_membership_test, split_at
+from .resolver import DESCENDING, leaf_membership_test
 
 # ``perfbench/tracing.py`` wraps these by their names here, so they stay bound
 from .braid import mirror  # noqa: F401
@@ -115,7 +116,7 @@ def _keep_first_flip_last(word: BraidWord, parity: int) -> ResolvedDiagram:
     """Keep the first and flip the last crossing in each gap of ``parity``; smooth the rest."""
     _require_positive_leading(word)
     states = [SMOOTHED] * len(word)
-    for tally in gap_profile(word).gaps:
+    for tally in gap_profile(word):
         if tally.gap % 2 == parity:
             states[tally.positions[0]] = KEPT
             states[tally.positions[-1]] = FLIPPED
@@ -164,12 +165,14 @@ def construct_u_prime(word: BraidWord) -> ResolvedDiagram:
     into gap 3 at that height, where it flips the cyclically last letter
     again, and so on until it reaches column ``n``.  Every other letter
     first reached on its under-arm is smoothed: from the staircase, with
-    everything else kept, the descent below takes the smoothed child of the
-    descending tree at each first violation until none is left.  Neither
-    child moves the walker before its split, so each restart passes the
-    same letters in the same order.  The result has a single closure
-    component and ``t = c - n + 1`` smoothed crossings; both are validated
-    before returning, together with descending-leaf membership.
+    everything else kept, one walk of :func:`braidpoly.braid._violations`
+    smooths each violation as the walk hands it over, which is the
+    descending tree's smoothed child at that letter.  Neither child moves
+    the walker before its split, so this one walk gives the states that
+    restarting the walk at every violation would give.  The result has a
+    single closure component and ``t = c - n + 1`` smoothed crossings; both
+    are validated before returning, together with descending-leaf
+    membership.
     """
     _require_positive_leading(word)
     n = word.strands
@@ -177,14 +180,14 @@ def construct_u_prime(word: BraidWord) -> ResolvedDiagram:
     states = [KEPT] * len(word)
     height = 0
     for gap in range(1, n, 2):
-        flip = _cyclic_predecessor(profile.tally(gap).positions, height)
+        flip = _cyclic_predecessor(profile[gap - 1].positions, height)
         states[flip] = FLIPPED
         if gap + 1 < n:
-            right = profile.tally(gap + 1).positions
+            right = profile[gap].positions
             height = min((p for p in right if p > flip), default=min(right))
+    for i in _violations(word, states, False):
+        states[i] = SMOOTHED
     diagram = ResolvedDiagram(word, tuple(states))
-    while (i := first_violation(diagram)) is not None:
-        diagram = split_at(diagram, i)[1]
 
     if len(diagram.permutation().cycles) != 1:
         raise ConsistencyError(
@@ -221,10 +224,6 @@ class BlockCertificate(NamedTuple):
     word: BraidWord
     flags: DiagramClass
     certified: bool
-
-    @property
-    def strands(self) -> int:
-        return self.word.strands
 
 
 class BraidIndexCertificate(NamedTuple):
@@ -309,7 +308,7 @@ class AlexanderReport(NamedTuple):
 def alexander(word: BraidWord) -> AlexanderReport:
     """Alexander polynomial of the closure via ``a = 1``, ``z = s - s^-1``."""
     delta = homfly_hecke(word).substitute_alexander()
-    if delta.is_zero():
+    if not delta:
         return AlexanderReport(delta, 0, False)
     _, coeff = delta.leading()
     return AlexanderReport(delta, coeff, coeff in (1, -1))

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from typing import Iterator, Literal
 
-from .braid import FLIPPED, KEPT, SMOOTHED, BraidWord, ResolvedDiagram, _Frozen, _violations
+from .braid import FLIPPED, KEPT, SMOOTHED, BraidWord, _Frozen, _violations
 from .polynomial import LaurentPoly2
 from .resolver import (
     ASCENDING,
@@ -98,12 +98,6 @@ class CircuitPartition(_Frozen):
                 raise ValueError(f"smoothed index {i} out of range")
         self.__dict__.update(word=word, smoothed=smoothed, _key=(word, smoothed))
 
-    def as_diagram(self) -> ResolvedDiagram:
-        states = tuple(
-            SMOOTHED if i in self.smoothed else KEPT for i in range(len(self.word))
-        )
-        return ResolvedDiagram(self.word, states)
-
 
 def is_admissible(partition: CircuitPartition, variant: Variant = STANDARD) -> bool:
     """Check the first-passage tangence condition at every smoothed crossing.
@@ -115,8 +109,9 @@ def is_admissible(partition: CircuitPartition, variant: Variant = STANDARD) -> b
     with its verdicts on unsmoothed letters ignored.
     """
     dual = _paired_mode(variant) == ASCENDING
-    states = partition.as_diagram().states
-    return not any(i in partition.smoothed for i in _violations(partition.word, states, dual))
+    word, smoothed = partition.word, partition.smoothed
+    states = tuple(SMOOTHED if i in smoothed else KEPT for i in range(len(word)))
+    return not any(i in smoothed for i in _violations(word, states, dual))
 
 
 def enumerate_admissible(
@@ -156,11 +151,10 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     an unsmoothed letter, as :func:`braidpoly.resolver.first_violation` does;
     at a leaf it finds none only after going round the whole closure, so the
     cycles it collected on the way give the leaf's gamma.  That walk steps
-    over the word's successor and under-arm tables, which
-    :mod:`braidpoly.braid` builds on the first node and every later node
-    reuses.  One pass over the leaf's states gives its
-    record ``(smoothed, flipped, gamma, t, t')`` of ints, the two sets as bit
-    masks over letter positions.  Both sides take a leaf's writhe ``w`` from
+    over the word's successor table, which :mod:`braidpoly.braid` builds on
+    the first node and every later node reuses.  One pass over the leaf's
+    states gives its record ``(smoothed, flipped, gamma, t, t')`` of ints,
+    the two sets as bit masks over letter positions.  Both sides take a leaf's writhe ``w`` from
     its masks, by :func:`braidpoly.resolver.leaf_writhe`.
 
     The leaves must have distinct smoothed sets, which makes those sets a

@@ -145,10 +145,6 @@ class LaurentPoly2:
         return out
 
     @classmethod
-    def zero(cls) -> "LaurentPoly2":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly2":
         return cls({(0, 0): 1})
 
@@ -201,7 +197,7 @@ class LaurentPoly2:
     def scale_monomial(self, dz: int = 0, da: int = 0, coeff: int = 1) -> "LaurentPoly2":
         """Multiply by ``coeff * z^dz * a^da`` in one pass."""
         if coeff == 0:
-            return LaurentPoly2.zero()
+            return LaurentPoly2()
         return LaurentPoly2._from_clean(
             {(z + dz, a + da): c * coeff for (z, a), c in self._terms.items()}
         )
@@ -213,9 +209,6 @@ class LaurentPoly2:
         )
 
     # -- inspection --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -295,9 +288,6 @@ class LaurentPoly1:
                 if c:
                     clean[k] = c
         self._terms = clean
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -51,10 +51,10 @@ The step API (:func:`first_violation`, :func:`split_at`) and
 :func:`leaf_membership_test` restart the walk at every node instead, as the
 definition does: they read the first-visit test
 :func:`braidpoly.braid._violations`, which walks the closure from the top
-over the per-column successor table :attr:`BraidWord.column_index` and
-the under-arm table :attr:`BraidWord.under_columns`, both built in
-:mod:`braidpoly.braid` once per word.  The search never reads those
-tables, nor ``gaps`` or ``signs``, and the two share no stepping code.
+over the per-column successor table :attr:`BraidWord.column_index`, built
+in :mod:`braidpoly.braid` once per word, and tests each first visit from
+the letter's own gap and sign.  The search never reads that table, nor
+``gaps`` or ``signs``, and the two share no stepping code.
 That walk serves as the reference the search is checked against, and its
 leaves get their ``gamma`` by counting the closure's components in that
 same walk.

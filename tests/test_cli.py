@@ -17,7 +17,8 @@ import braidpoly.hecke
 import braidpoly.invariants
 from braidpoly import LaurentPoly2, SubstitutionError, homfly, parse_braid
 from braidpoly.braid import markov_variants
-from braidpoly.checks import CheckResult, selftest_corpus, skein_triple
+from braidpoly.checks import CheckResult, run_selftest, selftest_corpus, skein_triple
+from braidpoly.corpus import alternating_words
 from braidpoly.cli import _indented_json, build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -637,6 +638,17 @@ class TestSelftest:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("args", [(8, 4, 500, 1), (3, 3, 50, 1)], ids=["default", "small"])
+    def test_corpus_holds_each_word_once(self, args):
+        corpus = selftest_corpus(*args)
+        assert len(set(corpus)) == len(corpus)
+
+    def test_alternating_suites_check_each_word_once(self):
+        # the default run's alternating corpus: 100 draws, 72 distinct words
+        results = run_selftest(max_crossings=8, max_strands=4, samples=500, seed=1)
+        distinct = len(set(alternating_words(100, max_strands=4, seed=2)))
+        assert [r.checked for r in results[-2:]] == [distinct, distinct] == [72, 72]
+
     def test_injected_failure_exits_3(self, capsys, monkeypatch):
         failing = CheckResult("injected", checked=1, failures=["injected failure"])
         monkeypatch.setattr(braidpoly.cli, "run_selftest", lambda **kwargs: [failing])
@@ -771,11 +783,11 @@ class TestSearchCounts:
             "mirror identity": n,
             "Markov-move invariance": markov,
         }
-        # the equality suite traces every corpus word once, except the two
-        # empty words on two strands, which split into free strands that need
+        # the equality suite traces every corpus word once, except the one
+        # empty word on two strands, which splits into free strands that need
         # no trace; the MFW suite reads the same word objects' memo
         assert {k: v for k, v in hecke_per_suite.items() if k not in alternating} == {
-            "four-method equality": n - 2,
+            "four-method equality": n - 1,
             "MFW degree window": 0,
             "leaf/partition bijection": 0,
             "mirror identity": 0,

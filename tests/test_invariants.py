@@ -236,7 +236,7 @@ class TestAlexander:
 
     def test_split_link_vanishes(self):
         report = alexander(parse_braid("", strands=2))
-        assert report.delta.is_zero()
+        assert not report.delta
         assert report.leading_coeff == 0 and not report.leading_is_unit
 
 

@@ -8,6 +8,7 @@ import braidpoly.jaeger
 from braidpoly import (
     BraidWord,
     CircuitPartition,
+    ResolvedDiagram,
     enumerate_admissible,
     homfly,
     homfly_jaeger,
@@ -135,7 +136,8 @@ class TestEnumeration:
     def test_empty_word(self):
         parts = list(enumerate_admissible(parse_braid("", strands=3), STANDARD))
         assert len(parts) == 1
-        assert len(parts[0].as_diagram().permutation().cycles) == 3
+        assert parts[0].smoothed == frozenset()
+        assert len(ResolvedDiagram(parts[0].word, ()).permutation().cycles) == 3
 
     @given(words(max_len=6))
     @settings(max_examples=50, deadline=None)
@@ -279,10 +281,10 @@ class TestBijection:
         assert not verify_bijection(word, variant)
 
     def test_literal_tree_builds_its_word_tables_once(self, monkeypatch):
-        # every node restarts the walk, but the successor and under-arm
-        # tables depend on the word alone
+        # every node restarts the walk, but the successor table and the gaps
+        # its first-visit test reads depend on the word alone
         builds = []
-        for name in ("column_index", "under_columns"):
+        for name in ("column_index", "gaps"):
             build = vars(BraidWord)[name].func
 
             def counted(word, build=build, name=name):
@@ -302,7 +304,7 @@ class TestBijection:
         monkeypatch.setattr(braidpoly.jaeger, "_split_states", counted_split)
         assert verify_bijection(parse_braid(EXAMPLE_WORD), STANDARD)
         assert len(nodes) > 1
-        assert sorted(builds) == ["column_index", "under_columns"]
+        assert sorted(builds) == ["column_index", "gaps"]
 
     @given(words(max_len=6))
     @settings(max_examples=60, deadline=None)

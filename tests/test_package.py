@@ -8,7 +8,7 @@ PUBLIC = {
     "ASCENDING", "DESCENDING", "FLIPPED", "KEPT", "SMOOTHED",
     "AlexanderReport", "BlockCertificate", "BraidIndexCertificate", "BraidParseError",
     "BraidWord", "CircuitPartition", "ConsistencyError", "ConstructionError",
-    "CrossingState", "DiagramClass", "GapProfile", "GapTally", "LaurentPoly1",
+    "CrossingState", "DiagramClass", "GapTally", "LaurentPoly1",
     "LaurentPoly2", "MarkovVariant", "MfwReport", "ResolvedDiagram",
     "StrandPermutation", "SubstitutionError", "ZeroPolynomialError",
     "alexander", "braid_index_certificate", "classify", "classify_crossings",

@@ -24,6 +24,7 @@ from braidpoly import (
     split_at,
     writhe,
 )
+from braidpoly.braid import _violations
 from braidpoly.resolver import (
     ASCENDING,
     DESCENDING,
@@ -136,6 +137,22 @@ class TestSplitAt:
         d = ResolvedDiagram(parse_braid("1"), (SMOOTHED,))
         with pytest.raises(ValueError):
             split_at(d, 0)
+
+    @given(words(max_len=8), st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_smoothing_in_one_walk_is_the_restart_descent(self, word, rng, ascending):
+        # ``_violations`` rereads a letter's state after yielding it, so
+        # smoothing it there continues as the smoothed child's walk; a stale
+        # read walks the wrong arc and may never close a component
+        states = [rng.choice((KEPT, FLIPPED)) for _ in range(len(word))]
+        mode = ASCENDING if ascending else DESCENDING
+        diagram = ResolvedDiagram(word, tuple(states))
+        while (i := first_violation(diagram, mode)) is not None:
+            diagram = split_at(diagram, i)[1]
+        with deadline(2):
+            for i in _violations(word, states, ascending):
+                states[i] = SMOOTHED
+        assert tuple(states) == diagram.states
 
 
 class TestLeafEnumeration:
@@ -356,7 +373,7 @@ class TestMemo:
         word = parse_braid(text, strands)
         assert evaluate(word) == homfly(parse_braid(text, strands), DESCENDING)
         assert len(leaf_searches) == 2
-        assert {"gaps", "signs", "column_index", "under_columns"}.isdisjoint(vars(word))
+        assert {"gaps", "signs", "column_index"}.isdisjoint(vars(word))
 
     def test_jaeger_reads_the_paired_tree_memo(self, leaf_searches):
         word = parse_braid("1 -2 1 -2")
