@@ -17,11 +17,7 @@ from .braid import (
     BraidParseError,
     BraidWord,
     CrossingState,
-    DiagramClass,
-    GapTally,
-    MarkovVariant,
     ResolvedDiagram,
-    StrandPermutation,
     classify,
     classify_crossings,
     gap_profile,
@@ -33,12 +29,8 @@ from .braid import (
 )
 from .hecke import homfly_hecke
 from .invariants import (
-    AlexanderReport,
-    BlockCertificate,
-    BraidIndexCertificate,
     ConsistencyError,
     ConstructionError,
-    MfwReport,
     alexander,
     braid_index_certificate,
     construct_u_prime,

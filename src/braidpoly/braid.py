@@ -2,9 +2,10 @@
 
 A braid word on ``n`` strands is a top-to-bottom sequence of letters, each a
 signed generator stored as a plain int: ``i`` crosses the strands in columns
-``i`` and ``i+1`` positively, ``-i`` negatively.  ``BraidWord.gaps`` and
-``BraidWord.signs`` are the two halves of that int.  The closure joins each
-bottom endpoint ``(k, bottom)`` back to the top endpoint ``(k, top)``.
+``i`` and ``i+1`` positively, ``-i`` negatively.  ``BraidWord.gaps`` holds
+the gaps and :func:`writhe` sums the signs, each read off those ints.  The
+closure joins each bottom endpoint ``(k, bottom)`` back to the top endpoint
+``(k, top)``.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -42,12 +43,18 @@ from __future__ import annotations
 import enum
 import random
 import re
+import sys
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 
 class BraidParseError(ValueError):
-    """Raised for malformed braid text or an inconsistent strand override."""
+    """Raised for malformed braid text or an unusable strand count.
+
+    A strand override below what the word needs is unusable, and so is a
+    strand count of ``sys.maxsize`` or more, whose per-column tables no list
+    can hold.
+    """
 
 
 class CrossingState(enum.Enum):
@@ -159,10 +166,6 @@ class BraidWord(_Frozen):
     @cached_property
     def gaps(self) -> tuple[int, ...]:
         return tuple(abs(t) for t in self.letters)
-
-    @cached_property
-    def signs(self) -> tuple[int, ...]:
-        return tuple(1 if t > 0 else -1 for t in self.letters)
 
     @cached_property
     def column_index(self) -> tuple[dict[int, Optional[int]], ...]:
@@ -297,7 +300,8 @@ def parse_braid(text: str, strands: Optional[int] = None) -> BraidWord:
     Token ``k > 0`` denotes the positive generator at gap ``k`` and ``k < 0``
     its inverse.  The strand count defaults to ``max |k| + 1`` (1 for the
     empty word); an explicit ``strands`` may only enlarge it, which adds
-    unknot closure components.
+    unknot closure components.  Either way it must stay below
+    ``sys.maxsize``, the length limit of the per-column tables.
     """
     tokens = [t for t in _SEPARATORS.split(text.strip()) if t]
     values = []
@@ -312,12 +316,15 @@ def parse_braid(text: str, strands: Optional[int] = None) -> BraidWord:
         raise BraidParseError(
             f"strand override {strands} is too small: word needs {needed}"
         )
-    return BraidWord.from_tokens(values, strands if strands is not None else needed)
+    strands = needed if strands is None else strands
+    if strands >= sys.maxsize:
+        raise BraidParseError(f"strand count is too large: at most {sys.maxsize - 1} strands")
+    return BraidWord(tuple(values), strands)
 
 
 def writhe(word: BraidWord) -> int:
-    """Sum of the crossing signs."""
-    return sum(word.signs)
+    """Sum of the crossing signs, +1 for each positive letter and -1 for each negative one."""
+    return sum(1 if t > 0 else -1 for t in word.letters)
 
 
 def mirror(word: BraidWord) -> BraidWord:

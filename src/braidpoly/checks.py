@@ -7,11 +7,12 @@ These back both the ``verify`` and ``selftest`` CLI commands and the tests.
 
 from __future__ import annotations
 
+import random
 import time
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .braid import BraidWord, markov_variants, mirror
-from .corpus import all_words, alternating_words, exhaustive_count, random_words
+from .corpus import all_words, alternating_words, exhaustive_count, random_word
 from .hecke import homfly_hecke
 from .invariants import alexander, braid_index_certificate, mfw_bounds
 from .jaeger import DUAL, STANDARD, homfly_jaeger, verify_bijection
@@ -184,9 +185,10 @@ def selftest_corpus(
     """Empty words on every strand count, plus an exhaustive or sampled corpus.
 
     When the exhaustive space over all strand counts fits within ``samples``
-    words it is enumerated completely; otherwise ``samples`` random words are
-    drawn deterministically from the seed.  Each distinct word is kept once,
-    in the order it first comes.
+    words it is enumerated completely; otherwise random words are drawn
+    deterministically from the seed until ``samples`` of them have two or
+    more strands, and the one-strand words drawn on the way are dropped.
+    Each distinct word is kept once, in the order it first comes.
     """
     corpus = [BraidWord((), n) for n in range(1, max_strands + 1)]
     total = sum(
@@ -196,14 +198,12 @@ def selftest_corpus(
         for n in range(2, max_strands + 1):
             corpus.extend(all_words(n, max_crossings))
     else:
-        corpus.extend(
-            random_words(
-                samples,
-                max_crossings=max_crossings,
-                max_strands=max_strands,
-                seed=seed,
-            )
-        )
+        rng = random.Random(seed)
+        end = len(corpus) + samples
+        while len(corpus) < end:
+            word = random_word(rng, max_crossings, max_strands)
+            if word.strands > 1:
+                corpus.append(word)
     return list(dict.fromkeys(corpus))
 
 

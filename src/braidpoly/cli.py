@@ -149,32 +149,24 @@ def _compute_method(word: BraidWord, method: str) -> LaurentPoly2:
 
 
 def _certificate_json(cert) -> dict:
-    blocks = []
-    for b in cert.blocks:
-        blocks.append(
-            {
-                "first_strand": b.first_strand,
-                "strands": b.word.strands,
-                "word": b.word.text(),
-                "alternating": b.flags.alternating,
-                "reduced": b.flags.reduced,
-                "non_split": b.flags.non_split,
-                "leading": (
-                    "positive"
-                    if b.flags.positive_leading
-                    else "negative" if b.flags.negative_leading else None
-                ),
-                "certified": b.certified,
-            }
-        )
-    return {
-        "certified": cert.certified,
-        "braid_index": cert.braid_index,
-        "lower_bound": cert.lower_bound,
-        "E": cert.E,
-        "e": cert.e,
-        "blocks": blocks,
-    }
+    blocks = [
+        {
+            "first_strand": b.first_strand,
+            "strands": b.word.strands,
+            "word": b.word.text(),
+            "alternating": b.flags.alternating,
+            "reduced": b.flags.reduced,
+            "non_split": b.flags.non_split,
+            "leading": (
+                "positive"
+                if b.flags.positive_leading
+                else "negative" if b.flags.negative_leading else None
+            ),
+            "certified": b.certified,
+        }
+        for b in cert.blocks
+    ]
+    return dict(cert._asdict(), blocks=blocks)
 
 
 def _analyze_json(word: BraidWord) -> dict:

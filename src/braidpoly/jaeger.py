@@ -56,7 +56,6 @@ from .resolver import (
     _split_states,
     homfly,
     leaf_search,
-    leaf_writhe,
 )
 
 # ``perfbench/tracing.py`` wraps this by its name here, so it stays bound
@@ -154,8 +153,9 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     over the word's successor table, which :mod:`braidpoly.braid` builds on
     the first node and every later node reuses.  One pass over the leaf's
     states gives its record ``(smoothed, flipped, gamma, t, t')`` of ints,
-    the two sets as bit masks over letter positions.  Both sides take a leaf's writhe ``w`` from
-    its masks, by :func:`braidpoly.resolver.leaf_writhe`.
+    the two sets as bit masks over letter positions, and its writhe ``w``:
+    +1 for a kept positive or a flipped negative letter, -1 for a kept
+    negative or a flipped positive one, 0 for a smoothed one.
 
     The leaves must have distinct smoothed sets, which makes those sets a
     family of partitions, and their records must equal, in tree order, those
@@ -168,17 +168,17 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     the check reaches the counting code the polynomial is read from.  Every
     leaf must also close to a trivial link: gamma - w = n on the descending
     tree, gamma + w = n on the ascending one.  The literal tree reads no
-    table of :func:`braidpoly.resolver.leaf_search` and its gamma is a
-    component count, so this is a check of the identity.  The search reads
-    its gamma off the writhe; records equal to the tree's imply that its
-    bookkeeping holds too, so the records are not walked a second time: the
-    signed tally of the tree's leaves is summed in the same loop.
+    table of :func:`braidpoly.resolver.leaf_search`, its gamma is a
+    component count and its ``w`` comes from its own states, so this is a
+    check of the identity.  The search reads its gamma off the writhe;
+    records equal to the tree's imply that its bookkeeping holds too, so the
+    records are not walked a second time: the signed tally of the tree's
+    leaves is summed in the same loop.
     """
     ascending = _paired_mode(variant) == ASCENDING
     sign = 1 if ascending else -1
     n = word.strands
-    signs = word.signs
-    writhe_of = leaf_writhe(word)
+    letters = word.letters
     tree: list[tuple[int, int, int, int, int]] = []
     counts: dict[tuple[int, int], int] = {}
     smoothed_sets = set()
@@ -192,19 +192,21 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
                 stack += reversed(_split_states(states, i))
                 break
         else:
-            smoothed = flipped = t = t_neg = 0
-            for j, (state, s) in enumerate(zip(states, signs)):
-                if state is FLIPPED:
-                    flipped |= 1 << j
-                elif state is SMOOTHED:
+            smoothed = flipped = t = t_neg = w = 0
+            for j, (state, x) in enumerate(zip(states, letters)):
+                if state is SMOOTHED:
                     smoothed |= 1 << j
                     t += 1
-                    t_neg += s < 0
+                    t_neg += x < 0
+                    continue
+                if state is FLIPPED:
+                    flipped |= 1 << j
+                w += 1 if (x > 0) == (state is KEPT) else -1
             if smoothed in smoothed_sets:
                 return False  # two leaves sharing a smoothed set breaks the pairing
             smoothed_sets.add(smoothed)
             gamma = len(cycles)
-            if gamma + sign * writhe_of(smoothed, flipped) != n:
+            if gamma + sign * w != n:
                 return False
             tree.append((smoothed, flipped, gamma, t, t_neg))
             counts[gamma, t] = counts.get((gamma, t), 0) + (-1 if t_neg & 1 else 1)

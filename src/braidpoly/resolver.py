@@ -54,7 +54,7 @@ definition does: they read the first-visit test
 over the per-column successor table :attr:`BraidWord.column_index`, built
 in :mod:`braidpoly.braid` once per word, and tests each first visit from
 the letter's own gap and sign.  The search never reads that table, nor
-``gaps`` or ``signs``, and the two share no stepping code.
+``gaps``, and the two share no stepping code.
 That walk serves as the reference the search is checked against, and its
 leaves get their ``gamma`` by counting the closure's components in that
 same walk.
@@ -62,7 +62,7 @@ same walk.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Literal, NamedTuple, Optional
+from typing import Iterator, Literal, NamedTuple, Optional
 
 from .braid import (
     FLIPPED,
@@ -72,6 +72,7 @@ from .braid import (
     CrossingState,
     ResolvedDiagram,
     _violations,
+    writhe,
 )
 from .polynomial import LaurentPoly2, difference_power
 
@@ -344,23 +345,6 @@ def _split_states(
     return head + (toggled,) + tail, head + (SMOOTHED,) + tail
 
 
-def leaf_writhe(word: BraidWord) -> Callable[[int, int], int]:
-    """The writhe of a leaf of ``word``, as a function of its two bit masks.
-
-    The returned function takes a leaf's ``smoothed`` and ``flipped`` masks
-    over letter positions.  A smoothed letter counts 0; any other counts +1
-    when it is positive or flipped, not both, and -1 otherwise.
-    """
-    positive = sum(1 << i for i, s in enumerate(word.signs) if s > 0)
-    everything = (1 << len(word.signs)) - 1
-
-    def writhe_of(smoothed: int, flipped: int) -> int:
-        unsmoothed = everything & ~smoothed
-        return 2 * ((positive ^ flipped) & unsmoothed).bit_count() - unsmoothed.bit_count()
-
-    return writhe_of
-
-
 def enumerate_leaves(word: BraidWord, mode: Mode = DESCENDING) -> Iterator[LeafSummary]:
     """Yield every leaf of the descending (or ascending) tree exactly once, in tree order.
 
@@ -369,14 +353,19 @@ def enumerate_leaves(word: BraidWord, mode: Mode = DESCENDING) -> Iterator[LeafS
     """
     records: list[tuple[int, int, int, int, int]] = []
     leaf_search(word, _ascending(mode), records)
-    letters = range(len(word))
-    writhe_of = leaf_writhe(word)
+    letters = word.letters
     for smoothed, flipped, gamma, t, t_neg in records:
         states = tuple(
             SMOOTHED if (smoothed >> i) & 1 else FLIPPED if (flipped >> i) & 1 else KEPT
-            for i in letters
+            for i in range(len(letters))
         )
-        yield LeafSummary(states, gamma, t, t_neg, writhe_of(smoothed, flipped))
+        # a kept positive or flipped negative letter counts +1, a smoothed one 0
+        w = sum(
+            1 if (x > 0) == (st is KEPT) else -1
+            for x, st in zip(letters, states)
+            if st is not SMOOTHED
+        )
+        yield LeafSummary(states, gamma, t, t_neg, w)
 
 
 def leaf_membership_test(
@@ -464,9 +453,7 @@ def homfly(word: BraidWord, mode: Mode = DESCENDING) -> LaurentPoly2:
     poly = memo.get(mode)
     if poly is None:
         counts = leaf_search(word, ascending)
-        # the writhe from the letters, as :func:`writhe` would build ``word.signs``
-        w = sum(1 if x > 0 else -1 for x in word.letters)
-        poly = memo[mode] = assemble_tree_sum(counts, word.strands, w, ascending)
+        poly = memo[mode] = assemble_tree_sum(counts, word.strands, writhe(word), ascending)
     return poly
 
 

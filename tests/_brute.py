@@ -110,4 +110,4 @@ def poly2_to_sympy(poly):
 
 
 def word_letters(word):
-    return list(zip(word.gaps, word.signs))
+    return [(abs(t), 1 if t > 0 else -1) for t in word.letters]

@@ -60,7 +60,7 @@ def rank_classification(diagram):
         if diagram.states[i] is SMOOTHED:
             out.append(None)
             continue
-        sign = -word.signs[i] if diagram.states[i] is FLIPPED else word.signs[i]
+        sign = -word.letters[i] if diagram.states[i] is FLIPPED else word.letters[i]
         over, under = (right, left) if sign > 0 else (left, right)
         out.append("descending" if rank[over] < rank[under] else "ascending")
         columns[g], columns[g + 1] = right, left
@@ -73,7 +73,7 @@ def arm(word, i, col):
     The over-arm of a positive crossing arrives from the right (column
     gap + 1), of a negative crossing from the left (the gap column).
     """
-    return "under" if (col == word.gaps[i]) == (word.signs[i] > 0) else "over"
+    return "under" if (col == word.gaps[i]) == (word.letters[i] > 0) else "over"
 
 
 class TestParsing:

@@ -189,6 +189,25 @@ def test_parse_error_is_one_line_and_exits_2(capsys, command):
     assert err == "error: invalid braid token 'x'\n"
 
 
+HUGE = "99999999999999999999"  # a letter whose word needs more than sys.maxsize strands
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", HUGE],
+        ["analyze", HUGE],
+        ["verify", HUGE],
+        ["compute", "1", "--strands", str(sys.maxsize)],
+    ],
+    ids=["compute", "analyze", "verify", "override"],
+)
+def test_a_strand_count_of_maxsize_or_more_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestAnalyze:
     def test_running_example_report(self, capsys):
         code, out, _ = run(capsys, "analyze", "-1 3 -2 -4 -4 -4 1 -3")
@@ -421,6 +440,14 @@ class TestBatch:
         docs = [json.loads(line) for line in out.splitlines()]
         assert "error" in docs[1]
 
+    def test_a_strand_count_of_maxsize_or_more_is_reported_inline(self, tmp_path, capsys):
+        batch = tmp_path / "words.txt"
+        batch.write_text(f"{HUGE};1\n1 1 1\n")
+        code, out, _ = run(capsys, "batch", str(batch))
+        assert code == 2
+        first, second = out.splitlines()
+        assert first.startswith("line 1: error: ") and second.startswith("line 2: 1 1 1 ")
+
     def test_substitution_error_reported_inline_exits_3(self, tmp_path, capsys, monkeypatch):
         analyze = braidpoly.cli._analyze_json
 
@@ -642,6 +669,11 @@ class TestSelftest:
     def test_corpus_holds_each_word_once(self, args):
         corpus = selftest_corpus(*args)
         assert len(set(corpus)) == len(corpus)
+
+    def test_sampled_corpus_draws_until_samples_words_have_two_strands(self):
+        # 500 draws of two or more strands, 344 distinct, and one one-strand empty word
+        corpus = selftest_corpus(8, 4, 500, 1)
+        assert (len(corpus), sum(w.strands == 1 for w in corpus)) == (344, 1)
 
     def test_alternating_suites_check_each_word_once(self):
         # the default run's alternating corpus: 100 draws, 72 distinct words

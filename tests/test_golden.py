@@ -21,6 +21,10 @@ def _load():
 golden = _load()
 
 
+def test_the_word_list_is_what_regenerate_writes():
+    assert golden.word_lines() == golden.WORDS.read_text(encoding="utf-8").splitlines()
+
+
 def test_every_command_prints_its_recorded_transcript():
     lines = golden.WORDS.read_text(encoding="utf-8").splitlines()
     recorded = [

@@ -119,7 +119,7 @@ class TestAdmissibility:
             codes = "".join(SMOOTH if j == i else KEEP for j in range(len(word)))
             firsts, _ = brute_walk(word.strands, word_letters(word), codes)
             col = dict(firsts)[i]
-            under = (col == word.gaps[i]) == (word.signs[i] > 0)
+            under = (col == word.gaps[i]) == (word.letters[i] > 0)
             assert is_admissible(partition, STANDARD) == under
             assert is_admissible(partition, DUAL) == (not under)
 

@@ -6,11 +6,9 @@ import braidpoly
 
 PUBLIC = {
     "ASCENDING", "DESCENDING", "FLIPPED", "KEPT", "SMOOTHED",
-    "AlexanderReport", "BlockCertificate", "BraidIndexCertificate", "BraidParseError",
-    "BraidWord", "CircuitPartition", "ConsistencyError", "ConstructionError",
-    "CrossingState", "DiagramClass", "GapTally", "LaurentPoly1",
-    "LaurentPoly2", "MarkovVariant", "MfwReport", "ResolvedDiagram",
-    "StrandPermutation", "SubstitutionError", "ZeroPolynomialError",
+    "BraidParseError", "BraidWord", "CircuitPartition", "ConsistencyError",
+    "ConstructionError", "CrossingState", "LaurentPoly1", "LaurentPoly2",
+    "ResolvedDiagram", "SubstitutionError", "ZeroPolynomialError",
     "alexander", "braid_index_certificate", "classify", "classify_crossings",
     "construct_u_prime", "construct_u_star", "construct_v_star",
     "enumerate_admissible", "first_violation", "gap_profile", "homfly",

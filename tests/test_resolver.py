@@ -200,8 +200,8 @@ class TestLeafEnumeration:
         for mode, sign in ((DESCENDING, -1), (ASCENDING, 1)):
             for d in literal_leaves(word, mode):
                 w = sum(
-                    -s if st is FLIPPED else s
-                    for s, st in zip(word.signs, d.states)
+                    (-1 if st is FLIPPED else 1) * (1 if t > 0 else -1)
+                    for t, st in zip(word.letters, d.states)
                     if st is not SMOOTHED
                 )
                 assert len(d.permutation().cycles) + sign * w == n
@@ -373,7 +373,7 @@ class TestMemo:
         word = parse_braid(text, strands)
         assert evaluate(word) == homfly(parse_braid(text, strands), DESCENDING)
         assert len(leaf_searches) == 2
-        assert {"gaps", "signs", "column_index"}.isdisjoint(vars(word))
+        assert {"gaps", "column_index"}.isdisjoint(vars(word))
 
     def test_jaeger_reads_the_paired_tree_memo(self, leaf_searches):
         word = parse_braid("1 -2 1 -2")
