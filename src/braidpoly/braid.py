@@ -111,8 +111,9 @@ class BraidWord(_Frozen):
 
     ``letters`` are the signed generator tokens: ``k > 0`` crosses gap ``k``
     positively and ``-k`` negatively.  The empty word is legal on any number
-    of strands ``n >= 1``.  Two words are equal, and hash equal, exactly
-    when their letters and strand counts are.
+    of strands ``1 <= n < sys.maxsize``; a larger count has per-column
+    tables that no list can hold.  Two words are equal, and hash equal,
+    exactly when their letters and strand counts are.
 
     ``homfly_memo`` holds this word's HOMFLY polynomials computed so far,
     keyed by engine.  It is filled by :func:`braidpoly.resolver.homfly` (one
@@ -135,6 +136,8 @@ class BraidWord(_Frozen):
             raise TypeError(f"strand count must be an int, got {strands!r}")
         if strands < 1:
             raise ValueError(f"strand count must be >= 1, got {strands}")
+        if strands >= sys.maxsize:
+            raise ValueError(f"strand count must be below {sys.maxsize}, got {strands}")
         top = strands - 1
         for pos, t in enumerate(letters):
             if type(t) is not int:
@@ -217,34 +220,6 @@ class BraidWord(_Frozen):
             return ((1, self),)
         ends = firsts[1:] + [self.strands + 1]
         return tuple((f, self.sub_braid(f, end - 2)) for f, end in zip(firsts, ends))
-
-    @cached_property
-    def destabilized(self) -> "BraidWord":
-        """This word with its single-letter end gaps dropped; the closure is the same.
-
-        When the first or last gap holds exactly one letter, dropping that
-        letter and that outer strand keeps the closure: conjugation brings the
-        letter to the end of the word (and, for the first gap, the half twist
-        turns the strand order round), and a Markov destabilization removes
-        it.  That repeats until neither end gap holds a single letter.  A
-        word emptied this way is an unknot on one strand.  A word with no
-        single-letter end gap is returned as it is.  Computed once per word
-        object, from one count of the letters in each gap.
-        """
-        counts = [0] * self.strands  # letters per gap, index 0 unused
-        for g in self.gaps:
-            counts[g] += 1
-        first, last = 1, self.strands - 1
-        while first <= last:
-            if counts[first] == 1:
-                first += 1
-            elif counts[last] == 1:
-                last -= 1
-            else:
-                break
-        if (first, last) == (1, self.strands - 1):
-            return self
-        return self.sub_braid(first, last)
 
 
 class ResolvedDiagram(_Frozen):

@@ -42,15 +42,33 @@ A gap that no letter uses splits the closure into the word's
 each taken by :func:`homfly_hecke` on its own strands and memoized on the
 block word, and free strands, each with polynomial 1.  The split union of
 ``k`` blocks is ``delta^(k-1)`` times the product of their polynomials.
-Before it is traced, each block sheds every end gap that holds a single
-letter, by conjugation and Markov destabilization
-(:attr:`~braidpoly.braid.BraidWord.destabilized`), which keeps its link and
-its polynomial; ``sigma_1 sigma_2 ... sigma_(n-1)`` sheds them all.
-A block keeps one coefficient per permutation of its strands that the word
+Before it is traced, each block is cut into smaller words by
+:func:`_pieces`, with exact steps that keep its polynomial:
+
+* *Cancel.*  Letters at gaps at least 2 apart commute, so ``sigma_g^e`` and
+  a later ``sigma_g^-e`` cancel when no letter at gap ``g`` or ``g +- 1``
+  stands between them (a free reduction in the trace monoid, made in one
+  pass with a stack of live letters per gap).  The closure is the same for
+  every conjugate, so a gap's first and last letters cancel too when they
+  are inverse and no letter at ``g +- 1`` comes before the first or after
+  the last.
+* *Cut.*  A gap that holds no letter splits the closure: a factor
+  ``delta``.  A gap that holds one letter joins the closures of the letters
+  left of it and of those right of it by a connected sum, whose polynomial
+  is the product of theirs (Birman and Menasco, Invent. Math. 102 (1990)):
+  those two sets of letters commute, so the word is conjugate to the letter
+  times the one set times the other.  At an end gap that is a Markov
+  destabilization; ``sigma_1 sigma_2 ... sigma_(n-1)`` is cut to nothing.
+
+Each word a cut leaves is cancelled and cut again until nothing changes,
+and what remains is traced.  Cancelling is skipped when no gap holds
+letters of both signs, as in every reduced alternating word.
+
+A piece keeps one coefficient per permutation of its strands that the word
 reaches, up to ``m!`` of them.  ``T_pi * g^-1`` splits in two whenever the
 swap raises the length, and ``T_pi * g`` only when it lowers it, so from
 ``T_id`` every fresh negative letter branches and a fresh positive one does
-not: a block whose writhe is negative is traced as its mirror image, and
+not: a piece whose writhe is negative is traced as its mirror image, and
 that polynomial is mirrored back.
 
 References: V. F. R. Jones, "Hecke algebra representations of braid groups
@@ -61,6 +79,8 @@ J. Algorithms 11 (1990).
 
 from __future__ import annotations
 
+from collections import deque
+from operator import neg
 from typing import Sequence
 
 from .braid import BraidWord, mirror, writhe
@@ -215,21 +235,111 @@ def _block_trace(core: BraidWord) -> LaurentPoly2:
     return poly.mirrored() if mirrored else poly
 
 
+def _cancelled(letters: tuple[int, ...], strands: int) -> tuple[int, ...]:
+    """The letters left once every cancelling pair is dropped, read cyclically.
+
+    One pass keeps a stack of the live letters' positions per gap.  A letter
+    cancels the top of its gap's stack when that letter is its inverse and
+    the stacks of gaps ``g +- 1`` hold nothing after it.  Then, while a
+    gap's first and last live letters are inverse and no live letter at
+    ``g +- 1`` comes before the first or after the last, both are dropped.
+    The letters left are those the stacks hold.  Cancelling them again
+    drops nothing.
+    """
+    stacks = [deque() for _ in range(strands + 2)]  # 0, ``strands`` and ``strands + 1`` stay empty
+    for k, t in enumerate(letters):
+        g = abs(t)
+        stack = stacks[g]
+        if stack and letters[stack[-1]] == -t:
+            top = stack[-1]
+            below, above = stacks[g - 1], stacks[g + 1]
+            if not (below and below[-1] > top) and not (above and above[-1] > top):
+                stack.pop()
+                continue
+        stack.append(k)
+    todo = list(range(1, strands))  # the gaps to look at; a cancelled pair frees its neighbours
+    while todo:
+        g = todo.pop()
+        stack, below, above = stacks[g], stacks[g - 1], stacks[g + 1]
+        while (
+            len(stack) >= 2
+            and letters[stack[0]] == -letters[stack[-1]]
+            and not (below and (below[0] < stack[0] or below[-1] > stack[-1]))
+            and not (above and (above[0] < stack[0] or above[-1] > stack[-1]))
+        ):
+            stack.popleft()
+            stack.pop()
+            todo += (g - 1, g + 1)
+    live = sorted(k for stack in stacks for k in stack)
+    if len(live) == len(letters):
+        return letters
+    return tuple(letters[k] for k in live)
+
+
+def _pieces(word: BraidWord) -> tuple[int, list[BraidWord]]:
+    """``(k, pieces)`` with ``P(word) = delta^k`` times the pieces' polynomials.
+
+    Each word, from ``word`` on, is cancelled (:func:`_cancelled`; skipped
+    when no gap holds letters of both signs, as in every reduced alternating
+    word) and cut at each gap that holds fewer than two letters: a gap with
+    none adds a factor ``delta``, and one with a single letter drops that
+    letter.  The words between the cuts, re-indexed to start at gap 1, go
+    round again, each holding a letter, so two strands or more; a word that
+    neither step changes is a piece.  A ``word`` of one strand has no
+    letters and polynomial 1, so it is no piece, and one that neither step
+    changes is its own piece, as the same object.
+    """
+    splits = 0
+    pieces = []
+    todo = [(word.letters, word.strands)] if word.strands > 1 else []
+    while todo:
+        letters, m = todo.pop()
+        held = set(letters)
+        if not held.isdisjoint(map(neg, held)):
+            letters = _cancelled(letters, m)
+        counts = [0] * m  # letters per gap, index 0 unused
+        for t in letters:
+            counts[abs(t)] += 1
+        cuts = [g for g in range(1, m) if counts[g] < 2]
+        if not cuts:
+            pieces.append(word if letters is word.letters else BraidWord(letters, m))
+            continue
+        splits += sum(counts[g] == 0 for g in cuts)
+        # the word between the cuts at lo and hi has gaps lo+1..hi-1, on strands lo+1..hi
+        span: list = [None] * m  # (lo, hi) for each gap that is not cut
+        bounds = [0, *cuts, m]
+        for lo, hi in zip(bounds, bounds[1:]):
+            span[lo + 1:hi] = [(lo, hi)] * (hi - lo - 1)
+        parts: dict[tuple[int, int], list[int]] = {}
+        for t in letters:
+            where = span[abs(t)]
+            if where:
+                lo = where[0]
+                parts.setdefault(where, []).append(t - lo if t > 0 else t + lo)
+        todo += [(tuple(part), hi - lo) for (lo, hi), part in parts.items()]
+    return splits, pieces
+
+
 def homfly_hecke(word: BraidWord) -> LaurentPoly2:
     """The HOMFLY polynomial of the closure by the Hecke-algebra trace.
 
     Memoized on the word object (:attr:`BraidWord.homfly_memo`) under its own
     key, so each word object is traced at most once.  A word of one split
-    block is traced on its destabilized core; a word of ``k`` split blocks,
-    free strands included, gives ``delta^(k-1)`` times the product of its
-    blocks' polynomials, each taken by this function on the block word.
+    block is cut into :func:`_pieces`, each traced by :func:`_block_trace`;
+    a word of ``k`` split blocks, free strands included, gives
+    ``delta^(k-1)`` times the product of its blocks' polynomials, each taken
+    by this function on the block word.
     """
     memo = word.homfly_memo
     poly = memo.get(HECKE)
     if poly is None:
         blocks = word.split_blocks
         if len(blocks) == 1:
-            poly = _block_trace(word.destabilized)
+            splits, pieces = _pieces(word)
+            # one piece and no split is the common case: no product with 1
+            poly = _block_trace(pieces.pop()) if pieces and not splits else _delta_power(splits)
+            for piece in pieces:
+                poly = poly * _block_trace(piece)
         else:
             poly = LaurentPoly2.one()
             for _, block in blocks:

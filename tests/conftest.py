@@ -28,7 +28,11 @@ def leaf_searches(monkeypatch):
 
 @pytest.fixture
 def hecke_evaluations(monkeypatch):
-    """Record every destabilized split block the Hecke trace runs on as ``(tokens, strands)``."""
+    """Record every piece the Hecke trace's front end hands to the trace as ``(tokens, strands)``.
+
+    A split block that cancelling and cutting leave whole is recorded as it
+    is; one they empty is not recorded at all.
+    """
     calls = []
     trace = braidpoly.hecke._block_trace
 

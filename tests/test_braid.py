@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -115,11 +116,18 @@ class TestParsing:
             ((2, 3), 3, "letter 1 is 3"),
             ((-3,), 3, "letter 0 is -3"),
             ((), 0, "strand count must be >= 1"),
+            # no per-column table of that many entries can be built
+            ((1,), sys.maxsize, "strand count must be below"),
+            ((), sys.maxsize + 1, "strand count must be below"),
         ],
     )
     def test_direct_construction_is_validated(self, letters, strands, message):
         with pytest.raises(ValueError, match=message):
             BraidWord(letters, strands)
+
+    def test_the_largest_strand_count_is_accepted(self):
+        word = BraidWord((1,), sys.maxsize - 1)
+        assert word.strands == sys.maxsize - 1
 
     @pytest.mark.parametrize(
         "build",

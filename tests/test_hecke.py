@@ -84,9 +84,15 @@ class TestSplitBlocks:
     @given(words(max_len=9, max_gap=5))
     @settings(max_examples=150, deadline=None)
     def test_a_reduced_block_is_its_own_core(self, word):
+        # no gap holds one letter, and none holds both signs, so nothing is cut or cancelled
         for _, block in word.split_blocks:
-            if all(block.gaps.count(g) != 1 for g in range(1, block.strands)):
-                assert block.destabilized is block
+            if all(block.gaps.count(g) != 1 for g in range(1, block.strands)) and not any(
+                -t in block.letters for t in block.letters
+            ):
+                splits, pieces = braidpoly.hecke._pieces(block)
+                # a one-strand block has no letters and polynomial 1, so it leaves no piece
+                assert splits == 0
+                assert [id(piece) for piece in pieces] == ([id(block)] if block.letters else [])
 
 
 class TestDeltaExponent:
@@ -228,6 +234,131 @@ class TestDestabilization:
         assert doc["homfly"]["descending"] == homfly(parse_braid(text)).to_json_terms()
 
 
+def letters_at(gaps, max_size):
+    """Lists of up to ``max_size`` letters at ``gaps``, each of either sign."""
+    return st.lists(st.sampled_from(gaps).flatmap(lambda h: st.sampled_from([h, -h])), max_size=max_size)
+
+
+@st.composite
+def cancelling_words(draw, max_strands=5, max_len=3):
+    """Words in which letters cancel: ``u x u^-1``, a pair around far letters, round the end.
+
+    * ``conjugate``: ``u x u^-1``.
+    * ``far``: ``sigma_g^e``, letters at gaps at least 2 from ``g``, then
+      ``sigma_g^-e``, with more letters on either side.
+    * ``emptied``: the same, but no other letter uses gap ``g``, so the pair
+      cancels and leaves the gap empty.
+    * ``cyclic``: ``sigma_g^e x sigma_g^-e`` with ``x`` free to use gaps
+      ``g +- 1``, so the pair meets only with the word read round its end.
+    """
+    m = draw(st.integers(2, max_strands))
+    g = draw(st.integers(1, m - 1))
+    e = draw(st.sampled_from([1, -1]))
+    every = list(range(1, m))
+    other = [h for h in every if h != g] or every
+    far = [h for h in every if abs(h - g) >= 2]
+    kind = draw(st.sampled_from(["conjugate", "far", "emptied", "cyclic"]))
+    if kind == "conjugate":
+        u = draw(letters_at(every, max_len))
+        tokens = u + draw(letters_at(every, max_len)) + [-t for t in reversed(u)]
+    elif kind == "cyclic":
+        tokens = [g * e] + draw(letters_at(every, max_len)) + [-g * e]
+    else:
+        sides = letters_at(every if kind == "far" else other, max_len)
+        between = draw(letters_at(far, max_len)) if far else []
+        tokens = draw(sides) + [g * e] + between + [-g * e] + draw(sides)
+        if kind == "emptied":
+            tokens = [t for t in tokens if abs(t) != g or t in (g * e, -g * e)]
+    least = max((abs(t) + 1 for t in tokens), default=1)
+    return BraidWord(tuple(tokens), max(least, m) + draw(st.integers(0, 1)))
+
+
+@st.composite
+def one_letter_gap_words(draw, max_strands=6, max_len=4):
+    """A word whose interior gap ``g`` holds a single letter, the letters shuffled.
+
+    The letters left of ``g`` and right of it commute, so the word is a
+    connected sum wherever that letter stands.
+    """
+    m = draw(st.integers(4, max_strands))
+    g = draw(st.integers(2, m - 2))
+    left, right = draw(letters_at(range(1, g), max_len)), draw(letters_at(range(g + 1, m), max_len))
+    tokens = left + [g * draw(st.sampled_from([1, -1]))] + right
+    return BraidWord(tuple(draw(st.permutations(tokens))), m)
+
+
+class TestFrontEnd:
+    """Cancelling and cutting before the trace keep the polynomial."""
+
+    @given(cancelling_words())
+    @settings(max_examples=200, deadline=None)
+    def test_cancelling_words_equal_the_descending_tree(self, word):
+        assert homfly_hecke(word) == homfly(BraidWord(word.letters, word.strands), DESCENDING)
+
+    @given(cancelling_words(max_strands=4, max_len=2))
+    @settings(max_examples=40, deadline=None)
+    def test_cancelling_words_equal_the_brute_oracle(self, word):
+        expected = brute_homfly(word.strands, word_letters(word))
+        assert poly2_to_sympy(homfly_hecke(word)) == expected
+
+    @given(one_letter_gap_words())
+    @settings(max_examples=150, deadline=None)
+    def test_one_letter_gaps_equal_the_descending_tree(self, word):
+        assert homfly_hecke(word) == homfly(BraidWord(word.letters, word.strands), DESCENDING)
+
+    @given(one_letter_gap_words(max_strands=5, max_len=2))
+    @settings(max_examples=30, deadline=None)
+    def test_one_letter_gaps_equal_the_brute_oracle(self, word):
+        expected = brute_homfly(word.strands, word_letters(word))
+        assert poly2_to_sympy(homfly_hecke(word)) == expected
+
+    @given(st.one_of(words(max_len=12, max_gap=5), cancelling_words(max_len=5)))
+    @settings(max_examples=300, deadline=None)
+    def test_cancelling_a_second_time_removes_nothing(self, word):
+        once = braidpoly.hecke._cancelled(word.letters, word.strands)
+        assert braidpoly.hecke._cancelled(once, word.strands) == once
+
+    # (letters, strands, the letters left by cancelling, k, the pieces as (letters, strands))
+    CASES = [
+        # a far letter between the pair
+        ((1, 3, -1), 4, (3,), 2, []),
+        # sigma_1^2 u x u^-1 with u = sigma_2: the pair cancels only once the
+        # one letter at gap 3 is cut
+        ((1, 1, 2, 3, -2), 4, (1, 1, 2, 3, -2), 1, [((1, 1), 2)]),
+        # u x u^-1 with u = sigma_1, read round the end
+        ((1, 2, -1), 3, (2,), 1, []),
+        # the pair meets only round the end of the word
+        ((1, 2, 2, -1), 3, (2, 2), 1, [((1, 1), 2)]),
+        # the pair at gap 2 cancels and empties that gap
+        ((1, 1, 2, 4, -2, 3, 3, 4), 5, (1, 1, 4, 3, 3, 4), 1, [((2, 1, 1, 2), 3), ((1, 1), 2)]),
+        # an interior gap with one letter: a connected sum
+        ((1, 1, 2, 2, -3, 2, 2), 4, (1, 1, 2, 2, -3, 2, 2), 0, [((1, 1, 2, 2, 2, 2), 3)]),
+        ((1, 1, 2, 3, 3), 4, (1, 1, 2, 3, 3), 0, [((1, 1), 2), ((1, 1), 2)]),
+        # neighbour letters keep the pair apart both ways
+        ((1, 2, -1, 2), 3, (1, 2, -1, 2), 0, [((1, 2, -1, 2), 3)]),
+    ]
+
+    @pytest.mark.parametrize("letters, strands, cancelled, splits, pieces", CASES)
+    def test_worked_examples(self, letters, strands, cancelled, splits, pieces):
+        word = BraidWord(letters, strands)
+        assert braidpoly.hecke._cancelled(letters, strands) == cancelled
+        got = braidpoly.hecke._pieces(word)
+        assert (got[0], [(p.letters, p.strands) for p in got[1]]) == (splits, pieces)
+        assert homfly_hecke(word) == homfly(BraidWord(letters, strands))
+        assert poly2_to_sympy(homfly_hecke(word)) == brute_homfly(strands, word_letters(word))
+
+    @given(cancelling_words())
+    @settings(max_examples=100, deadline=None)
+    def test_a_pair_with_no_neighbour_letters_cancels(self, word):
+        # with no letter at gaps g +- 1 in the word, a letter at gap g and a
+        # later inverse one cannot both stay
+        letters = word.letters
+        g = next((abs(t) for k, t in enumerate(letters) if -t in letters[k + 1:]), None)
+        assume(g is not None)
+        assume(all(abs(abs(t) - g) != 1 for t in letters))
+        assert len(braidpoly.hecke._cancelled(letters, word.strands)) < len(letters)
+
+
 def _peak_basis(monkeypatch, word):
     """The trace of ``word`` and the most permutations its element held.
 
@@ -298,6 +429,8 @@ class TestEarlyTraceOut:
     @settings(max_examples=150, deadline=None)
     def test_equals_descending_tree(self, word):
         assert homfly_hecke(word) == homfly(word)
+        # most of these words cancel or cut before the trace; the whole word still orders and traces
+        assert braidpoly.hecke._block_trace(word) == homfly(word)
 
     @given(clustered_words(max_strands=5, max_extra=0))
     @settings(max_examples=30, deadline=None)
@@ -338,7 +471,8 @@ def test_a_cancelled_permutation_is_dropped(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(braidpoly.hecke, "_times", counted)
-        poly = homfly_hecke(word)
+        # the whole word, not the pieces that cancelling and cutting leave of it
+        poly = braidpoly.hecke._block_trace(word)
     assert empty == []
     assert poly == homfly(BraidWord(word.letters, word.strands))
 
@@ -361,6 +495,9 @@ class TestOrientation:
     @settings(max_examples=150, deadline=None)
     def test_equals_descending_tree(self, word):
         assert homfly_hecke(word) == homfly(word)
+        # most of these words cancel or cut before the trace; a whole block still mirrors and traces
+        if len(word.split_blocks) == 1:
+            assert braidpoly.hecke._block_trace(word) == homfly(word)
 
     @given(negative_words(max_strands=4, max_len=5))
     @settings(max_examples=40, deadline=None)
@@ -380,7 +517,8 @@ class TestOrientation:
 def wide_words(draw):
     """One block of 12 or 13 strands, each gap used exactly twice, shuffled, random signs.
 
-    Both end gaps hold two letters, so the block does not destabilize.
+    No gap holds a single letter, so the block is cut only where a pair
+    of letters cancels.
     """
     m = draw(st.integers(12, 13))
     gaps = draw(st.permutations([g for g in range(1, m) for _ in (0, 1)]))
@@ -400,6 +538,8 @@ def test_wide_words_are_traced_and_equal_the_tree(capsys, leaf_searches, word):
     poly = homfly_hecke(BraidWord(word.letters, word.strands))
     assert doc["homfly"]["descending"] == poly.to_json_terms()
     assert poly == homfly(BraidWord(word.letters, word.strands), DESCENDING)
+    # the whole wide word, as it stands before cancelling and cutting
+    assert braidpoly.hecke._block_trace(word) == poly
 
 
 def test_sigma1_power_closed_form_at_200():
@@ -427,7 +567,7 @@ def test_methods_check_on_a_wide_block_runs_the_trace(hecke_evaluations):
 
 
 class TestEngineChoice:
-    """``analyze`` traces every word, however wide its destabilized blocks."""
+    """``analyze`` traces every word, however wide the pieces left of its blocks."""
 
     def analyze_terms(self, capsys, *argv):
         assert main(["analyze", *argv, "--json"]) == 0
@@ -436,15 +576,15 @@ class TestEngineChoice:
     def test_one_crossing_on_a_thousand_strands(self, capsys, leaf_searches, hecke_evaluations):
         got = self.analyze_terms(capsys, "1", "--strands", "1000")
         assert leaf_searches == []
-        # the crossing's block destabilizes to one strand; 998 free strands are not traced
-        assert hecke_evaluations == [((), 1)]
+        # the crossing's block is cut to nothing; 998 free strands are not traced
+        assert hecke_evaluations == []
         assert got == homfly(parse_braid("1", strands=1000)).to_json_terms()
 
     def test_far_apart_letters_on_a_thousand_strands(self, capsys, leaf_searches, hecke_evaluations):
         got = self.analyze_terms(capsys, "1 -999")
         assert leaf_searches == []
-        # two one-crossing blocks around 996 free strands
-        assert hecke_evaluations == [((), 1), ((), 1)]
+        # two one-crossing blocks around 996 free strands, each cut to nothing
+        assert hecke_evaluations == []
         assert got == homfly(parse_braid("1 -999")).to_json_terms()
 
     def test_at_the_strand_constant_the_trace_runs(self, capsys, leaf_searches, hecke_evaluations):
@@ -452,7 +592,8 @@ class TestEngineChoice:
         text = " ".join(str(g) for g in range(1, 11))
         got = self.analyze_terms(capsys, text)
         assert leaf_searches == []
-        assert len(hecke_evaluations) == 1
+        # each gap holds one letter, so every gap is cut and no piece is left
+        assert len(hecke_evaluations) == 0
         assert got == homfly(parse_braid(text)).to_json_terms()
 
     def test_a_wide_block_runs_the_trace(self, capsys, leaf_searches, hecke_evaluations):
@@ -519,28 +660,26 @@ class TestBlocksBuiltOnce:
 
 @pytest.fixture
 def core_builds(monkeypatch):
-    """Record the word object of every destabilization built during the test."""
+    """Record the word object of every front-end pass (``hecke._pieces``) during the test."""
     calls = []
-    build = BraidWord.destabilized.func
+    cut = braidpoly.hecke._pieces
 
     def counted(word):
         calls.append(word)
-        return build(word)
+        return cut(word)
 
-    counted_property = functools.cached_property(counted)
-    counted_property.__set_name__(BraidWord, "destabilized")
-    monkeypatch.setattr(BraidWord, "destabilized", counted_property)
+    monkeypatch.setattr(braidpoly.hecke, "_pieces", counted)
     return calls
 
 
 class TestDestabilizedOnce:
-    """``analyze`` destabilizes each split block with letters once."""
+    """``analyze`` cancels and cuts each split block with letters once."""
 
     TEXTS = [
         "1 1 -3 -3",
         "1 1 -3 -3 3",
         "1 -2 1 -2",
-        " ".join(map(str, range(1, 40))),  # one block that sheds every gap
+        " ".join(map(str, range(1, 40))),  # one block that is cut at every gap
         " ".join(map(str, range(1, 100, 2))),  # 50 one-letter blocks
         "2 2 2 -5 6 -5 6 -5",
         "-1 3 -2 -4 -4 -4 1 -3",
