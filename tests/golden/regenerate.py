@@ -13,7 +13,16 @@ first :data:`FULL` words, so a reader can see what moved.  No argument line
 here trips argparse: its usage and error text change between Python
 releases, and only the package's own output is pinned.
 
-Run from the repository root to rewrite all three files:
+``wide.txt`` holds a second list, :func:`wide_words`: words of 10 to 30
+strands from the families README times the trace on, and words of many
+split blocks, where the trace runs on pieces no tree in the suite checks.
+For each, :func:`wide_commands` runs ``compute --method hecke --json`` and
+``analyze --json``, and ``wide_digests.txt`` holds their digests in the
+same format.  Their values come from the trace alone; ``tests/test_wide.py``
+checks them against the tree where it is cheap and against the Burau matrix
+everywhere.
+
+Run from the repository root to rewrite all five files:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
@@ -27,6 +36,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import shlex
 import sys
 from pathlib import Path
@@ -35,6 +45,8 @@ HERE = Path(__file__).resolve().parent
 WORDS = HERE / "words.txt"
 DIGESTS = HERE / "digests.txt"
 TRANSCRIPTS = HERE / "transcripts.json"
+WIDE = HERE / "wide.txt"
+WIDE_DIGESTS = HERE / "wide_digests.txt"
 
 # the number of words, from the top of the list, whose full transcripts are kept
 FULL = 20
@@ -80,6 +92,17 @@ HAND_PICKED = [
 RANDOM_COUNT = 60
 RANDOM_SEED = 4242
 
+WIDE_SEED = 1818
+
+# item 9 of ROADMAP: 30 strands, 120 letters, writhe -18; it ran out of memory in an early trace
+ROADMAP_ITEM_9 = (
+    "28 13 26 -21 12 -22 -10 -20 -6 2 -11 14 23 18 8 -25 -4 -1 -19 -2 -27 -17 -29 17 -13 -7 "
+    "-28 2 -21 -14 1 -5 -8 -6 -12 -15 12 19 -24 -14 3 28 -26 14 -16 -17 -9 5 -20 -22 -18 -15 "
+    "9 18 8 26 -8 -4 -7 -19 -13 -20 17 -2 15 -10 -1 -28 -6 -27 22 24 11 -24 -12 -17 10 -11 "
+    "-3 6 -6 -22 -13 -29 17 -9 9 20 16 6 -28 28 -6 6 27 -12 7 3 -3 6 24 28 12 29 -23 15 21 "
+    "-18 5 -17 -2 22 -18 11 -26 -1 -25 -29 29 17"
+)
+
 
 def word_lines() -> list[str]:
     """The lines of ``words.txt``, built from the hand-picked and the seeded words."""
@@ -90,6 +113,81 @@ def word_lines() -> list[str]:
         # the prefix keeps words whose last strands no letter touches
         lines.append(f"{word.strands};{word.text()}")
     return list(dict.fromkeys(lines))
+
+
+def _dense(rng: random.Random, m: int, negative: float = 0.5) -> list[int]:
+    """3(m - 1) + 1 letters, every gap at least twice, each negative with odds ``negative``."""
+    gaps = [g for g in range(1, m) for _ in (0, 1)] + [rng.randint(1, m - 1) for _ in range(m)]
+    rng.shuffle(gaps)
+    return [-g if rng.random() < negative else g for g in gaps]
+
+
+def _each_gap(rng: random.Random, m: int, low: int, high: int, sign) -> list[int]:
+    """``low`` to ``high`` letters at every gap, shuffled, signed by ``sign(rng, gap)``."""
+    gaps = [g for g in range(1, m) for _ in range(rng.randint(low, high))]
+    rng.shuffle(gaps)
+    return [g * sign(rng, g) for g in gaps]
+
+
+def _coin(rng: random.Random, gap: int) -> int:
+    return rng.choice((1, -1))
+
+
+def _parity(rng: random.Random, gap: int) -> int:
+    return 1 if gap % 2 else -1
+
+
+def _negative(rng: random.Random, gap: int) -> int:
+    return -1
+
+
+def _descending(rng: random.Random, m: int) -> list[int]:
+    """A dense word with each letter's sign set so that the all-kept diagram is descending.
+
+    Flipping a letter's sign keeps the walk's path and swaps the arms of its
+    crossing, so flipping each ascending letter once makes every one descending.
+    """
+    from braidpoly.braid import BraidWord, ResolvedDiagram, classify_crossings
+
+    letters = _dense(rng, m)
+    kinds = classify_crossings(ResolvedDiagram.all_kept(BraidWord(tuple(letters), m)))
+    return [-t if kind == "ascending" else t for t, kind in zip(letters, kinds)]
+
+
+def wide_words() -> list[tuple[str, int, list[int]]]:
+    """The wide words as ``(family, strands, letters)``, in the order of ``wide.txt``.
+
+    The families are README's, at sizes the trace finishes in tens of
+    milliseconds: *dense*, *sign-biased* (dense, 80% negative), *each gap
+    twice* with random signs and with signs by gap parity, *alternating*
+    (2-3 letters per gap, signs by gap parity), *all-negative* (each gap
+    twice) and *descending*; then the torus word T(5, 11), the staircase
+    sigma_1 ... sigma_21, ROADMAP item 9's word and three words of many
+    split blocks.
+    """
+    rng = random.Random(WIDE_SEED)
+    out = [("dense", m, _dense(rng, m)) for m in (10, 12, 14, 16, 20, 24)]
+    out += [("sign-biased", m, _dense(rng, m, 0.8)) for m in (12, 14, 16)]
+    out += [("each gap twice", m, _each_gap(rng, m, 2, 2, _coin)) for m in (10, 12, 14)]
+    out += [("each gap twice, parity", m, _each_gap(rng, m, 2, 2, _parity)) for m in (10, 12, 14)]
+    out += [("alternating", m, _each_gap(rng, m, 2, 3, _parity)) for m in (10, 11)]
+    out += [("all-negative", m, _each_gap(rng, m, 2, 2, _negative)) for m in (12, 16, 20)]
+    out += [("descending", m, _descending(rng, m)) for m in (12, 16, 24, 30)]
+    out += [
+        ("torus", 5, [1, 2, 3, 4] * 11),
+        ("staircase", 22, list(range(1, 22))),
+        ("roadmap item 9", 30, [int(t) for t in ROADMAP_ITEM_9.split()]),
+        ("split", 100, list(range(1, 100, 2))),
+        # a trefoil beside a block of 12 strands with each gap doubled
+        ("split", 15, [1, 1, 1] + [g for g in range(4, 15) for _ in (0, 1)]),
+        ("split", 200, [1]),
+    ]
+    return out
+
+
+def wide_lines() -> list[str]:
+    """The lines of ``wide.txt``."""
+    return [f"{m};{' '.join(map(str, letters))}" for _, m, letters in wide_words()]
 
 
 def split_line(line: str) -> tuple[list[str], str]:
@@ -116,6 +214,16 @@ def commands(lines: list[str]) -> list[list[str]]:
     for jobs in ("1", "2"):
         argvs.append(["batch", WORDS.name, "--jobs", jobs])
         argvs.append(["batch", WORDS.name, "--jobs", jobs, "--json"])
+    return argvs
+
+
+def wide_commands(lines: list[str]) -> list[list[str]]:
+    """The argument lines ``wide_digests.txt`` records, word by word."""
+    argvs = []
+    for line in lines:
+        strands, text = split_line(line)
+        for head in (["compute", "--method", "hecke", "--json"], ["analyze", "--json"]):
+            argvs.append(head + strands + ["--", text])
     return argvs
 
 
@@ -161,6 +269,11 @@ def main() -> int:
     DIGESTS.write_text("".join(digests), encoding="utf-8")
     TRANSCRIPTS.write_text(json.dumps(transcripts, indent=1) + "\n", encoding="utf-8")
     print(f"{len(lines)} words, {len(digests)} commands, {len(transcripts)} full transcripts")
+    wide = wide_lines()
+    WIDE.write_text("".join(line + "\n" for line in wide), encoding="utf-8")
+    digests = [f"{digest(transcript(argv))}  {label(argv)}\n" for argv in wide_commands(wide)]
+    WIDE_DIGESTS.write_text("".join(digests), encoding="utf-8")
+    print(f"{len(wide)} wide words, {len(digests)} commands")
     return 0
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -26,6 +27,8 @@ from braidpoly import (
 from braidpoly import checks, invariants
 from braidpoly.corpus import alternating_words
 from braidpoly.resolver import ASCENDING, DESCENDING, enumerate_leaves
+
+from _burau import burau_matches
 
 FIG8 = "1 -2 1 -2"
 
@@ -238,6 +241,21 @@ class TestAlexander:
         report = alexander(parse_braid("", strands=2))
         assert not report.delta
         assert report.leading_coeff == 0 and not report.leading_is_unit
+
+    def test_equals_the_burau_minor_on_random_words(self):
+        rng = random.Random(5)
+        vanishing = 0
+        for _ in range(300):
+            strands = rng.randint(2, 6)
+            letters = tuple(
+                rng.randint(1, strands - 1) * rng.choice((1, -1)) for _ in range(rng.randint(0, 10))
+            )
+            delta = alexander(BraidWord(letters, strands)).delta
+            vanishing += not delta
+            for q in (2, 3):
+                assert burau_matches(strands, letters, delta.terms(), q), (letters, strands, q)
+        # split words, where both sides vanish, and many that do not
+        assert 100 < vanishing < 250
 
 
 def test_failed_certificate_message_keeps_its_text(monkeypatch):
