@@ -118,8 +118,10 @@ class BraidWord(_Frozen):
     ``homfly_memo`` holds this word's HOMFLY polynomials computed so far,
     keyed by engine.  It is filled by :func:`braidpoly.resolver.homfly` (one
     key per tree mode) and :func:`braidpoly.hecke.homfly_hecke` (key
-    ``"hecke"``, also on each of :attr:`split_blocks`), so every caller
-    holding this object shares one evaluation per engine.  The memo belongs
+    ``"hecke"``, also on each piece it traces, which is the block object
+    itself for each of :attr:`split_blocks` that the trace's front end
+    leaves whole), so every caller holding this object shares one
+    evaluation per engine.  The memo belongs
     to the instance and takes no part in equality, hashing or the repr: an
     equal word parsed separately evaluates afresh.
     """
@@ -191,35 +193,55 @@ class BraidWord(_Frozen):
             after[c][last[c]] = None
         return tuple(after)
 
-    def sub_braid(self, first: int, last: int) -> "BraidWord":
-        """The letters at gaps ``first..last``, re-indexed to start at gap 1.
-
-        The result lives on strands ``first..last+1`` of this word, renumbered
-        from 1; ``last = first - 1`` gives one strand and no letters.
-        """
-        shift = first - 1
-        letters = tuple(
-            t - shift if t > 0 else t + shift for t in self.letters if first <= abs(t) <= last
-        )
-        return BraidWord(letters, last - first + 2)
-
     @cached_property
     def split_blocks(self) -> tuple[tuple[int, "BraidWord"], ...]:
         """The closure's split blocks as ``(first_strand, block_word)`` pairs.
 
         A gap that no letter uses splits the closure, and the strand right of
         it starts a block.  The blocks cover strands ``1..n`` in order, each
-        cut by :meth:`sub_braid`, so re-indexed to start at gap 1; a strand
+        cut out by :func:`_cut` and re-indexed to start at gap 1; a strand
         between two empty gaps is a block with the empty word.  A word with
         no empty gap is its own single block, returned as is, so the block
         shares the word's memoized polynomials.
         """
-        used = set(self.gaps)
-        firsts = [1] + [g + 1 for g in range(1, self.strands) if g not in used]
-        if len(firsts) == 1:
+        _, parts = _cut(self.letters, self.strands, 1)
+        if len(parts) == 1:
             return ((1, self),)
-        ends = firsts[1:] + [self.strands + 1]
-        return tuple((f, self.sub_braid(f, end - 2)) for f, end in zip(firsts, ends))
+        return tuple((first, BraidWord(letters, m)) for first, letters, m in parts)
+
+
+def _cut(
+    letters: tuple[int, ...], strands: int, fewer: int
+) -> tuple[int, list[tuple[int, tuple[int, ...], int]]]:
+    """Cut a word at each gap that holds fewer than ``fewer`` letters.
+
+    Returns ``(empty, parts)``, where ``empty`` counts the cut gaps that hold
+    no letter.  ``parts`` lists the runs of strands between the cuts, left to
+    right, as ``(first_strand, part_letters, part_strands)``: a part holds
+    the word's letters at its gaps, in order, re-indexed to start at gap 1.
+    A letter at a cut gap is in no part, and a strand between two cuts is a
+    part with no letters.  With no cut, the one part holds ``letters``
+    itself.  One pass counts the letters per gap and one deals them out, so
+    the cost is linear in the letters and strands.
+    """
+    counts = [0] * strands  # letters per gap, index 0 unused
+    for t in letters:
+        counts[abs(t)] += 1
+    cuts = [g for g in range(1, strands) if counts[g] < fewer]
+    if not cuts:
+        return 0, [(1, letters, strands)]
+    # the part between the cuts at lo and hi has gaps lo+1..hi-1, on strands lo+1..hi
+    bounds = [0, *cuts, strands]
+    parts: list[tuple[int, int, list[int]]] = [(lo, hi, []) for lo, hi in zip(bounds, bounds[1:])]
+    owner: list = [None] * strands  # (lo, letters so far) of the part of each gap that is not cut
+    for lo, hi, dealt in parts:
+        owner[lo + 1:hi] = [(lo, dealt)] * (hi - lo - 1)
+    for t in letters:
+        where = owner[abs(t)]
+        if where:
+            lo, dealt = where
+            dealt.append(t - lo if t > 0 else t + lo)
+    return sum(counts[g] == 0 for g in cuts), [(lo + 1, tuple(d), hi - lo) for lo, hi, d in parts]
 
 
 class ResolvedDiagram(_Frozen):

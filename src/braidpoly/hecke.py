@@ -39,11 +39,11 @@ count and grows with ``n!`` otherwise.
 
 A gap that no letter uses splits the closure into the word's
 :attr:`~braidpoly.braid.BraidWord.split_blocks`: maximal runs of used gaps,
-each taken by :func:`homfly_hecke` on its own strands and memoized on the
-block word, and free strands, each with polynomial 1.  The split union of
-``k`` blocks is ``delta^(k-1)`` times the product of their polynomials.
-Before it is traced, each block is cut into smaller words by
-:func:`_pieces`, with exact steps that keep its polynomial:
+and free strands, each with polynomial 1.  The split union of ``k`` blocks
+is ``delta^(k-1)`` times the product of their polynomials.  Before it is
+traced, each block is cut into smaller words by :func:`_pieces`, the one
+loop from a word to the pieces the trace is handed, with exact steps that
+keep its polynomial:
 
 * *Cancel.*  Letters at gaps at least 2 apart commute, so ``sigma_g^e`` and
   a later ``sigma_g^-e`` cancel when no letter at gap ``g`` or ``g +- 1``
@@ -60,8 +60,12 @@ Before it is traced, each block is cut into smaller words by
   times the one set times the other.  At an end gap that is a Markov
   destabilization; ``sigma_1 sigma_2 ... sigma_(n-1)`` is cut to nothing.
 
-Each word a cut leaves is cancelled and cut again until nothing changes,
-and what remains is traced.  Cancelling is skipped when no gap holds
+Both cuts, and the split into blocks, are one rule, written once in
+:func:`~braidpoly.braid._cut`: cut at each gap that holds fewer than
+``fewer`` letters (1 for the blocks, 2 here), re-index each part to start
+at gap 1, and count the empty cut gaps.  Each word a cut leaves is
+cancelled and cut again until nothing changes, and what remains is traced,
+each piece's trace memoized on the piece.  Cancelling is skipped when no gap holds
 letters of both signs, as in every reduced alternating word.
 
 A piece keeps one coefficient per permutation of its strands that the word
@@ -83,7 +87,7 @@ from collections import deque
 from operator import neg
 from typing import Sequence
 
-from .braid import BraidWord, mirror, writhe
+from .braid import BraidWord, _cut, mirror, writhe
 from .polynomial import LaurentPoly2, difference_power
 
 HECKE = "hecke"
@@ -279,72 +283,59 @@ def _cancelled(letters: tuple[int, ...], strands: int) -> tuple[int, ...]:
 def _pieces(word: BraidWord) -> tuple[int, list[BraidWord]]:
     """``(k, pieces)`` with ``P(word) = delta^k`` times the pieces' polynomials.
 
-    Each word, from ``word`` on, is cancelled (:func:`_cancelled`; skipped
-    when no gap holds letters of both signs, as in every reduced alternating
-    word) and cut at each gap that holds fewer than two letters: a gap with
-    none adds a factor ``delta``, and one with a single letter drops that
-    letter.  The words between the cuts, re-indexed to start at gap 1, go
-    round again, each holding a letter, so two strands or more; a word that
-    neither step changes is a piece.  A ``word`` of one strand has no
-    letters and polynomial 1, so it is no piece, and one that neither step
-    changes is its own piece, as the same object.
+    The one loop from a word to what the trace is handed.  It starts from
+    the word's :attr:`~braidpoly.braid.BraidWord.split_blocks`, ``len - 1``
+    factors ``delta``, and takes each block with letters, and each word a
+    cut leaves, through one round: cancel (:func:`_cancelled`; skipped when
+    no gap holds letters of both signs, as in every reduced alternating
+    word), then cut at each gap that holds fewer than two letters
+    (:func:`~braidpoly.braid._cut`).  A gap with no letter adds a factor
+    ``delta``, one with a single letter drops that letter, and the words
+    between the cuts go round again, each holding a letter, so two strands
+    or more; a word that neither step changes is a piece.  A block that
+    neither step changes is its own piece, as the same object.
     """
-    splits = 0
+    blocks = word.split_blocks
+    splits = len(blocks) - 1
     pieces = []
-    todo = [(word.letters, word.strands)] if word.strands > 1 else []
+    todo = [block for _, block in blocks if block.letters]  # a free strand's polynomial is 1
     while todo:
-        letters, m = todo.pop()
+        piece = todo.pop()
+        letters, m = piece.letters, piece.strands
         held = set(letters)
         if not held.isdisjoint(map(neg, held)):
             letters = _cancelled(letters, m)
-        counts = [0] * m  # letters per gap, index 0 unused
-        for t in letters:
-            counts[abs(t)] += 1
-        cuts = [g for g in range(1, m) if counts[g] < 2]
-        if not cuts:
-            pieces.append(word if letters is word.letters else BraidWord(letters, m))
-            continue
-        splits += sum(counts[g] == 0 for g in cuts)
-        # the word between the cuts at lo and hi has gaps lo+1..hi-1, on strands lo+1..hi
-        span: list = [None] * m  # (lo, hi) for each gap that is not cut
-        bounds = [0, *cuts, m]
-        for lo, hi in zip(bounds, bounds[1:]):
-            span[lo + 1:hi] = [(lo, hi)] * (hi - lo - 1)
-        parts: dict[tuple[int, int], list[int]] = {}
-        for t in letters:
-            where = span[abs(t)]
-            if where:
-                lo = where[0]
-                parts.setdefault(where, []).append(t - lo if t > 0 else t + lo)
-        todo += [(tuple(part), hi - lo) for (lo, hi), part in parts.items()]
+        empty, parts = _cut(letters, m, 2)
+        if len(parts) == 1:
+            pieces.append(piece if letters is piece.letters else BraidWord(letters, m))
+        else:
+            splits += empty
+            todo += [BraidWord(part, n) for _, part, n in parts if part]
     return splits, pieces
 
 
 def homfly_hecke(word: BraidWord) -> LaurentPoly2:
     """The HOMFLY polynomial of the closure by the Hecke-algebra trace.
 
-    Memoized on the word object (:attr:`BraidWord.homfly_memo`) under its own
-    key, so each word object is traced at most once.  A word of one split
-    block is cut into :func:`_pieces`, each traced by :func:`_block_trace`;
-    a word of ``k`` split blocks, free strands included, gives
-    ``delta^(k-1)`` times the product of its blocks' polynomials, each taken
-    by this function on the block word.
+    ``delta^k`` times the traces of the word's :func:`_pieces`, each taken
+    by :func:`_block_trace`.  Memoized on the word object
+    (:attr:`BraidWord.homfly_memo`) under its own key, and each piece's
+    trace on the piece, so each object is traced at most once: a split
+    block that cancelling and cutting leave whole is its own piece, and a
+    later call on that block, such as the certificate's, reads its memo.
     """
     memo = word.homfly_memo
     poly = memo.get(HECKE)
     if poly is None:
-        blocks = word.split_blocks
-        if len(blocks) == 1:
-            splits, pieces = _pieces(word)
-            # one piece and no split is the common case: no product with 1
-            poly = _block_trace(pieces.pop()) if pieces and not splits else _delta_power(splits)
-            for piece in pieces:
-                poly = poly * _block_trace(piece)
-        else:
-            poly = LaurentPoly2.one()
-            for _, block in blocks:
-                if block.letters:  # a free strand's polynomial is 1
-                    poly = poly * homfly_hecke(block)
-            poly = poly * _delta_power(len(blocks) - 1)
+        splits, pieces = _pieces(word)
+        traces = []
+        for piece in pieces:
+            if HECKE not in piece.homfly_memo:
+                piece.homfly_memo[HECKE] = _block_trace(piece)
+            traces.append(piece.homfly_memo[HECKE])
+        # one piece and no split is the common case: no product with 1
+        poly = traces.pop() if traces and not splits else _delta_power(splits)
+        for trace in traces:
+            poly = poly * trace
         memo[HECKE] = poly
     return poly

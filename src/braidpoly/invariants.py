@@ -269,8 +269,10 @@ def braid_index_certificate(word: BraidWord) -> BraidIndexCertificate:
     certified word as a whole, must have ``mfw_bounds(...).lower_bound ==
     strands``, or :class:`ConsistencyError` is raised rather than a wrong
     certificate returned.  The blocks are the word's
-    :attr:`~braidpoly.braid.BraidWord.split_blocks`, which the Hecke trace
-    has already traced and memoized when it took the whole word.
+    :attr:`~braidpoly.braid.BraidWord.split_blocks`.  The whole word is
+    traced first, and a certified block has nothing to cancel and no gap of
+    fewer than two letters, so the trace's front end hands it on whole and
+    memoizes its trace on the block object that ``mfw_bounds(block)`` reads.
     """
     whole = mfw_bounds(word)
     blocks = tuple(_block_certificate(f, block) for f, block in word.split_blocks)

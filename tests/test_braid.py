@@ -21,7 +21,7 @@ from braidpoly import (
     permutation,
     writhe,
 )
-from braidpoly.braid import _Frozen, _violations, permutation_and_kinds
+from braidpoly.braid import _cut, _Frozen, _violations, permutation_and_kinds
 from braidpoly.checks import CheckResult, run_selftest
 from braidpoly.jaeger import CircuitPartition
 from braidpoly.resolver import leaf_membership_test
@@ -529,12 +529,26 @@ class TestClassification:
             assert flags.alternating
 
 
+def sub_braid(word, first, last):
+    """The letters at gaps ``first..last``, re-indexed to start at gap 1.
+
+    The result lives on strands ``first..last+1`` of ``word``, renumbered
+    from 1; ``last = first - 1`` gives one strand and no letters.  Each call
+    scans all of the word's letters.
+    """
+    shift = first - 1
+    letters = tuple(
+        t - shift if t > 0 else t + shift for t in word.letters if first <= abs(t) <= last
+    )
+    return BraidWord(letters, last - first + 2)
+
+
 def sub_braid_blocks(word):
-    """``split_blocks`` rebuilt block by block with ``sub_braid``."""
+    """``split_blocks`` rebuilt block by block with :func:`sub_braid`."""
     used = set(word.gaps)
     firsts = [1] + [g + 1 for g in range(1, word.strands) if g not in used]
     lasts = [f - 2 for f in firsts[1:]] + [word.strands - 1]
-    return tuple((f, word.sub_braid(f, last)) for f, last in zip(firsts, lasts))
+    return tuple((f, sub_braid(word, f, last)) for f, last in zip(firsts, lasts))
 
 
 class TestSplitBlocks:
@@ -560,6 +574,28 @@ class TestSplitBlocks:
                 split += 1
                 assert blocks == sub_braid_blocks(word), word
         assert split > 300
+
+
+class TestCut:
+    # (letters, strands, fewer, empty cut gaps, parts as (first strand, letters, strands))
+    CASES = [
+        # nothing to cut
+        ((1, -2, 1, -2), 3, 2, 0, [(1, (1, -2, 1, -2), 3)]),
+        ((), 1, 1, 0, [(1, (), 1)]),
+        # one letter on 7 strands: six parts, five of them one strand
+        ((4,), 7, 1, 5, [(1, (), 1), (2, (), 1), (3, (), 1), (4, (1,), 2), (6, (), 1), (7, (), 1)]),
+        # a letter alone in its gap is cut and belongs to no part
+        ((1, 1, 2, 3, 3), 4, 2, 0, [(1, (1, 1), 2), (3, (1, 1), 2)]),
+        ((1, 1, 2, 3, 3), 4, 1, 0, [(1, (1, 1, 2, 3, 3), 4)]),
+        # negative letters are re-indexed like positive ones
+        ((-4, 5, -4, 5, 1, 1), 6, 1, 2, [(1, (1, 1), 2), (3, (), 1), (4, (-1, 2, -1, 2), 3)]),
+        # the one-letter gap 2 is cut but not counted; the empty gaps 3 and 5 are
+        ((1, 1, 2, 4, -4), 6, 2, 2, [(1, (1, 1), 2), (3, (), 1), (4, (1, -1), 2), (6, (), 1)]),
+    ]
+
+    @pytest.mark.parametrize("letters, strands, fewer, empty, parts", CASES)
+    def test_worked_examples(self, letters, strands, fewer, empty, parts):
+        assert _cut(letters, strands, fewer) == (empty, parts)
 
 
 class TestMirror:

@@ -3,6 +3,7 @@
 import functools
 import json
 import random
+from collections import Counter
 
 import pytest
 import sympy as sp
@@ -347,6 +348,19 @@ class TestFrontEnd:
         assert homfly_hecke(word) == homfly(BraidWord(letters, strands))
         assert poly2_to_sympy(homfly_hecke(word)) == brute_homfly(strands, word_letters(word))
 
+    def test_a_multi_block_word_starts_from_its_block_objects(self):
+        # blocks: a trefoil, a free strand, sigma_1 sigma_1^-1 sigma_1^2 (which cancels), a free strand
+        word = BraidWord((1, 1, 1, 4, -4, 4, 4), 6)
+        (_, trefoil), _, (_, cancelling), _ = word.split_blocks
+        splits, pieces = braidpoly.hecke._pieces(word)
+        assert splits == 3
+        assert sorted((p.letters, p.strands) for p in pieces) == [((1, 1), 2), ((1, 1, 1), 2)]
+        # the block the front end leaves whole is handed on as that object
+        assert any(p is trefoil for p in pieces)
+        assert not any(p is cancelling for p in pieces)
+        homfly_hecke(word)
+        assert trefoil.homfly_memo[braidpoly.hecke.HECKE] == homfly(BraidWord((1, 1, 1), 2))
+
     @given(cancelling_words())
     @settings(max_examples=100, deadline=None)
     def test_a_pair_with_no_neighbour_letters_cancels(self, word):
@@ -659,21 +673,32 @@ class TestBlocksBuiltOnce:
 
 
 @pytest.fixture
-def core_builds(monkeypatch):
-    """Record the word object of every front-end pass (``hecke._pieces``) during the test."""
-    calls = []
-    cut = braidpoly.hecke._pieces
+def front_end(monkeypatch):
+    """Record the Hecke trace's front end during the test.
 
-    def counted(word):
-        calls.append(word)
-        return cut(word)
+    ``passes`` gets the word object of every ``hecke._pieces`` call, and
+    ``cuts`` gets ``(letters, strands, parts)`` for every round's
+    ``hecke._cut`` call, ``parts`` being the parts it returned.
+    """
+    passes, cuts = [], []
+    pieces, cut = braidpoly.hecke._pieces, braidpoly.hecke._cut
 
-    monkeypatch.setattr(braidpoly.hecke, "_pieces", counted)
-    return calls
+    def counted_pieces(word):
+        passes.append(word)
+        return pieces(word)
+
+    def counted_cut(letters, strands, fewer):
+        empty, parts = cut(letters, strands, fewer)
+        cuts.append((letters, strands, parts))
+        return empty, parts
+
+    monkeypatch.setattr(braidpoly.hecke, "_pieces", counted_pieces)
+    monkeypatch.setattr(braidpoly.hecke, "_cut", counted_cut)
+    return passes, cuts
 
 
 class TestDestabilizedOnce:
-    """``analyze`` cancels and cuts each split block with letters once."""
+    """``analyze`` takes each word object through the front end once, and each block one round."""
 
     TEXTS = [
         "1 1 -3 -3",
@@ -687,13 +712,26 @@ class TestDestabilizedOnce:
         " ".join(map(str, (1, 1, 1, *(t + 3 for t in doubled(range(1, 12)))))),
     ]
 
-    def test_analyze_destabilizes_each_block_once(self, capsys, core_builds):
+    def test_analyze_destabilizes_each_block_once(self, capsys, front_end):
+        passes, cuts = front_end
+        cancelled = braidpoly.hecke._cancelled
         for text in self.TEXTS:
-            core_builds.clear()
+            passes.clear()
+            cuts.clear()
             assert main(["analyze", text, "--json"]) == 0
             capsys.readouterr()
-            lettered = [b for _, b in parse_braid(text).split_blocks if b.letters]
-            assert len(core_builds) == len(lettered), text
-            assert [(b.letters, b.strands) for b in core_builds] == [
-                (b.letters, b.strands) for b in lettered
-            ], text
+            # one pass, on the analyzed word: the certificate reads its blocks' memo
+            word = parse_braid(text)
+            assert [(w.letters, w.strands) for w in passes] == [(word.letters, word.strands)]
+            lettered = [b for _, b in passes[0].split_blocks if b.letters]
+            # every round cuts a lettered block or a lettered part of an earlier cut, once
+            rounds = Counter((letters, m) for letters, m, _ in cuts)
+            starts = Counter((cancelled(b.letters, b.strands), b.strands) for b in lettered)
+            starts += Counter(
+                (cancelled(part, n), n)
+                for _, _, parts in cuts
+                if len(parts) > 1
+                for _, part, n in parts
+                if part
+            )
+            assert rounds == starts, text
