@@ -478,7 +478,9 @@ def _violations(
     has passed depends on it.  That holds only for the yielded letter, and
     only before the walk resumes; a change to any other letter is not
     defined.  :func:`braidpoly.invariants.construct_u_prime` smooths its
-    violations this way.
+    violations this way, and :func:`braidpoly.jaeger.verify_bijection`
+    flips each one, so its literal tree takes one walk per leaf: the
+    flipped child resumes its parent's walk.
     """
     gaps = word.gaps
     letters = word.letters

@@ -30,17 +30,18 @@ no record built per partition; :func:`enumerate_admissible` passes the
 search a list, so it still holds every record of the tree in memory at
 once, O(leaves).
 :func:`verify_bijection` checks that search against the resolving tree
-expanded literally, one walk per node restarted from the top, and checks
-that each leaf of that tree closes to a trivial link; search records equal
-to the tree's close to one too.  Each node's walk is also its
-component count: a leaf's walk goes round the whole closure to find no
-violation, so its gamma comes from that same walk.  The walk steps over
-tables that :mod:`braidpoly.braid` builds once per word, and shares no
-code or table with the search.  Both sides reduce a leaf to the ints
-``(smoothed, flipped, gamma, t, t')``, with the two sets as bit masks, and
-the two leaf sequences are compared in tree order; the search side reads its
-records, and its tally, from one :func:`leaf_search` run, so the check also
-holds the tally to the records.
+expanded literally, one walk per leaf: the flipped child resumes its
+parent's walk and each smoothed child's walk starts from the top.  It also
+checks that each leaf of that tree closes to a trivial link; search records
+equal to the tree's close to one too.  Each walk is also its leaf's
+component count: it goes round the whole closure to find no violation it
+leaves unresolved, so the leaf's gamma comes from that same walk.  The walk
+steps over tables that :mod:`braidpoly.braid` builds once per word, and
+shares no code or table with the search.  Both sides reduce a leaf to the
+ints ``(smoothed, flipped, gamma, t, t')``, with the two sets as bit masks,
+and the two leaf sequences are compared in tree order; the search side reads
+its records, and its tally, from one :func:`leaf_search` run, so the check
+also holds the tally to the records.
 """
 
 from __future__ import annotations
@@ -143,25 +144,33 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     """Check the leaf/partition correspondence exhaustively for one word.
 
     The paired resolving tree (descending for the standard variant, ascending
-    for the dual) is expanded literally, one state tuple per node, by the
-    tree step that :func:`braidpoly.resolver.split_at` also takes, restarting
-    the walk from the top at every node.  One run of
-    :func:`braidpoly.braid._violations` finds the node's first violation on
-    an unsmoothed letter, as :func:`braidpoly.resolver.first_violation` does;
-    at a leaf it finds none only after going round the whole closure, so the
-    cycles it collected on the way give the leaf's gamma.  That walk steps
-    over the word's successor table, which :mod:`braidpoly.braid` builds on
-    the first node and every later node reuses.  One pass over the leaf's
-    states gives its record ``(smoothed, flipped, gamma, t, t')`` of ints,
-    the two sets as bit masks over letter positions, and its writhe ``w``:
+    for the dual) is expanded literally by the tree step that
+    :func:`braidpoly.resolver.split_at` also takes, one walk per leaf: the
+    flipped child resumes its parent's walk.  A run of
+    :func:`braidpoly.braid._violations` yields a node's first violation on
+    an unsmoothed letter, as :func:`braidpoly.resolver.first_violation`
+    finds it; the check pushes the smoothed child's states, to be walked
+    later from the top, writes the flipped child's state for that letter
+    into the list the walk is reading and lets the walk go on, which is then
+    the flipped child's walk from the top (a letter is first visited once,
+    and nothing the walk has passed depends on it).  So each walk runs
+    round the whole closure to one leaf, and the cycles it collected on the
+    way give that leaf's gamma: the component count of a complete natural
+    traversal of the leaf's own diagram.  A tree of L leaves takes L walks,
+    where restarting at every node took 2L - 1.  The walk steps over the
+    word's successor table, which :mod:`braidpoly.braid` builds on the first
+    walk and every later walk reuses.  One pass over the leaf's states gives
+    its record ``(smoothed, flipped, gamma, t, t')`` of ints, the two sets
+    as bit masks over letter positions, and its writhe ``w``:
     +1 for a kept positive or a flipped negative letter, -1 for a kept
     negative or a flipped positive one, 0 for a smoothed one.
 
     The leaves must have distinct smoothed sets, which makes those sets a
     family of partitions, and their records must equal, in tree order, those
     of the leaf search that enumerates the admissible partitions.  The two
-    children of a node share the parent's walk up to the split, so expanding
-    the flipped child first gives the leaves in the search's order.  One run of
+    children of a node share the parent's walk up to the split, and the
+    flipped child's leaves come out before the smoothed child leaves the
+    stack, which is the search's order.  One run of
     :func:`braidpoly.resolver.leaf_search` gives both those records and the
     signed ``(gamma, t)`` tally that :func:`homfly` turns into the
     polynomial, and the tally must equal the signed sum of the records, so
@@ -184,32 +193,33 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     smoothed_sets = set()
     stack = [(KEPT,) * len(word)]
     while stack:
-        states = stack.pop()
+        states = list(stack.pop())
         cycles: list[list[int]] = []
         for i in _violations(word, states, ascending, cycles):
             if states[i] is not SMOOTHED:
-                # the flipped child on top, so leaves come out in the search's order
-                stack += reversed(_split_states(states, i))
-                break
-        else:
-            smoothed = flipped = t = t_neg = w = 0
-            for j, (state, x) in enumerate(zip(states, letters)):
-                if state is SMOOTHED:
-                    smoothed |= 1 << j
-                    t += 1
-                    t_neg += x < 0
-                    continue
-                if state is FLIPPED:
-                    flipped |= 1 << j
-                w += 1 if (x > 0) == (state is KEPT) else -1
-            if smoothed in smoothed_sets:
-                return False  # two leaves sharing a smoothed set breaks the pairing
-            smoothed_sets.add(smoothed)
-            gamma = len(cycles)
-            if gamma + sign * w != n:
-                return False
-            tree.append((smoothed, flipped, gamma, t, t_neg))
-            counts[gamma, t] = counts.get((gamma, t), 0) + (-1 if t_neg & 1 else 1)
+                # the walk goes on as the flipped child's while the smoothed
+                # child waits, so leaves come out in the search's order
+                flip, *smooth = _split_states(states, i)
+                stack += reversed(smooth)
+                states[i] = flip[i]
+        smoothed = flipped = t = t_neg = w = 0
+        for j, (state, x) in enumerate(zip(states, letters)):
+            if state is SMOOTHED:
+                smoothed |= 1 << j
+                t += 1
+                t_neg += x < 0
+                continue
+            if state is FLIPPED:
+                flipped |= 1 << j
+            w += 1 if (x > 0) == (state is KEPT) else -1
+        if smoothed in smoothed_sets:
+            return False  # two leaves sharing a smoothed set breaks the pairing
+        smoothed_sets.add(smoothed)
+        gamma = len(cycles)
+        if gamma + sign * w != n:
+            return False
+        tree.append((smoothed, flipped, gamma, t, t_neg))
+        counts[gamma, t] = counts.get((gamma, t), 0) + (-1 if t_neg & 1 else 1)
     records: list[tuple[int, int, int, int, int]] = []
     tally = leaf_search(word, ascending, records)
     if records != tree:

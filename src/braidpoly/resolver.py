@@ -62,7 +62,7 @@ same walk.
 
 from __future__ import annotations
 
-from typing import Iterator, Literal, NamedTuple, Optional
+from typing import Iterator, Literal, NamedTuple, Optional, Sequence
 
 from .braid import (
     FLIPPED,
@@ -333,14 +333,18 @@ def split_at(diagram: ResolvedDiagram, i: int) -> tuple[ResolvedDiagram, Resolve
 
 
 def _split_states(
-    states: tuple[CrossingState, ...], i: int
+    states: Sequence[CrossingState], i: int
 ) -> tuple[tuple[CrossingState, ...], tuple[CrossingState, ...]]:
     """The states of the flipped and the smoothed child at unsmoothed letter ``i``.
 
     This is the one tree step: :func:`split_at` wraps it for diagrams, and
-    :func:`braidpoly.jaeger.verify_bijection` expands state tuples with it.
+    :func:`braidpoly.jaeger.verify_bijection` takes each node's children
+    from it, one walk per leaf: it writes the flipped child's state for ``i``
+    into the list its walk is reading, so the flipped child resumes its
+    parent's walk, and walks the smoothed child later from the top.
+    ``states`` may be that list; the children are tuples either way.
     """
-    head, tail = states[:i], states[i + 1 :]
+    head, tail = tuple(states[:i]), tuple(states[i + 1 :])
     toggled = KEPT if states[i] is FLIPPED else FLIPPED
     return head + (toggled,) + tail, head + (SMOOTHED,) + tail
 

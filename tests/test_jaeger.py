@@ -280,9 +280,36 @@ class TestBijection:
         monkeypatch.setattr(braidpoly.jaeger, "_split_states", split_twice)
         assert not verify_bijection(word, variant)
 
+    @pytest.mark.parametrize("variant", [STANDARD, DUAL])
+    @pytest.mark.parametrize(
+        "text,strands",
+        [
+            ("1 1 1 1 1 1 1 1", None),
+            ("1 -2 3 1 1 -2 -2 3 3 1 -2 3 1 -2", None),
+            ("", 3),
+            ("1 1 -3", 6),
+        ],
+    )
+    def test_literal_tree_walks_once_per_leaf(self, monkeypatch, text, strands, variant):
+        # the flipped child resumes its parent's walk, so a tree of L leaves
+        # takes L walks where restarting at every node takes 2L - 1
+        word = parse_braid(text, strands)
+        records = []
+        braidpoly.jaeger.leaf_search(word, variant == DUAL, records)
+        walks = []
+        violations = braidpoly.jaeger._violations
+
+        def counted(*args):
+            walks.append(args)
+            return violations(*args)
+
+        monkeypatch.setattr(braidpoly.jaeger, "_violations", counted)
+        assert verify_bijection(word, variant)
+        assert len(walks) == len(records)
+
     def test_literal_tree_builds_its_word_tables_once(self, monkeypatch):
-        # every node restarts the walk, but the successor table and the gaps
-        # its first-visit test reads depend on the word alone
+        # each leaf's walk is a new walk, but the successor table and the
+        # gaps its first-visit test reads depend on the word alone
         builds = []
         for name in ("column_index", "gaps"):
             build = vars(BraidWord)[name].func

@@ -154,6 +154,35 @@ class TestSplitAt:
                 states[i] = SMOOTHED
         assert tuple(states) == diagram.states
 
+    @given(words(max_len=8), st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_flipping_or_smoothing_in_one_walk_is_the_restart_descent(
+        self, word, rng, ascending
+    ):
+        # ``verify_bijection`` flips the yielded letter and lets the walk go
+        # on as the flipped child's: each letter the one walk resolves, by
+        # either child, must be the next violation of the restart descent
+        # along the same choices, and the walk must count the components of
+        # the diagram it ends on
+        states = [rng.choice((KEPT, FLIPPED)) for _ in range(len(word))]
+        mode = ASCENDING if ascending else DESCENDING
+        diagram = ResolvedDiagram(word, tuple(states))
+        steps = []
+        cycles = []
+        with deadline(2):
+            for i in _violations(word, states, ascending, cycles):
+                child = rng.randrange(2)
+                steps.append((i, child))
+                toggled = KEPT if states[i] is FLIPPED else FLIPPED
+                states[i] = SMOOTHED if child else toggled
+        for i, child in steps:
+            assert first_violation(diagram, mode) == i
+            diagram = split_at(diagram, i)[child]
+        assert first_violation(diagram, mode) is None
+        assert tuple(states) == diagram.states
+        codes = "".join(STATE_CHAR[s] for s in states)
+        assert cycles == brute_walk(word.strands, word_letters(word), codes)[1]
+
 
 class TestLeafEnumeration:
     def test_single_positive_crossing(self):
