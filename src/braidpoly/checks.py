@@ -71,8 +71,9 @@ def check_skein(word: BraidWord) -> Optional[str]:
 
     Neighbouring equal letters give equal smoothed words; each distinct word
     is kept as one object, so its memo answers every letter after the first.
-    Each letter's identity is tested in one pass over the three polynomials'
-    terms (:func:`braidpoly.polynomial.skein_holds`), building none.
+    Each letter's identity is tested by adding ``z^-1 (a*P(+) - a^-1*P(-))``
+    into one accumulator and comparing it with ``P(0)``'s terms
+    (:func:`braidpoly.polynomial.skein_holds`), building no polynomial.
     """
     distinct = {word: word}
     for i in range(len(word)):

@@ -88,7 +88,7 @@ from operator import neg
 from typing import Sequence
 
 from .braid import BraidWord, _cut, mirror, writhe
-from .polynomial import LaurentPoly2, difference_power
+from .polynomial import LaurentPoly2, _add_shifted, difference_power
 
 HECKE = "hecke"
 
@@ -104,8 +104,11 @@ def _add(out: dict[tuple[int, ...], Coeff], perm: tuple[int, ...], coeff: Coeff,
     """``out[perm] += sign * z^dz * a^da * coeff``.
 
     An unshifted ``coeff`` may be stored as it is, so callers pass only
-    coefficients of an element they discard afterwards.  A permutation whose
-    coefficient cancels is dropped, so no later step carries it.
+    coefficients of an element they discard afterwards.  A fresh permutation
+    takes ``coeff`` or a shifted copy of it; a present one adds it through
+    the package's one term-map sum (:func:`~braidpoly.polynomial._add_shifted`),
+    and a permutation whose coefficient cancels is dropped, so no later step
+    carries it.
     """
     target = out.get(perm)
     if target is None:
@@ -113,13 +116,7 @@ def _add(out: dict[tuple[int, ...], Coeff], perm: tuple[int, ...], coeff: Coeff,
             coeff = {(z + dz, a + da): sign * c for (z, a), c in coeff.items()}
         out[perm] = coeff
         return
-    for (z, a), c in coeff.items():
-        key = (z + dz, a + da)
-        v = target.get(key, 0) + sign * c
-        if v:
-            target[key] = v
-        else:
-            del target[key]
+    _add_shifted(target, coeff.items(), dz, da, sign)
     if not target:
         del out[perm]
 
@@ -170,7 +167,7 @@ def _delta_power(k: int) -> LaurentPoly2:
     longer polynomials: about 0.6 s at ``k = 999``, which ``analyze 1
     --strands 1000`` needs, where this takes milliseconds.
     """
-    return LaurentPoly2._from_clean({(-k, e): c for e, c in difference_power(k)})
+    return LaurentPoly2._from_clean({(-k, e): c for (_, e), c in difference_power(k)})
 
 
 def _live_widths(letters: Sequence[int]) -> list[int]:

@@ -13,6 +13,12 @@ Both are immutable values backed by sparse exponent->coefficient maps with no
 stored zero coefficients.  Coefficients are plain Python integers, so the
 arithmetic is exact at any size.
 
+Every exact sum of the package -- ``+``, ``-`` and ``*`` here, the skein
+test, the Alexander substitution, the Hecke trace's coefficient updates and
+the resolving-tree sum -- adds through one loop, :func:`_add_shifted`: add
+``c * z^dz * a^da`` times a term map into an accumulator and delete each
+coefficient that cancels.  That loop alone keeps the no-zero rule.
+
 The canonical printed order of a two-variable polynomial is by ``a``-degree
 descending, then ``z``-degree descending, e.g. ``a^2*z^-2 - 2*z^-2 + a^-2*z^-2``.
 """
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class ZeroPolynomialError(ValueError):
@@ -41,11 +47,11 @@ class SubstitutionError(ValueError):
 _KEPT_ROWS = 64
 
 
-def _expand_row(k: int) -> tuple[tuple[int, int], ...]:
+def _expand_row(k: int) -> tuple[tuple[tuple[int, int], int], ...]:
     terms = []
     b = 1
     for j in range(k + 1):
-        terms.append((k - 2 * j, -b if j & 1 else b))
+        terms.append(((0, k - 2 * j), -b if j & 1 else b))
         b = b * (k - j) // (j + 1)
     return tuple(terms)
 
@@ -53,8 +59,8 @@ def _expand_row(k: int) -> tuple[tuple[int, int], ...]:
 _kept_row = functools.lru_cache(maxsize=_KEPT_ROWS)(_expand_row)
 
 
-def difference_power(k: int) -> tuple[tuple[int, int], ...]:
-    """``(x - x^-1)^k`` as ``(exponent, coefficient)`` pairs, exponents descending.
+def difference_power(k: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """``(x - x^-1)^k`` as ``((0, exponent), coefficient)`` pairs, exponents descending.
 
     The term ``x^(k - 2j)`` has coefficient ``(-1)^j C(k, j)``, and each
     binomial comes from the one before: ``C(k, j + 1) = C(k, j) * (k - j) /
@@ -63,14 +69,17 @@ def difference_power(k: int) -> tuple[tuple[int, int], ...]:
     took 1.2 s that way against 12 ms this way (2 CPUs, Python 3.11.7).
     Every weight of the package is one of these: ``delta^k = (a - a^-1)^k
     z^-k``, the resolving-tree weights ``a^(+-k) delta^k`` and the
-    Alexander substitution's ``(s - s^-1)^k``.
+    Alexander substitution's ``(s - s^-1)^k``.  Each exponent sits in the
+    second slot of a ``(z, a)`` key, so a row is a term map that
+    :func:`_add_shifted` adds, shifted, as it stands.
 
     A row depends on ``k`` alone, so rows ``k < 64`` are expanded once per
-    process and return the same tuple.  Row ``k`` holds ``k + 1`` ints below
-    ``2^k``, so the kept rows never take more than 0.22 MB.  A wider row (a
-    leaf or split of more than 64 components, a ``z^64`` or higher) is
-    expanded on every call and freed with its result: row 5,499 alone takes
-    3.5 MB.  A negative ``k`` raises ``ValueError``.
+    process and return the same tuple, which every caller only reads.  Row
+    ``k`` holds ``k + 1`` ints below ``2^k``, so the kept rows never take
+    more than 0.34 MB.  A wider row (a leaf or split of more than 64
+    components, a ``z^64`` or higher) is expanded on every call and freed
+    with its result: row 5,499 alone takes 3.9 MB.  A negative ``k`` raises
+    ``ValueError``.
     """
     if 0 <= k < _KEPT_ROWS:
         return _kept_row(k)
@@ -79,17 +88,35 @@ def difference_power(k: int) -> tuple[tuple[int, int], ...]:
     return _expand_row(k)
 
 
+def _add_shifted(acc: dict[tuple[int, int], int], pairs: Iterable[tuple[tuple[int, int], int]],
+                 dz: int = 0, da: int = 0, c: int = 1) -> None:
+    """Add ``c * z^dz * a^da`` times the terms ``pairs`` into ``acc``, in place.
+
+    Each ``((z, a), v)`` of ``pairs`` adds ``c * v`` at ``(z + dz, a + da)``,
+    and a key whose sum cancels is deleted, so ``acc`` keeps no zero
+    coefficient.  Every exact sum of the package is made here.  ``c`` and
+    every ``v`` must be nonzero; ``pairs`` is only read.
+    """
+    for (z, a), v in pairs:
+        key = (z + dz, a + da)
+        s = acc.get(key, 0) + c * v
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]
+
+
 def skein_holds(plus: LaurentPoly2, minus: LaurentPoly2, zero: LaurentPoly2) -> bool:
-    """Whether ``a*plus - a^-1*minus = z*zero``, in one pass over the three
-    term maps and with no polynomial built."""
-    acc = {(dz, da + 1): c for (dz, da), c in plus._terms.items()}
-    for (dz, da), c in minus._terms.items():
-        key = (dz, da - 1)
-        acc[key] = acc.get(key, 0) - c
-    for (dz, da), c in zero._terms.items():
-        if acc.pop((dz + 1, da), 0) != c:
-            return False
-    return not any(acc.values())
+    """Whether ``a*plus - a^-1*minus = z*zero``, with no polynomial built.
+
+    ``z^-1 (a*plus - a^-1*minus)`` is added into one accumulator, which
+    keeps no zero coefficient, so the identity holds exactly when it equals
+    ``zero``'s term map.
+    """
+    acc: dict[tuple[int, int], int] = {}
+    _add_shifted(acc, plus._terms.items(), -1, 1)
+    _add_shifted(acc, minus._terms.items(), -1, -1, -1)
+    return acc == zero._terms
 
 
 def _format_terms(terms, var_names):
@@ -154,32 +181,26 @@ class LaurentPoly2:
         if not isinstance(other, LaurentPoly2):
             return NotImplemented
         acc = dict(self._terms)
-        for k, c in other._terms.items():
-            v = acc.get(k, 0) + c
-            if v:
-                acc[k] = v
-            else:
-                acc.pop(k, None)
+        _add_shifted(acc, other._terms.items())
         return LaurentPoly2._from_clean(acc)
 
     def __neg__(self) -> "LaurentPoly2":
         return LaurentPoly2._from_clean({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        return self + (-other)
+        if not isinstance(other, LaurentPoly2):
+            return NotImplemented
+        acc = dict(self._terms)
+        _add_shifted(acc, other._terms.items(), c=-1)
+        return LaurentPoly2._from_clean(acc)
 
     def __mul__(self, other: "LaurentPoly2") -> "LaurentPoly2":
         if not isinstance(other, LaurentPoly2):
             return NotImplemented
         acc: dict[tuple[int, int], int] = {}
-        for (z1, a1), c1 in self._terms.items():
-            for (z2, a2), c2 in other._terms.items():
-                k = (z1 + z2, a1 + a2)
-                v = acc.get(k, 0) + c1 * c2
-                if v:
-                    acc[k] = v
-                else:
-                    acc.pop(k, None)
+        pairs = other._terms.items()
+        for (z, a), c in self._terms.items():
+            _add_shifted(acc, pairs, z, a, c)
         return LaurentPoly2._from_clean(acc)
 
     def __pow__(self, k: int) -> "LaurentPoly2":
@@ -263,13 +284,11 @@ class LaurentPoly2:
             q[dz] = q.get(dz, 0) + c
         if any(c for k, c in q.items() if k < 0):
             raise SubstitutionError("a negative power of z survives a = 1")
-        acc: dict[int, int] = {}
+        acc: dict[tuple[int, int], int] = {}  # (0, e) -> coefficient of s^e
         for k, c in q.items():
-            if not c:
-                continue  # a vanished power, negative ones included
-            for e, b in difference_power(k):
-                acc[e] = acc.get(e, 0) + c * b
-        return LaurentPoly1(acc)
+            if c:  # a vanished power, negative ones included, adds nothing
+                _add_shifted(acc, difference_power(k), 0, 0, c)
+        return LaurentPoly1({e: c for (_, e), c in acc.items()})
 
 
 class LaurentPoly1:

@@ -74,7 +74,7 @@ from .braid import (
     _violations,
     writhe,
 )
-from .polynomial import LaurentPoly2, difference_power
+from .polynomial import LaurentPoly2, _add_shifted, difference_power
 
 Mode = Literal["descending", "ascending"]
 
@@ -412,13 +412,14 @@ def assemble_tree_sum(
     reads the row of its ``k = gamma - 1`` from :func:`difference_power`,
     which expands the rows below ``k = 64`` once per process, and the rows
     read are kept for the call, so a wider row is expanded once per distinct
-    ``k`` rather than once per entry.  The sum stores no zero coefficient and
-    only int keys, so it becomes the polynomial without a second pass over
-    its terms.
+    ``k`` rather than once per entry.  Each row is added, shifted and
+    scaled, by :func:`~braidpoly.polynomial._add_shifted`, which stores no
+    zero coefficient and only int keys, so the sum becomes the polynomial
+    without a second pass over its terms.
     """
     prefactor = (strands - 1 - total_writhe) if ascending else (1 - strands - total_writhe)
     acc: dict[tuple[int, int], int] = {}
-    rows: dict[int, tuple[tuple[int, int], ...]] = {}
+    rows: dict[int, tuple[tuple[tuple[int, int], int], ...]] = {}
     for (gamma, t), mult in counts.items():
         if mult == 0:
             continue
@@ -427,16 +428,9 @@ def assemble_tree_sum(
         if row is None:
             row = rows[k] = difference_power(k)
         # ((a^2-1) z^-1)^k = a^k delta^k and ((1-a^-2) z^-1)^k = a^-k delta^k,
-        # with delta^k = (a - a^-1)^k z^-k, as (a-degree, coeff) terms
+        # with delta^k = (a - a^-1)^k z^-k: the row of (a - a^-1)^k, shifted
         shift = prefactor - k if ascending else prefactor + k
-        dz = t - k
-        for e, c in row:
-            key = (dz, e + shift)
-            v = acc.get(key, 0) + mult * c
-            if v:
-                acc[key] = v
-            else:
-                del acc[key]
+        _add_shifted(acc, row, t - k, shift, mult)
     return LaurentPoly2._from_clean(acc)
 
 

@@ -1,4 +1,6 @@
 import math
+from collections import defaultdict
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,13 @@ from braidpoly.polynomial import (
     LaurentPoly2,
     SubstitutionError,
     ZeroPolynomialError,
+    _add_shifted,
+    _expand_row,
     difference_power,
     skein_holds,
 )
 from braidpoly.braid import parse_braid
+from braidpoly.cli import main
 from braidpoly.hecke import _delta_power, homfly_hecke
 from braidpoly.resolver import assemble_tree_sum, homfly
 
@@ -262,8 +267,8 @@ class TestBinomialRow:
             row = sp.Poly((1 + x) ** k, x).all_coeffs()[::-1]
             assert [c for _, c in terms] == [(-1) ** j * b for j, b in enumerate(row)]
             expected = sp.Poly(sp.expand((x - 1 / x) ** k * x**k), x)
-            assert dict(terms) == {e - k: int(c) for (e,), c in expected.terms()}
-            assert [e for e, _ in terms] == list(range(k, -k - 1, -2))
+            assert dict(terms) == {(0, e - k): int(c) for (e,), c in expected.terms()}
+            assert [key for key, _ in terms] == [(0, e) for e in range(k, -k - 1, -2)]
 
     def test_delta_powers(self):
         import sympy as sp
@@ -299,7 +304,7 @@ class TestKeptRows:
     def test_rows_against_math_comb(self):
         for k in range(61):
             row = difference_power(k)
-            assert row == tuple((k - 2 * j, (-1) ** j * math.comb(k, j)) for j in range(k + 1))
+            assert row == tuple(((0, k - 2 * j), (-1) ** j * math.comb(k, j)) for j in range(k + 1))
             assert difference_power(k) is row
 
     def test_wide_rows_are_not_kept(self):
@@ -309,7 +314,7 @@ class TestKeptRows:
             difference_power(k)
         assert _kept_row.cache_info().currsize <= _kept_row.cache_info().maxsize == 64
         row = difference_power(200)
-        assert row == tuple((200 - 2 * j, (-1) ** j * math.comb(200, j)) for j in range(201))
+        assert row == tuple(((0, 200 - 2 * j), (-1) ** j * math.comb(200, j)) for j in range(201))
         assert difference_power(200) is not row
 
     def test_tree_sum_expands_each_wide_row_once(self, monkeypatch):
@@ -378,3 +383,114 @@ class TestSkeinHolds:
         hopf = homfly(parse_braid("1 1"))
         assert skein_holds(trefoil, homfly(parse_braid("-1 1 1")), hopf)
         assert not skein_holds(trefoil, homfly(parse_braid("-1 1 1")), trefoil)
+
+
+POINTS = ((Fraction(2), Fraction(3)), (Fraction(-1, 2), Fraction(5)))  # (a, z)
+
+
+def value(terms, a, z):
+    """``((z, a), c)`` pairs summed at ``a``, ``z`` in exact rationals."""
+    return sum((c * z**dz * a**da for (dz, da), c in terms), Fraction(0))
+
+
+def clean(p):
+    """``p``, once it is checked to store no zero coefficient."""
+    assert all(p._terms.values()), p._terms
+    return p
+
+
+class TestExactEvaluation:
+    """Each exact sum against the same sum of values at two rational points.
+
+    The reference evaluates the term maps with ``Fraction`` and shares no
+    code with the package's one accumulate loop, ``_add_shifted``.
+    """
+
+    @given(poly_terms, poly_terms)
+    @settings(max_examples=200)
+    def test_ring_operations(self, t1, t2):
+        p, q = LaurentPoly2(t1), LaurentPoly2(t2)
+        for a, z in POINTS:
+            vp, vq = value(t1.items(), a, z), value(t2.items(), a, z)
+            assert value(clean(p + q).terms(), a, z) == vp + vq
+            assert value(clean(p - q).terms(), a, z) == vp - vq
+            assert value(clean(p * q).terms(), a, z) == vp * vq
+        assert not clean(p - p)
+        assert not clean(p + (-p))
+
+    @given(
+        poly_terms, poly_terms, poly_terms, st.booleans(), st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    )
+    @settings(max_examples=200)
+    def test_skein_holds(self, t1, t2, t3, solved, key):
+        plus, minus = LaurentPoly2(t1), LaurentPoly2(t2)
+        if solved:  # zero = (a*plus - a^-1*minus) / z, summed here term by term
+            t3 = defaultdict(int)
+            for (dz, da), c in t1.items():
+                t3[dz - 1, da + 1] += c
+            for (dz, da), c in t2.items():
+                t3[dz - 1, da - 1] -= c
+        zero = LaurentPoly2(t3)
+        evaluated = [
+            a * value(t1.items(), a, z) - value(t2.items(), a, z) / a == z * value(t3.items(), a, z)
+            for a, z in POINTS
+        ]
+        holds = skein_holds(plus, minus, zero)
+        assert all(evaluated) or not holds
+        if solved:
+            assert holds
+            # one more monomial in any of the three changes both values
+            off = LaurentPoly2({key: 1})
+            assert not skein_holds(plus, minus, zero + off)
+            assert not skein_holds(plus + off, minus, zero)
+            assert not skein_holds(plus, minus + off, zero)
+
+    @given(tallies, st.integers(1, 6), st.integers(-8, 8), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_tree_sum_is_its_closed_form(self, counts, strands, writhe, ascending):
+        result = clean(assemble_tree_sum(counts, strands, writhe, ascending))
+        prefactor = strands - 1 - writhe if ascending else 1 - strands - writhe
+        for a, z in POINTS:
+            base = (1 - a**-2) / z if ascending else (a**2 - 1) / z
+            leaves = sum(
+                (m * z**t * base ** (gamma - 1) for (gamma, t), m in counts.items()), Fraction(0)
+            )
+            assert value(result.terms(), a, z) == a**prefactor * leaves
+
+    @given(
+        poly_terms,
+        poly_terms,
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+        st.sampled_from([-3, -1, 1, 2]),
+    )
+    @settings(max_examples=200)
+    def test_kernel(self, t1, t2, dz, da, c):
+        p, q = LaurentPoly2(t1), LaurentPoly2(t2)
+        acc = dict(p._terms)
+        pairs = tuple(q._terms.items())
+        _add_shifted(acc, pairs, dz, da, c)
+        assert all(acc.values())
+        assert pairs == tuple(q._terms.items())
+        for a, z in POINTS:
+            shifted = c * z**dz * a**da * value(t2.items(), a, z)
+            assert value(acc.items(), a, z) == value(t1.items(), a, z) + shifted
+        _add_shifted(acc, pairs, dz, da, -c)
+        assert acc == p._terms
+        _add_shifted(acc, p._terms.items(), c=-1)
+        assert acc == {}
+
+
+class TestSharedRows:
+    """The kept rows of ``difference_power`` are shared, so every caller only reads them."""
+
+    def test_rows_are_unchanged_after_the_commands(self, capsys):
+        kept = [difference_power(k) for k in range(64)]
+        assert main(["selftest", "--samples", "50"]) == 0
+        assert main(["analyze", "1 1 1 2 -3 -3 -3"]) == 0
+        assert main(["compute", "1 1 1 2 -3 -3 -3", "--method", "all"]) == 0
+        assert "all methods agree" in capsys.readouterr().out
+        for k, row in enumerate(kept):
+            assert difference_power(k) is row
+            assert type(row) is tuple and all(type(term) is tuple for term in row)
+            assert row == _expand_row(k)
