@@ -456,7 +456,7 @@ def _violations(
     in the order the walk starts them, one list per component.  This is the
     one cycle collector: :func:`permutation_and_kinds`, which
     :meth:`ResolvedDiagram.permutation` reads, and the leaves of
-    :func:`braidpoly.jaeger.verify_bijection` read it.  The list is whole
+    :func:`braidpoly.resolver._literal_leaves` read it.  The list is whole
     only once the walk is exhausted.
 
     The walk is the natural traversal, and this is the one loop in the
@@ -478,8 +478,8 @@ def _violations(
     has passed depends on it.  That holds only for the yielded letter, and
     only before the walk resumes; a change to any other letter is not
     defined.  :func:`braidpoly.invariants.construct_u_prime` smooths its
-    violations this way, and :func:`braidpoly.jaeger.verify_bijection`
-    flips each one, so its literal tree takes one walk per leaf: the
+    violations this way, and :func:`braidpoly.resolver._literal_leaves`
+    flips each one, so the literal tree takes one walk per leaf: the
     flipped child resumes its parent's walk.
     """
     gaps = word.gaps

@@ -17,16 +17,12 @@ def all_words(strands: int, max_crossings: int) -> Iterator[BraidWord]:
     """Every word on exactly ``strands`` strands with up to ``max_crossings``."""
     alphabet = [g * s for g in range(1, strands) for s in (1, -1)]
     for length in range(max_crossings + 1):
-        if length > 0 and not alphabet:
-            return
         for tokens in itertools.product(alphabet, repeat=length):
             yield BraidWord.from_tokens(tokens, strands)
 
 
 def exhaustive_count(strands: int, max_crossings: int) -> int:
     k = 2 * (strands - 1)
-    if k == 0:
-        return 1
     return sum(k**length for length in range(max_crossings + 1))
 
 

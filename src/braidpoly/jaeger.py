@@ -30,34 +30,26 @@ no record built per partition; :func:`enumerate_admissible` passes the
 search a list, so it still holds every record of the tree in memory at
 once, O(leaves).
 :func:`verify_bijection` checks that search against the resolving tree
-expanded literally, one walk per leaf: the flipped child resumes its
-parent's walk and each smoothed child's walk starts from the top.  It also
+expanded by its definition, :func:`braidpoly.resolver._literal_leaves`, the
+tree that :func:`braidpoly.resolver.enumerate_leaves` also streams.  It also
 checks that each leaf of that tree closes to a trivial link; search records
-equal to the tree's close to one too.  Each walk is also its leaf's
-component count: it goes round the whole closure to find no violation it
-leaves unresolved, so the leaf's gamma comes from that same walk.  The walk
-steps over tables that :mod:`braidpoly.braid` builds once per word, and
-shares no code or table with the search.  Both sides reduce a leaf to the
-ints ``(smoothed, flipped, gamma, t, t')``, with the two sets as bit masks,
-and the two leaf sequences are compared in tree order; the search side reads
-its records, and its tally, from one :func:`leaf_search` run, so the check
-also holds the tally to the records.
+equal to the tree's close to one too.  The literal tree's gamma is the
+component count of the walk that reached its leaf, its walk steps over
+tables that :mod:`braidpoly.braid` builds once per word, and it shares no
+code or table with the search.  Both sides reduce a leaf to the ints
+``(smoothed, flipped, gamma, t, t')``, with the two sets as bit masks, and
+the two leaf sequences are compared in tree order; the search side reads its
+records, and its tally, from one :func:`leaf_search` run, so the check also
+holds the tally to the records.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Literal
 
-from .braid import FLIPPED, KEPT, SMOOTHED, BraidWord, _Frozen, _violations
+from .braid import KEPT, SMOOTHED, BraidWord, _Frozen, _violations
 from .polynomial import LaurentPoly2
-from .resolver import (
-    ASCENDING,
-    DESCENDING,
-    Mode,
-    _split_states,
-    homfly,
-    leaf_search,
-)
+from .resolver import ASCENDING, DESCENDING, Mode, _literal_leaves, homfly, leaf_search
 
 # ``perfbench/tracing.py`` wraps this by its name here, so it stays bound
 from .resolver import enumerate_leaves  # noqa: F401
@@ -144,26 +136,11 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     """Check the leaf/partition correspondence exhaustively for one word.
 
     The paired resolving tree (descending for the standard variant, ascending
-    for the dual) is expanded literally by the tree step that
-    :func:`braidpoly.resolver.split_at` also takes, one walk per leaf: the
-    flipped child resumes its parent's walk.  A run of
-    :func:`braidpoly.braid._violations` yields a node's first violation on
-    an unsmoothed letter, as :func:`braidpoly.resolver.first_violation`
-    finds it; the check pushes the smoothed child's states, to be walked
-    later from the top, writes the flipped child's state for that letter
-    into the list the walk is reading and lets the walk go on, which is then
-    the flipped child's walk from the top (a letter is first visited once,
-    and nothing the walk has passed depends on it).  So each walk runs
-    round the whole closure to one leaf, and the cycles it collected on the
-    way give that leaf's gamma: the component count of a complete natural
-    traversal of the leaf's own diagram.  A tree of L leaves takes L walks,
-    where restarting at every node took 2L - 1.  The walk steps over the
-    word's successor table, which :mod:`braidpoly.braid` builds on the first
-    walk and every later walk reuses.  One pass over the leaf's states gives
-    its record ``(smoothed, flipped, gamma, t, t')`` of ints, the two sets
-    as bit masks over letter positions, and its writhe ``w``:
-    +1 for a kept positive or a flipped negative letter, -1 for a kept
-    negative or a flipped positive one, 0 for a smoothed one.
+    for the dual) comes from :func:`braidpoly.resolver._literal_leaves`,
+    which expands it by its definition, one walk per leaf, and gives each
+    leaf's record ``(smoothed, flipped, gamma, t, t')`` and writhe ``w``;
+    its gamma is the component count of the leaf's own walk.  The check
+    holds those leaves to the search.
 
     The leaves must have distinct smoothed sets, which makes those sets a
     family of partitions, and their records must equal, in tree order, those
@@ -187,38 +164,17 @@ def verify_bijection(word: BraidWord, variant: Variant = STANDARD) -> bool:
     ascending = _paired_mode(variant) == ASCENDING
     sign = 1 if ascending else -1
     n = word.strands
-    letters = word.letters
     tree: list[tuple[int, int, int, int, int]] = []
     counts: dict[tuple[int, int], int] = {}
     smoothed_sets = set()
-    stack = [(KEPT,) * len(word)]
-    while stack:
-        states = list(stack.pop())
-        cycles: list[list[int]] = []
-        for i in _violations(word, states, ascending, cycles):
-            if states[i] is not SMOOTHED:
-                # the walk goes on as the flipped child's while the smoothed
-                # child waits, so leaves come out in the search's order
-                flip, *smooth = _split_states(states, i)
-                stack += reversed(smooth)
-                states[i] = flip[i]
-        smoothed = flipped = t = t_neg = w = 0
-        for j, (state, x) in enumerate(zip(states, letters)):
-            if state is SMOOTHED:
-                smoothed |= 1 << j
-                t += 1
-                t_neg += x < 0
-                continue
-            if state is FLIPPED:
-                flipped |= 1 << j
-            w += 1 if (x > 0) == (state is KEPT) else -1
+    for _, record, w in _literal_leaves(word, ascending):
+        smoothed, _, gamma, t, t_neg = record
         if smoothed in smoothed_sets:
             return False  # two leaves sharing a smoothed set breaks the pairing
         smoothed_sets.add(smoothed)
-        gamma = len(cycles)
         if gamma + sign * w != n:
             return False
-        tree.append((smoothed, flipped, gamma, t, t_neg))
+        tree.append(record)
         counts[gamma, t] = counts.get((gamma, t), 0) + (-1 if t_neg & 1 else 1)
     records: list[tuple[int, int, int, int, int]] = []
     tally = leaf_search(word, ascending, records)

@@ -42,14 +42,15 @@ keeps the signed ``(gamma, t)`` tally :func:`homfly` needs inside its own
 loop, carrying one int key for ``(gamma, t)`` and a sign for ``(-1)^t'``
 along the path.  Only when its caller passes a sink does it build a record
 per leaf, rebuilding the leaf's masks and ``t'`` from its undo trail at the
-path's end.  :func:`enumerate_leaves` passes a list, so it still holds every
-record of the tree in memory at once, O(leaves); :func:`homfly` passes none
-and builds no records, and :func:`leaf_statistics` passes a sink that only
-counts them, though each is still built.
+path's end.  :func:`homfly` passes none and builds no records, and
+:func:`leaf_statistics` passes a sink that only counts them, though each is
+still built.
 
-The step API (:func:`first_violation`, :func:`split_at`) and
-:func:`leaf_membership_test` restart the walk at every node instead, as the
-definition does: they read the first-visit test
+The tree expanded by its definition exists once, in :func:`_literal_leaves`:
+:func:`enumerate_leaves` streams its leaves, and
+:func:`braidpoly.jaeger.verify_bijection` checks the search against them.
+That tree, the step API (:func:`first_violation`, :func:`split_at`) and
+:func:`leaf_membership_test` all read the first-visit test
 :func:`braidpoly.braid._violations`, which walks the closure from the top
 over the per-column successor table :attr:`BraidWord.column_index`, built
 in :mod:`braidpoly.braid` once per word, and tests each first visit from
@@ -324,52 +325,92 @@ def split_at(diagram: ResolvedDiagram, i: int) -> tuple[ResolvedDiagram, Resolve
     Flipping toggles kept/flipped; smoothing is terminal, so splitting an
     already-smoothed letter is an error.
     """
-    if not 0 <= i < len(diagram.states):
+    states = diagram.states
+    if not 0 <= i < len(states):
         raise ValueError(f"letter index {i} out of range")
-    if diagram.states[i] is SMOOTHED:
+    if states[i] is SMOOTHED:
         raise ValueError(f"letter {i} is already smoothed and cannot be split")
-    flipped, smoothed = _split_states(diagram.states, i)
+    toggled, smoothed = _split_states(states, i)
+    flipped = (*states[:i], toggled, *states[i + 1 :])
     return ResolvedDiagram(diagram.word, flipped), ResolvedDiagram(diagram.word, smoothed)
 
 
 def _split_states(
     states: Sequence[CrossingState], i: int
-) -> tuple[tuple[CrossingState, ...], tuple[CrossingState, ...]]:
-    """The states of the flipped and the smoothed child at unsmoothed letter ``i``.
+) -> tuple[CrossingState, tuple[CrossingState, ...]]:
+    """The flipped child's state for unsmoothed letter ``i``, and the smoothed child's states.
 
     This is the one tree step: :func:`split_at` wraps it for diagrams, and
-    :func:`braidpoly.jaeger.verify_bijection` takes each node's children
-    from it, one walk per leaf: it writes the flipped child's state for ``i``
-    into the list its walk is reading, so the flipped child resumes its
-    parent's walk, and walks the smoothed child later from the top.
-    ``states`` may be that list; the children are tuples either way.
+    :func:`_literal_leaves` takes each node's children from it.  The flipped
+    child differs from its parent at ``i`` alone, so only its state there is
+    returned; the literal walk writes it into the list the walk is reading
+    and goes on as the flipped child's walk.  ``states`` may be that list;
+    the smoothed child is a tuple either way.
     """
-    head, tail = tuple(states[:i]), tuple(states[i + 1 :])
     toggled = KEPT if states[i] is FLIPPED else FLIPPED
-    return head + (toggled,) + tail, head + (SMOOTHED,) + tail
+    return toggled, (*states[:i], SMOOTHED, *states[i + 1 :])
+
+
+def _literal_leaves(
+    word: BraidWord, ascending: bool
+) -> Iterator[tuple[list[CrossingState], tuple[int, int, int, int, int], int]]:
+    """The leaves of the tree expanded by its definition: states, record and writhe.
+
+    This is the one literal resolving tree, in tree order (flipped child
+    first), one walk per leaf.  A run of :func:`braidpoly.braid._violations`
+    yields a node's first violation on an unsmoothed letter, as
+    :func:`first_violation` finds it; the tree step :func:`_split_states`
+    gives that node's children.  The smoothed child's states are pushed, to
+    be walked later from the top, and the flipped child's state for that
+    letter is written into the list the walk is reading, so the walk goes on
+    as the flipped child's walk from the top (a letter is first visited
+    once, and nothing the walk has passed depends on it).  So each walk runs
+    round the whole closure to one leaf, and the cycles it collected on the
+    way give that leaf's gamma: the component count of a complete natural
+    traversal of the leaf's own diagram.  A tree of L leaves takes L walks,
+    where restarting at every node took 2L - 1.
+
+    Each leaf comes out as its states (a list the generator no longer
+    touches), its record ``(smoothed, flipped, gamma, t, t')`` of ints, the
+    two sets as bit masks over letter positions, and its writhe ``w``: +1
+    for a kept positive or a flipped negative letter, -1 for a kept
+    negative or a flipped positive one, 0 for a smoothed one.  Only the
+    pending smoothed children are held, at most one per letter, so the
+    generator holds O(letters) states and its first leaf comes out after
+    one walk.  It reads no table of :func:`leaf_search`.
+    """
+    letters = word.letters
+    stack = [(KEPT,) * len(letters)]
+    while stack:
+        states = list(stack.pop())
+        cycles: list[list[int]] = []
+        for i in _violations(word, states, ascending, cycles):
+            if states[i] is not SMOOTHED:
+                # the walk goes on as the flipped child's while the smoothed
+                # child waits, so leaves come out in the search's order
+                states[i], child = _split_states(states, i)
+                stack.append(child)
+        smoothed = flipped = t = t_neg = w = 0
+        for j, (state, x) in enumerate(zip(states, letters)):
+            if state is SMOOTHED:
+                smoothed |= 1 << j
+                t += 1
+                t_neg += x < 0
+                continue
+            if state is FLIPPED:
+                flipped |= 1 << j
+            w += 1 if (x > 0) == (state is KEPT) else -1
+        yield states, (smoothed, flipped, len(cycles), t, t_neg), w
 
 
 def enumerate_leaves(word: BraidWord, mode: Mode = DESCENDING) -> Iterator[LeafSummary]:
     """Yield every leaf of the descending (or ascending) tree exactly once, in tree order.
 
-    The search runs to the end before the first leaf comes out, so every
-    record is held in memory at once: O(leaves).
+    The leaves stream from the literal tree, :func:`_literal_leaves`: the
+    first comes out after one walk, and only O(letters) states are held.
     """
-    records: list[tuple[int, int, int, int, int]] = []
-    leaf_search(word, _ascending(mode), records)
-    letters = word.letters
-    for smoothed, flipped, gamma, t, t_neg in records:
-        states = tuple(
-            SMOOTHED if (smoothed >> i) & 1 else FLIPPED if (flipped >> i) & 1 else KEPT
-            for i in range(len(letters))
-        )
-        # a kept positive or flipped negative letter counts +1, a smoothed one 0
-        w = sum(
-            1 if (x > 0) == (st is KEPT) else -1
-            for x, st in zip(letters, states)
-            if st is not SMOOTHED
-        )
-        yield LeafSummary(states, gamma, t, t_neg, w)
+    for states, (_, _, gamma, t, t_neg), w in _literal_leaves(word, _ascending(mode)):
+        yield LeafSummary(tuple(states), gamma, t, t_neg, w)
 
 
 def leaf_membership_test(

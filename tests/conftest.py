@@ -10,9 +10,10 @@ def leaf_searches(monkeypatch):
     """Record every leaf search run during the test as ``(tokens, strands, ascending)``.
 
     Each caller of the kernel ``leaf_search`` reads it from its own module:
-    ``homfly``, ``enumerate_leaves`` and ``leaf_statistics`` from
-    ``braidpoly.resolver``, ``enumerate_admissible`` and ``verify_bijection``
-    from ``braidpoly.jaeger``, so patching it in both counts every run once.
+    ``homfly`` and ``leaf_statistics`` from ``braidpoly.resolver``,
+    ``enumerate_admissible`` and ``verify_bijection`` from
+    ``braidpoly.jaeger``, so patching it in both counts every run once.
+    ``enumerate_leaves`` streams the literal tree and runs no search.
     """
     calls = []
     search = braidpoly.resolver.leaf_search

@@ -110,6 +110,9 @@ def test_criterion_04_leaf_identity(corpus):
         for leaf in enumerate_leaves(word, ASCENDING):
             if leaf.gamma + leaf.writhe != n:
                 violations += 1
+        # the leaves stream from the literal tree; the search must match it
+        assert verify_bijection(word, "standard"), word.text()
+        assert verify_bijection(word, "dual"), word.text()
     assert violations == 0
     report(4, "component-writhe identity at every leaf", start)
 
@@ -186,6 +189,7 @@ def test_criterion_09_witness_constructions(alternating_corpus):
             if _extremal_shape(word, leaf.states)
         ]
         assert extremal_leaves == [u.states], word.text()
+        assert verify_bijection(word, "standard"), word.text()
 
         v = construct_v_star(word)
         assert leaf_membership_test(word, v.states, ASCENDING), word.text()
@@ -246,4 +250,5 @@ def test_criterion_12_performance_and_determinism():
             counts[key] = counts.get(key, 0) + sign
         rebuilt = assemble_tree_sum(counts, word.strands, writhe(word), False)
         assert rebuilt == values[0]
+    assert verify_bijection(word, "standard")
     report(12, f"14-crossing word, five methods in {elapsed:.2f}s; deterministic", start)

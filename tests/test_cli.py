@@ -15,10 +15,10 @@ import braidpoly.checks
 import braidpoly.cli
 import braidpoly.hecke
 import braidpoly.invariants
-from braidpoly import LaurentPoly2, SubstitutionError, homfly, parse_braid
+from braidpoly import BraidWord, LaurentPoly2, SubstitutionError, homfly, mirror, parse_braid
 from braidpoly.braid import markov_variants
 from braidpoly.checks import CheckResult, run_selftest, selftest_corpus, skein_triple
-from braidpoly.corpus import alternating_words
+from braidpoly.corpus import all_words, alternating_words, exhaustive_count
 from braidpoly.cli import _indented_json, build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -392,6 +392,68 @@ class TestSharedWordsHideNoFailure:
                 assert message is not None, bad
 
 
+class TestCheckFailures:
+    """Each check's failure message, reached by faking the one name it reads in ``braidpoly.checks``."""
+
+    SELFTEST = ("selftest", "--max-crossings", "1", "--max-strands", "2", "--samples", "5")
+
+    def test_mirror(self, capsys, monkeypatch):
+        word = parse_braid("1 1 1")
+        mirrored = mirror(word)
+        real = braidpoly.checks.homfly
+        monkeypatch.setattr(
+            braidpoly.checks,
+            "homfly",
+            lambda w, mode: real(w, mode) + LaurentPoly2.one() if w == mirrored else real(w, mode),
+        )
+        message = "mirror identity fails on '1 1 1'"
+        assert braidpoly.checks.check_mirror(word) == message
+        code, out, _ = run(capsys, "verify", "1 1 1", "--moves", "mirror")
+        assert (code, out) == (3, f"mirror: FAIL  {message}\n")
+
+    @pytest.mark.parametrize("failing", ["standard", "dual"])
+    def test_bijection(self, capsys, monkeypatch, failing):
+        monkeypatch.setattr(
+            braidpoly.checks, "verify_bijection", lambda word, variant: variant != failing
+        )
+        message = f"leaf/partition bijection fails ({failing}) on '1 1 1'"
+        assert braidpoly.checks.check_bijection(parse_braid("1 1 1")) == message
+        code, out, _ = run(capsys, "verify", "1 1 1", "--moves", "bijection")
+        assert (code, out) == (3, f"bijection: FAIL  {message}\n")
+
+    def test_alternating_degree_law(self, capsys, monkeypatch):
+        real = braidpoly.checks.mfw_bounds
+        monkeypatch.setattr(
+            braidpoly.checks,
+            "mfw_bounds",
+            lambda word: real(word)._replace(lower_bound=word.strands - 1),
+        )
+        word = parse_braid("1 -2 1 -2")
+        message = "degree law fails on '1 -2 1 -2': MFW bound 2, expected 3"
+        assert braidpoly.checks.check_alternating_law(word) == message
+        code, out, _ = run(capsys, *self.SELFTEST)
+        assert code == 3
+        lines = out.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("reduced alternating"))
+        assert lines[at].startswith("reduced alternating degree law: FAIL")
+        assert lines[at + 1].startswith("  degree law fails on ")
+
+    def test_alexander_unit(self, capsys, monkeypatch):
+        real = braidpoly.checks.alexander
+        monkeypatch.setattr(
+            braidpoly.checks,
+            "alexander",
+            lambda word: real(word)._replace(leading_coeff=2, leading_is_unit=False),
+        )
+        message = "Alexander leading coefficient 2 is not a unit on '1 -2 1 -2'"
+        assert braidpoly.checks.check_alexander_unit(parse_braid("1 -2 1 -2")) == message
+        code, out, _ = run(capsys, *self.SELFTEST)
+        assert code == 3
+        last, reproducer = out.splitlines()[-2:]
+        assert last.startswith("Alexander unit leading coefficient: FAIL")
+        assert reproducer.startswith("  Alexander leading coefficient 2 is not a unit on ")
+
+
 class TestBatch:
     def test_reports_in_input_order(self, tmp_path, capsys):
         batch = tmp_path / "words.txt"
@@ -440,6 +502,21 @@ class TestBatch:
         assert code == 2
         docs = [json.loads(line) for line in out.splitlines()]
         assert "error" in docs[1]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_bad_strand_prefix_is_reported_inline(self, tmp_path, capsys, jobs):
+        batch = tmp_path / "words.txt"
+        batch.write_text("x;1 1\n1 1 1\n")
+        code, out, _ = run(capsys, "batch", str(batch), "--jobs", jobs)
+        assert code == 2
+        first, second = out.splitlines()
+        assert first == "line 1: error: bad strand prefix 'x'"
+        assert second.startswith("line 2: 1 1 1 [n=2] P = ")
+        code, out, _ = run(capsys, "batch", str(batch), "--json", "--jobs", jobs)
+        assert code == 2
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert docs[0] == {"line": 1, "error": "bad strand prefix 'x'"}
+        assert (docs[1]["line"], docs[1]["word"]) == (2, "1 1 1")
 
     def test_a_strand_count_of_maxsize_or_more_is_reported_inline(self, tmp_path, capsys):
         batch = tmp_path / "words.txt"
@@ -675,6 +752,16 @@ class TestSelftest:
         # 500 draws of two or more strands, 344 distinct, and one one-strand empty word
         corpus = selftest_corpus(8, 4, 500, 1)
         assert (len(corpus), sum(w.strands == 1 for w in corpus)) == (344, 1)
+
+    @pytest.mark.parametrize("crossings", range(4))
+    def test_one_strand_holds_only_the_empty_word(self, crossings):
+        assert exhaustive_count(1, crossings) == 1
+        assert list(all_words(1, crossings)) == [BraidWord((), 1)]
+
+    @pytest.mark.parametrize("strands", [1, 2, 3])
+    @pytest.mark.parametrize("crossings", range(4))
+    def test_exhaustive_count_counts_all_words(self, strands, crossings):
+        assert exhaustive_count(strands, crossings) == len(list(all_words(strands, crossings)))
 
     def test_alternating_suites_check_each_word_once(self):
         # the default run's alternating corpus: 100 draws, 72 distinct words

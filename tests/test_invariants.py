@@ -22,6 +22,7 @@ from braidpoly import (
     mfw_bounds,
     mirror,
     parse_braid,
+    verify_bijection,
     writhe,
 )
 from braidpoly import checks, invariants
@@ -217,6 +218,7 @@ class TestUPrime:
                         if leaf.gamma == 1 and leaf.t == length - n + 1
                     ]
                     assert matching == [construct_u_prime(word).states], word.text()
+                    assert verify_bijection(word, "standard"), word.text()
                     checked += 1
         assert checked == 3739
 
@@ -305,6 +307,7 @@ class TestAlternatingCorpusLaws:
                 if self._matches_extremal_shape(word, leaf.states)
             ]
             assert matching == [u.states], word.text()
+            assert verify_bijection(word, "standard"), word.text()
 
     @staticmethod
     def _matches_extremal_shape(word, states):
@@ -327,6 +330,7 @@ class TestAlternatingCorpusLaws:
             assert len(v.permutation().cycles) == word.strands
             stream = {leaf.states for leaf in enumerate_leaves(word, ASCENDING)}
             assert v.states in stream, word.text()
+            assert verify_bijection(word, "dual"), word.text()
 
     def test_u_prime_attains_max_smoothing_among_knot_leaves(self):
         for word in self.WORDS[:20]:
@@ -338,6 +342,7 @@ class TestAlternatingCorpusLaws:
             for leaf in enumerate_leaves(word, DESCENDING):
                 if leaf.gamma == 1:
                     assert leaf.t <= expected_t, word.text()
+            assert verify_bijection(word, "standard"), word.text()
 
     def test_alexander_leading_coefficient_is_unit(self):
         for word in self.WORDS:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidpoly.jaeger
+import braidpoly.resolver
 from braidpoly import (
     BraidWord,
     CircuitPartition,
@@ -211,7 +212,7 @@ class TestBijection:
         # root has gamma = 1 and w = 1: gamma + w = n = 2 holds for the
         # ascending tree, but gamma - w = 0 breaks the descending identity.
         word = parse_braid("1")
-        violations = braidpoly.jaeger._violations
+        violations = braidpoly.resolver._violations
 
         def no_violations(word, states, ascending, cycles):
             # the real walk still runs and fills ``cycles``, so the literal
@@ -220,7 +221,7 @@ class TestBijection:
                 pass
             return iter(())
 
-        monkeypatch.setattr(braidpoly.jaeger, "_violations", no_violations)
+        monkeypatch.setattr(braidpoly.resolver, "_violations", no_violations)
         monkeypatch.setattr(
             braidpoly.jaeger, "leaf_search", faulty_search(lambda records: [(0, 0, 1, 0, 0)])
         )
@@ -267,17 +268,18 @@ class TestBijection:
 
     @pytest.mark.parametrize("variant", [STANDARD, DUAL])
     def test_two_literal_leaves_sharing_a_smoothed_set_are_rejected(self, monkeypatch, variant):
-        # every smoothed child is pushed twice, so each of its leaves comes
-        # out twice; the records of the copies are equal, so only the
-        # distinct-smoothed-set check can see them
+        # every smoothed child is replaced by a copy of the flipped child, so
+        # each leaf of the flipped child comes out twice; the records of the
+        # copies are equal, so only the distinct-smoothed-set check can see
+        # them
         word = parse_braid(EXAMPLE_WORD)
-        split = braidpoly.jaeger._split_states
+        split = braidpoly.resolver._split_states
 
-        def split_twice(states, i):
-            flipped, smoothed = split(states, i)
-            return flipped, smoothed, smoothed
+        def flip_twice(states, i):
+            toggled, _ = split(states, i)
+            return toggled, (*states[:i], toggled, *states[i + 1 :])
 
-        monkeypatch.setattr(braidpoly.jaeger, "_split_states", split_twice)
+        monkeypatch.setattr(braidpoly.resolver, "_split_states", flip_twice)
         assert not verify_bijection(word, variant)
 
     @pytest.mark.parametrize("variant", [STANDARD, DUAL])
@@ -297,13 +299,13 @@ class TestBijection:
         records = []
         braidpoly.jaeger.leaf_search(word, variant == DUAL, records)
         walks = []
-        violations = braidpoly.jaeger._violations
+        violations = braidpoly.resolver._violations
 
         def counted(*args):
             walks.append(args)
             return violations(*args)
 
-        monkeypatch.setattr(braidpoly.jaeger, "_violations", counted)
+        monkeypatch.setattr(braidpoly.resolver, "_violations", counted)
         assert verify_bijection(word, variant)
         assert len(walks) == len(records)
 
@@ -322,13 +324,13 @@ class TestBijection:
             table.__set_name__(BraidWord, name)
             monkeypatch.setattr(BraidWord, name, table)
         nodes = []
-        split = braidpoly.jaeger._split_states
+        split = braidpoly.resolver._split_states
 
         def counted_split(states, i):
             nodes.append(i)
             return split(states, i)
 
-        monkeypatch.setattr(braidpoly.jaeger, "_split_states", counted_split)
+        monkeypatch.setattr(braidpoly.resolver, "_split_states", counted_split)
         assert verify_bijection(parse_braid(EXAMPLE_WORD), STANDARD)
         assert len(nodes) > 1
         assert sorted(builds) == ["column_index", "gaps"]
@@ -348,3 +350,5 @@ class TestBijection:
         assert sum(1 for _ in enumerate_admissible(word, DUAL)) == sum(
             1 for _ in enumerate_leaves(word, ASCENDING)
         )
+        assert verify_bijection(word, STANDARD)
+        assert verify_bijection(word, DUAL)

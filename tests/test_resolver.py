@@ -22,6 +22,7 @@ from braidpoly import (
     mirror,
     parse_braid,
     split_at,
+    verify_bijection,
     writhe,
 )
 from braidpoly.braid import _violations
@@ -53,6 +54,11 @@ STATE_CHAR = {KEPT: "K", FLIPPED: "F", SMOOTHED: "S"}
 def words(max_len=6, max_gap=3):
     token = st.integers(1, max_gap).flatmap(lambda g: st.sampled_from([g, -g]))
     return st.lists(token, max_size=max_len).map(BraidWord.from_tokens)
+
+
+def paired_variant(mode):
+    """The admissible-partition variant whose search ``verify_bijection`` holds to ``mode``'s tree."""
+    return "dual" if mode == ASCENDING else "standard"
 
 
 def leaf_string(leaf) -> str:
@@ -187,6 +193,7 @@ class TestSplitAt:
 class TestLeafEnumeration:
     def test_single_positive_crossing(self):
         leaves = list(enumerate_leaves(parse_braid("1"), DESCENDING))
+        assert verify_bijection(parse_braid("1"), "standard")
         assert [leaf_string(l) for l in leaves] == ["F", "S"]
         flipped, smoothed = leaves
         assert (flipped.gamma, flipped.t, flipped.t_neg, flipped.writhe) == (1, 0, 0, -1)
@@ -194,13 +201,36 @@ class TestLeafEnumeration:
 
     def test_descending_word_is_its_own_leaf(self):
         leaves = list(enumerate_leaves(parse_braid("-1"), DESCENDING))
+        assert verify_bijection(parse_braid("-1"), "standard")
         assert len(leaves) == 1
         assert leaf_string(leaves[0]) == "K"
 
     def test_empty_word(self):
         leaves = list(enumerate_leaves(parse_braid("", strands=4), DESCENDING))
+        assert verify_bijection(parse_braid("", strands=4), "standard")
         assert len(leaves) == 1
         assert leaves[0].gamma == 4
+
+    def test_first_leaf_comes_out_before_the_tree_is_finished(self):
+        # the tree of sigma_1 ... sigma_29 has 2^29 leaves; the first is the
+        # all-flipped diagram, one component of writhe -29
+        word = parse_braid(" ".join(str(g) for g in range(1, 30)))
+        with deadline(1):
+            leaf = next(enumerate_leaves(word, DESCENDING))
+        assert (leaf.gamma, leaf.t, leaf.writhe) == (1, 0, -29)
+
+    def test_leaves_stream_without_holding_the_tree(self):
+        import tracemalloc
+
+        word = parse_braid(" ".join(str(g) for g in range(1, 13)))
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in enumerate_leaves(word, DESCENDING))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 4096
+        assert peak < 64 * 1024
 
     def test_empty_word_is_one_leaf_of_free_strands(self):
         for n in range(1, 7):
@@ -236,6 +266,7 @@ class TestLeafEnumeration:
                 assert len(d.permutation().cycles) + sign * w == n
             for leaf in enumerate_leaves(word, mode):
                 assert leaf.gamma + sign * leaf.writhe == n
+            assert verify_bijection(word, paired_variant(mode))
 
     @given(words(max_len=5))
     @settings(max_examples=50, deadline=None)
@@ -243,6 +274,7 @@ class TestLeafEnumeration:
         for leaf in enumerate_leaves(word, DESCENDING):
             assert leaf.t == sum(1 for s in leaf.states if s is SMOOTHED)
             assert 0 <= leaf.t_neg <= leaf.t
+        assert verify_bijection(word, "standard")
 
 
 class TestMembership:
@@ -268,6 +300,7 @@ class TestMembership:
             if leaf_membership_test(word, states)
         }
         assert enumerated == passing
+        assert verify_bijection(word, "standard")
 
     def test_membership_exhaustive_on_eight_crossing_word(self):
         # all 3^8 state vectors of the 5-strand running example
@@ -280,6 +313,7 @@ class TestMembership:
             if leaf_membership_test(word, states):
                 passing.add(states)
         assert enumerated == passing
+        assert verify_bijection(word, "standard")
 
     @given(words(max_len=4, max_gap=2))
     @settings(max_examples=30, deadline=None)
@@ -293,6 +327,7 @@ class TestMembership:
             if leaf_membership_test(word, states, ASCENDING)
         }
         assert enumerated == passing
+        assert verify_bijection(word, "dual")
 
 
 TREFOIL = "a^-2*z^2 + 2*a^-2 - a^-4"
@@ -428,6 +463,7 @@ class TestBruteForceOracle:
             expected = sorted(brute_leaves(word.strands, word_letters(word)))
             got = sorted(leaf_string(l) for l in enumerate_leaves(word, DESCENDING))
             assert got == expected, word.text()
+            assert verify_bijection(word, "standard"), word.text()
 
     def test_polynomials_match(self):
         for word in self.all_small_words():
@@ -457,6 +493,7 @@ class TestBruteForceOracle:
             expected = sorted(brute_leaves(word.strands, word_letters(word), ascending=True))
             got = sorted(leaf_string(l) for l in enumerate_leaves(word, ASCENDING))
             assert got == expected, word.text()
+            assert verify_bijection(word, "dual"), word.text()
 
     def test_ascending_polynomials_match(self):
         for word in itertools.chain(self.all_small_words(), self.random_larger_words()):
@@ -566,13 +603,15 @@ def deadline(seconds):
 
 
 class TestLeafStreamIsTheTree:
-    """The leaf search against the tree expanded node by node."""
+    """The leaf stream, and through ``verify_bijection`` the leaf search, against the
+    tree expanded node by node."""
 
     def assert_same_leaves_in_order(self, word):
         for mode in (DESCENDING, ASCENDING):
             expected = [(d.states, len(d.permutation().cycles)) for d in literal_leaves(word, mode)]
             with deadline(10):
                 got = [(leaf.states, leaf.gamma) for leaf in enumerate_leaves(word, mode)]
+                assert verify_bijection(word, paired_variant(mode))
             assert got == expected, (word.text(), word.strands, mode)
 
     def test_same_leaves_in_order_on_small_three_strand_words(self):
