@@ -8,10 +8,11 @@ Exit codes are a stable contract: 0 success, 2 input error, 3 verification
 failure, which includes an engine contradiction (``ConsistencyError`` or
 ``SubstitutionError``), reported as one ``error:`` line, and 4 out of memory
 (``MemoryError``), reported as the line ``error: out of memory``.  One place,
-:func:`_run`, maps the library's exceptions to these codes, a word that does
-not parse (``BraidParseError``) included, so no command exits by itself.  All
-behavior is controlled by flags; there are no config files or environment
-variables.
+:func:`_failure`, maps the library's exceptions (:data:`_FAILURES`, a word
+that does not parse included) to these codes and messages.  :func:`_run`
+prints its message as one ``error:`` line, so no command exits by itself, and
+``batch`` reports it as that line's error.  All behavior is controlled by
+flags; there are no config files or environment variables.
 
 :func:`main` may be called repeatedly in one process and reuses one parser,
 built on its first call, while :func:`build_parser` still returns a fresh one.
@@ -311,7 +312,8 @@ def _print_any_int() -> None:
     """Lift the interpreter's cap on int-to-text digits (4,300 since 3.11), if it has one.
 
     The cap is per process, and a worker process started without ``fork``
-    does not inherit it, so every batch line lifts it too.
+    does not inherit it, so each ``batch`` worker lifts it once, as the
+    pool's initializer.
     """
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
@@ -320,26 +322,38 @@ def _print_any_int() -> None:
 def _batch_line(item: tuple[int, str]) -> tuple[int, dict]:
     """Worker for one batch line, given as (line number, text before any ``#``).
 
-    Returns (status, the line's record).
+    Returns (status, the line's record); a failure is the record's ``error``.
     """
-    _print_any_int()
     lineno, body = item
-    strands = None
-    if ";" in body:
-        head, body = body.split(";", 1)
-        try:
-            strands = int(head.strip())
-        except ValueError:
-            return EXIT_INPUT, {"line": lineno, "error": f"bad strand prefix {head.strip()!r}"}
     try:
-        word = parse_braid(body, strands)
-    except BraidParseError as exc:
-        return EXIT_INPUT, {"line": lineno, "error": str(exc)}
-    try:
-        doc = _analyze_json(word)
-    except (ConsistencyError, SubstitutionError) as exc:
-        return EXIT_VERIFY, {"line": lineno, "error": str(exc)}
-    return EXIT_OK, {"line": lineno, **doc}
+        strands = None
+        if ";" in body:
+            head, body = body.split(";", 1)
+            try:
+                strands = int(head.strip())
+            except ValueError:
+                raise BraidParseError(f"bad strand prefix {head.strip()!r}") from None
+        return EXIT_OK, {"line": lineno, **_analyze_json(parse_braid(body, strands))}
+    except _FAILURES as exc:
+        status, message = _failure(exc)
+        return status, {"line": lineno, "error": message}
+
+
+def _print_reports(results, as_json: bool) -> int:
+    """Print each (status, record) as it comes, in input order; return the worst status."""
+    worst = EXIT_OK
+    for status, doc in results:
+        if as_json:
+            print(json.dumps(doc))
+        elif "error" in doc:
+            print(f"line {doc['line']}: error: {doc['error']}")
+        else:
+            print(
+                f"line {doc['line']}: {doc['word'] or '(empty)'} "
+                f"[n={doc['strands']}] P = {doc['homfly_text']}"
+            )
+        worst = max(worst, status)
+    return worst
 
 
 def cmd_batch(args) -> int:
@@ -361,28 +375,22 @@ def cmd_batch(args) -> int:
         if (body := line.split("#", 1)[0].strip())
     ]
     workers = min(args.jobs, len(items))
-    if workers > 1:
-        # multiprocessing is a heavy import that only a parallel batch needs
-        from concurrent.futures import ProcessPoolExecutor
+    if workers < 2:
+        return _print_reports(map(_batch_line, items), args.json)
+    # multiprocessing is a heavy import that only a parallel batch needs
+    from concurrent.futures import ProcessPoolExecutor, process
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_line, items))
-    else:
-        results = [_batch_line(item) for item in items]
-    worst = EXIT_OK
-    # both paths return results in input order
-    for status, doc in results:
-        if args.json:
-            print(json.dumps(doc))
-        elif "error" in doc:
-            print(f"line {doc['line']}: error: {doc['error']}")
-        else:
-            print(
-                f"line {doc['line']}: {doc['word'] or '(empty)'} "
-                f"[n={doc['strands']}] P = {doc['homfly_text']}"
-            )
-        worst = max(worst, status)
-    return worst
+    pool = ProcessPoolExecutor(workers, initializer=_print_any_int)
+    # about eight chunks per worker, and at most 32 lines before the first report
+    chunk = max(1, min(32, len(items) // (8 * workers)))
+    try:
+        return _print_reports(pool.map(_batch_line, items, chunksize=chunk), args.json)
+    except process.BrokenProcessPool:
+        print("error: a batch worker process died", file=sys.stderr)
+        return EXIT_MEMORY
+    finally:
+        # a closed pipe or an interrupt stops the run: lines no one reads are not computed
+        pool.shutdown(cancel_futures=True)
 
 
 def cmd_selftest(args) -> int:
@@ -496,25 +504,33 @@ def main(argv: Optional[list[str]] = None) -> int:
     return _run(args)
 
 
-def _run(args: argparse.Namespace) -> int:
-    """Run a parsed command, mapping what it raises to the exit codes.
+# what a command may raise and still end with a stated exit code
+_FAILURES = (BraidParseError, ConsistencyError, SubstitutionError, MemoryError)
 
-    This is the one place where a library exception becomes an exit code: a
-    word that does not parse (``BraidParseError``) exits 2, an engine
-    contradiction 3 and ``MemoryError`` 4, each with one ``error:`` line.
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code and the ``error:`` message for one of :data:`_FAILURES`.
+
+    A word that does not parse (``BraidParseError``) is an input error, 2;
+    an engine contradiction, where the polynomial broke an identity it must
+    keep, is a verification failure, 3; and ``MemoryError`` is 4.
+    """
+    if isinstance(exc, MemoryError):
+        return EXIT_MEMORY, "out of memory"
+    return (EXIT_INPUT if isinstance(exc, BraidParseError) else EXIT_VERIFY), str(exc)
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run a parsed command; one of :data:`_FAILURES` exits with one ``error:`` line.
+
+    A closed stdout (``BrokenPipeError``) ends the run quietly, with exit 0.
     """
     try:
         return args.func(args)
-    except BraidParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ConsistencyError, SubstitutionError) as exc:
-        # an engine contradiction: the polynomial broke an identity it must keep
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return EXIT_MEMORY
+    except _FAILURES as exc:
+        status, message = _failure(exc)
+        print(f"error: {message}", file=sys.stderr)
+        return status
     except BrokenPipeError:
         return EXIT_OK
 

@@ -1,8 +1,11 @@
 import inspect
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import typing
 from pathlib import Path
 
@@ -560,6 +563,97 @@ class TestBatch:
             "error": "degrees [99, 99] escape the window [-2, 2] for word '1 -2 1 -2'",
         }
         assert [docs[0]["word"], docs[2]["word"]] == ["1 1 1", "2 2 1"]
+
+    @pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_line_out_of_memory_is_reported_inline_exits_4(
+        self, tmp_path, capsys, monkeypatch, jobs, json_flag
+    ):
+        analyze = braidpoly.cli._analyze_json
+
+        def exhausted_on_figure_eight(word):
+            if word.text() == "1 -2 1 -2":
+                raise MemoryError
+            return analyze(word)
+
+        monkeypatch.setattr(braidpoly.cli, "_analyze_json", exhausted_on_figure_eight)
+        batch = tmp_path / "words.txt"
+        batch.write_text("1 1 1\n1 -2 1 -2\n2 2 1\n")
+        argv = ["batch", str(batch), "--jobs", jobs] + (["--json"] if json_flag else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (4, "")
+        first, second, third = out.splitlines()
+        if json_flag:
+            assert json.loads(second) == {"line": 2, "error": "out of memory"}
+            assert [json.loads(first)["word"], json.loads(third)["word"]] == ["1 1 1", "2 2 1"]
+        else:
+            assert second == "line 2: error: out of memory"
+            assert first.startswith("line 1: 1 1 1 ") and third.startswith("line 3: 2 2 1 ")
+
+    def test_a_dying_worker_stops_the_run_with_exit_4(self, tmp_path, capsys, monkeypatch):
+        test_pid = os.getpid()
+        real = braidpoly.cli.writhe
+
+        def dying_on_the_third_word(word):
+            # only a forked worker kills itself, never the test's own process
+            if word.text() == "2 2 1" and os.getpid() != test_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(word)
+
+        monkeypatch.setattr(braidpoly.cli, "writhe", dying_on_the_third_word)
+        batch = tmp_path / "words.txt"
+        batch.write_text("1 1 1\n1 -2 1 -2\n2 2 1\n1 1\n")
+        code, out, err = run(capsys, "batch", str(batch), "--json", "--jobs", "2")
+        assert code == 4
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # what was done before the worker died, in input order, and nothing after it
+        printed = [json.loads(line)["line"] for line in out.splitlines()]
+        assert printed == [1, 2][: len(printed)]
+
+    def test_each_report_is_printed_before_the_next_line_runs(self, tmp_path, monkeypatch):
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        analyze = braidpoly.cli._analyze_json
+        printed_before_the_last_line = []
+
+        def recording(word):
+            if word.text() == "2 2 1":
+                printed_before_the_last_line.append(stdout.getvalue())
+            return analyze(word)
+
+        monkeypatch.setattr(braidpoly.cli, "_analyze_json", recording)
+        batch = tmp_path / "words.txt"
+        batch.write_text("1 1 1\n1 -2 1 -2\n2 2 1\n")
+        assert main(["batch", str(batch), "--jobs", "1"]) == 0
+        (seen,) = printed_before_the_last_line
+        first, second = seen.splitlines()
+        assert first.startswith("line 1: 1 1 1 ") and second.startswith("line 2: 1 -2 1 -2 ")
+
+    def test_a_closed_pipe_cancels_the_lines_not_yet_sent(self, tmp_path, monkeypatch):
+        analyzed = tmp_path / "analyzed.txt"
+        analyze = braidpoly.cli._analyze_json
+
+        def logged(word):
+            with open(analyzed, "a") as log:
+                log.write(word.text() + "\n")
+            time.sleep(0.002)
+            return analyze(word)
+
+        class OneLinePipe(io.StringIO):
+            """A stdout whose reader goes away after the first line."""
+
+            def write(self, text):
+                if "\n" in self.getvalue():
+                    raise BrokenPipeError
+                return super().write(text)
+
+        monkeypatch.setattr(braidpoly.cli, "_analyze_json", logged)
+        monkeypatch.setattr(sys, "stdout", OneLinePipe())
+        batch = tmp_path / "words.txt"
+        batch.write_text("1 1 1\n" * 1000)
+        assert main(["batch", str(batch), "--json", "--jobs", "2"]) == 0
+        # the chunks already handed to a worker run (about 7 of 32 lines each); the rest are cancelled
+        assert len(analyzed.read_text().splitlines()) < 500
 
     def test_parallel_output_matches_sequential(self, tmp_path, capsys):
         batch = tmp_path / "words.txt"
