@@ -163,7 +163,10 @@ def wide_words() -> list[tuple[str, int, list[int]]]:
     (2-3 letters per gap, signs by gap parity), *all-negative* (each gap
     twice) and *descending*; then the torus word T(5, 11), the staircase
     sigma_1 ... sigma_21, ROADMAP item 9's word and three words of many
-    split blocks.
+    split blocks.  Last come four words whose whole pieces stay wide, where
+    the trace takes tenths of a second: the torus word T(7, 8), two
+    alternating words on 14 strands and one each-gap-twice word on 16
+    strands with signs by gap parity.
     """
     rng = random.Random(WIDE_SEED)
     out = [("dense", m, _dense(rng, m)) for m in (10, 12, 14, 16, 20, 24)]
@@ -181,6 +184,13 @@ def wide_words() -> list[tuple[str, int, list[int]]]:
         # a trefoil beside a block of 12 strands with each gap doubled
         ("split", 15, [1, 1, 1] + [g for g in range(4, 15) for _ in (0, 1)]),
         ("split", 200, [1]),
+    ]
+    # words the trace takes 0.1-2 s on, appended so that the rng draws above stay as they were
+    out += [
+        ("torus", 7, [1, 2, 3, 4, 5, 6] * 8),
+        ("alternating", 14, _each_gap(rng, 14, 2, 3, _parity)),
+        ("alternating", 14, _each_gap(rng, 14, 2, 3, _parity)),
+        ("each gap twice, parity", 16, _each_gap(rng, 16, 2, 2, _parity)),
     ]
     return out
 
