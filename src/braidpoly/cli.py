@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Optional
 
@@ -374,7 +375,8 @@ def cmd_batch(args) -> int:
         for lineno, line in enumerate(lines, start=1)
         if (body := line.split("#", 1)[0].strip())
     ]
-    workers = min(args.jobs, len(items))
+    # a worker beyond the CPU count only adds start-up and contention
+    workers = min(args.jobs, len(items), os.cpu_count() or 1)
     if workers < 2:
         return _print_reports(map(_batch_line, items), args.json)
     # multiprocessing is a heavy import that only a parallel batch needs
@@ -462,7 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="one report per input line")
     p.add_argument("file", help="input file: one '[n;]word' per line, # comments")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="parallel worker processes, at most the CPU count"
+    )
     p.add_argument("--json", action="store_true", help="newline-delimited JSON")
     p.set_defaults(func=cmd_batch)
 

@@ -1,28 +1,50 @@
 """HOMFLY polynomials from the Ocneanu trace on the Hecke algebra.
 
 A braid word on ``n`` strands is read as an element of the Hecke algebra
-``H_n``, whose basis elements ``T_pi`` are indexed by permutations ``pi`` (in
-one-line notation) and whose generators satisfy, in this package's skein
-convention ``a*P(+) - a^-1*P(-) = z*P(0)``,
+``H_n``, whose generators satisfy, in this package's skein convention
+``a*P(+) - a^-1*P(-) = z*P(0)``, ``g^2 = a^-1*z*g + a^-2``.  The trace
+multiplies in the unit-normalized generators ``G = a*g`` instead, for which
 
-* ``g^2 = a^-1*z*g + a^-2`` and ``g^-1 = a^2*g - a*z``.
+* ``G^2 = z*G + 1`` and ``G^-1 = G - z``,
 
-Right multiplication by a letter at gap ``i`` swaps positions ``i`` and
-``i+1`` of ``pi``: ``T_pi * g = T_(pi s)`` when that raises the length, and
-``a^-1*z*T_pi + a^-2*T_(pi s)`` when it lowers it; ``T_pi * g^-1 =
-a^2*T_(pi s) - a*z*T_pi`` when the swap raises the length, and ``T_(pi s)``
-when it lowers it.  Every coefficient update is a monomial shift.
+so a word of writhe ``w`` is ``a^-w`` times the same word in ``G``, and no
+letter moves the ``a``-degree.  The basis elements ``T_pi``, products of
+``G`` along a reduced word of the permutation ``pi`` (in one-line
+notation), are multiplied on the right by a letter at gap ``i`` by
+swapping positions ``i`` and ``i+1`` of ``pi``: ``T_pi * G = T_(pi s)`` when
+that raises the length, and ``T_(pi s) + z*T_pi`` when it lowers it;
+``T_pi * G^-1 = T_(pi s) - z*T_pi`` when the swap raises the length, and
+``T_(pi s)`` when it lowers it.  So each coefficient moves unchanged, and a
+copy shifted by ``z^+-1`` may stay.
 
 The polynomial of the closure is the Ocneanu trace of the word, normalized by
 ``tr(1_n) = delta^(n-1)`` with ``delta = (a - a^-1) z^-1`` and the Markov
 property ``tr(x g_(n-1) y) = tr_(n-1)(x y)`` for ``x, y`` in ``H_(n-1)``.
 The trace is taken one strand at a time, through the conditional
 expectation ``E: H_m -> H_(m-1)`` with ``tr_m = tr_(m-1) E``: a basis element
-that fixes the last strand maps to ``delta`` times its restriction, and any
-other one is ``T_pi = T_x g_(m-1) g_(m-2) ... g_j`` with ``x`` the
-permutation with its largest entry removed and ``j`` that entry's position,
-so it maps to ``T_x g_(m-2) ... g_j``.  Equal permutations merge at every
-level.
+that fixes the last strand maps to ``delta = a * z^-1 (1 - x)``, with ``x =
+a^-2``, times its restriction, and any other one is ``T_pi = T_rest G_(m-1)
+G_(m-2) ... G_j`` with ``rest`` the permutation with its largest entry
+removed and ``j`` that entry's position, so it maps to ``a * T_rest G_(m-2)
+... G_j``.
+Equal permutations merge at every level.  Each strand traced out brings one
+factor ``a``, ``m - 1`` of them for a piece of ``m`` strands, so the
+piece's polynomial is ``a^((m-1)-w)`` times a trace in which ``a`` enters
+only as ``x``, at degrees below ``x^m``.
+
+So each coefficient of the element maps a ``z``-degree to one int that holds
+its polynomial in ``x`` as signed digits in base ``2^W``: the trace-out of
+a fixed strand, ``z^-1 (1 - x)``, is ``v - (v << W)`` on a packed value
+``v``, and every other step adds or negates whole values.  The digit width
+``W = letters + sum over k = 2..m of max(k - 2, 1) + 2`` makes this exact.
+The sum of the absolute values of all the element's coefficients starts at
+1; a letter at most doubles it, and tracing out a strand of width ``k`` at
+most multiplies it by ``2^max(k - 2, 1)`` (2 for ``1 - x``, and at most
+``k - 2`` letters ``G``).  So every digit stays below ``2^(W-2)`` in
+absolute value at every step: a value is 0 only when its polynomial is,
+and the decode at the end of :func:`_block_trace` reads every digit back.
+A value is at most ``m*W`` bits long.  These sums, over int ``z``-keys, are
+the package's one exact sum outside :func:`~braidpoly.polynomial._add_shifted`.
 
 ``E`` is a map of ``H_(m-1)``-bimodules, ``E(h y) = E(h) y`` for ``y`` in
 ``H_(m-1)``, so ``tr_m(h y) = tr_(m-1)(E(h) y)``: once no remaining letter
@@ -69,8 +91,8 @@ each piece's trace memoized on the piece.  Cancelling is skipped when no gap hol
 letters of both signs, as in every reduced alternating word.
 
 A piece keeps one coefficient per permutation of its strands that the word
-reaches, up to ``m!`` of them.  ``T_pi * g^-1`` splits in two whenever the
-swap raises the length, and ``T_pi * g`` only when it lowers it, so from
+reaches, up to ``m!`` of them.  ``T_pi * G^-1`` splits in two whenever the
+swap raises the length, and ``T_pi * G`` only when it lowers it, so from
 ``T_id`` every fresh negative letter branches and a fresh positive one does
 not: a piece whose writhe is negative is traced as its mirror image, and
 that polynomial is mirrored back.
@@ -85,10 +107,10 @@ from __future__ import annotations
 
 from collections import deque
 from operator import neg
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .braid import BraidWord, _cut, mirror, writhe
-from .polynomial import LaurentPoly2, _add_shifted, difference_power
+from .polynomial import LaurentPoly2, difference_power
 
 HECKE = "hecke"
 
@@ -96,68 +118,107 @@ HECKE = "hecke"
 # benchmark's 3-strand blocks, choosing a rotation cost more than it saved.
 _AS_THEY_STAND = 3
 
-Coeff = dict[tuple[int, int], int]  # (z-degree, a-degree) -> coefficient
+# z-degree -> the polynomial in x = a^-2 of that z-degree, packed as the module docstring says
+Coeff = dict[int, int]
+Element = dict[tuple[int, ...], Coeff]
 
 
-def _add(out: dict[tuple[int, ...], Coeff], perm: tuple[int, ...], coeff: Coeff,
-         dz: int = 0, da: int = 0, sign: int = 1) -> None:
-    """``out[perm] += sign * z^dz * a^da * coeff``.
+def _merge(out: Element, perm: tuple[int, ...], coeff: Coeff) -> None:
+    """``out[perm] += coeff``, deleting each z-degree, and the permutation, that cancels.
 
-    An unshifted ``coeff`` may be stored as it is, so callers pass only
-    coefficients of an element they discard afterwards.  A fresh permutation
-    takes ``coeff`` or a shifted copy of it; a present one adds it through
-    the package's one term-map sum (:func:`~braidpoly.polynomial._add_shifted`),
-    and a permutation whose coefficient cancels is dropped, so no later step
-    carries it.
+    An absent permutation takes ``coeff`` as it is, so callers pass only
+    coefficients of an element they discard afterwards.
     """
     target = out.get(perm)
     if target is None:
-        if dz or da or sign != 1:
-            coeff = {(z + dz, a + da): sign * c for (z, a), c in coeff.items()}
         out[perm] = coeff
         return
-    _add_shifted(target, coeff.items(), dz, da, sign)
+    for z, v in coeff.items():
+        s = target.get(z)
+        if s is None:
+            target[z] = v
+        else:
+            s += v
+            if s:
+                target[z] = s
+            else:
+                del target[z]
     if not target:
         del out[perm]
 
 
-def _times(elem: dict[tuple[int, ...], Coeff], t: int) -> dict[tuple[int, ...], Coeff]:
-    """Right-multiply ``elem`` by the generator ``t`` (its inverse when ``t < 0``)."""
+def _times(elem: Element, t: int) -> Element:
+    """Right-multiply ``elem`` by ``G_|t|`` when ``t > 0``, by its inverse when ``t < 0``.
+
+    One rule for every letter: each coefficient moves, unchanged, to the
+    permutation with positions ``|t| - 1`` and ``|t|`` swapped, and where
+    the swap lowers the length (for ``G``) or raises it (for ``G^-1``),
+    ``+z`` (``-z``) times the coefficient also stays where it was.
+    The result shares coefficient objects with ``elem``, so callers pass
+    only an element they discard afterwards; a permutation whose
+    coefficient cancels is dropped.
+    """
     i = abs(t) - 1
-    out: dict[tuple[int, ...], Coeff] = {}
+    up = t > 0
+    out: Element = {}
     for perm, coeff in elem.items():
-        swapped = perm[:i] + (perm[i + 1], perm[i]) + perm[i + 2:]
-        if (perm[i] < perm[i + 1]) == (t > 0):
-            _add(out, swapped, coeff)
-        elif t > 0:
-            _add(out, perm, coeff, 1, -1)
-            _add(out, swapped, coeff, 0, -2)
-        else:
-            _add(out, swapped, coeff, 0, 2)
-            _add(out, perm, coeff, 1, 1, -1)
+        left, right = perm[i], perm[i + 1]
+        swapped = perm[:i] + (right, left) + perm[i + 2:]
+        if (left < right) == up:
+            if swapped not in elem:  # else ``swapped`` stays and its visit fills both
+                out[swapped] = coeff
+            continue
+        out[swapped] = coeff
+        out[perm] = {z + 1: (v if up else -v) for z, v in coeff.items()}
+        moved = elem.get(swapped)
+        if moved is not None:
+            _merge(out, perm, moved)
     return out
 
 
-def _restrict(elem: dict[tuple[int, ...], Coeff], m: int) -> dict[tuple[int, ...], Coeff]:
-    """An element of ``H_(m-1)`` with the same trace as ``elem`` in ``H_m``."""
+def _restrict(elem: Element, m: int, width: int) -> Element:
+    """An element of ``H_(m-1)`` whose trace is ``a^-1`` times that of ``elem`` in ``H_m``.
+
+    The factor ``a`` that tracing out a strand always brings is left to
+    :func:`_block_trace`.  A fixed top strand leaves ``delta / a = z^-1 (1 -
+    x)``, which on a packed value is ``v - (v << width)``; any other
+    permutation leaves ``T_rest G_(m-2) ... G_(p+1)``.
+    """
     top = m - 1
-    out: dict[tuple[int, ...], Coeff] = {}
-    by_position: dict[int, dict[tuple[int, ...], Coeff]] = {}
+    out: Element = {}
+    by_position: dict[int, Element] = {}
     for perm, coeff in elem.items():
         p = perm.index(top)
         rest = perm[:p] + perm[p + 1:]
-        if p == top:  # delta * T_rest, with delta = a*z^-1 - a^-1*z^-1
-            _add(out, rest, coeff, -1, 1)
-            _add(out, rest, coeff, -1, -1, -1)
+        if p == top:
+            out[rest] = {z - 1: v - (v << width) for z, v in coeff.items()}
         else:
-            _add(by_position.setdefault(p, {}), rest, coeff)
+            by_position.setdefault(p, {})[rest] = coeff
     for p, part in by_position.items():
-        # T_x * g_(m-2) ... g_(p+1), with the largest entry at 0-based position p
+        # T_rest * G_(m-2) ... G_(p+1), with the largest entry at 0-based position p
         for gap in range(m - 2, p, -1):
             part = _times(part, gap)
         for perm, coeff in part.items():
-            _add(out, perm, coeff)
+            _merge(out, perm, coeff)
     return out
+
+
+def _unpacked(v: int, width: int) -> Iterator[tuple[int, int]]:
+    """``(k, d)`` for each nonzero ``d x^k`` of a value packed in signed ``width``-bit digits.
+
+    The digit ``d`` is the one of ``[-2^(width-1), 2^(width-1))`` that
+    matches ``v`` modulo ``2^width``; it is exact when every digit lies
+    strictly inside that range.
+    """
+    half = 1 << (width - 1)
+    mask = (half << 1) - 1
+    k = 0
+    while v:
+        d = ((v + half) & mask) - half
+        if d:
+            yield k, d
+        v = (v - d) >> width
+        k += 1
 
 
 def _delta_power(k: int) -> LaurentPoly2:
@@ -218,21 +279,31 @@ def _block_trace(core: BraidWord) -> LaurentPoly2:
     multiplication by the rest of the word, which lives in the smaller
     algebra, so the trace is the same as tracing out at the end.  A block of
     more than ``_AS_THEY_STAND`` strands is first put in
-    :func:`_cheapest_order`, a conjugate of the same closure.
+    :func:`_cheapest_order`, a conjugate of the same closure.  The word is
+    multiplied in as ``G = a g`` letters, so the polynomial is ``a^((m - 1)
+    - w)`` times the decoded trace, ``w`` the writhe that is traced.
     """
-    mirrored = writhe(core) < 0
+    w = writhe(core)
+    mirrored = w < 0
     if mirrored:
         core = mirror(core)
     m = core.strands
     letters = _cheapest_order(core) if m > _AS_THEY_STAND else core.letters
-    elem = {tuple(range(m)): {(0, 0): 1}}
-    for k, width in enumerate(_live_widths(letters)):
-        for level in range(m, width, -1):
-            elem = _restrict(elem, level)
-        m = width
+    # every digit stays below 2^(width - 2): the module docstring gives the bound
+    width = len(letters) + sum(max(k - 2, 1) for k in range(2, m + 1)) + 2
+    shift = m - 1 - abs(w)
+    elem: Element = {tuple(range(m)): {0: 1}}
+    for k, live in enumerate(_live_widths(letters)):
+        for level in range(m, live, -1):
+            elem = _restrict(elem, level, width)
+        m = live
         if k < len(letters):
             elem = _times(elem, letters[k])
-    poly = LaurentPoly2(elem.get((0,), {}))
+    poly = LaurentPoly2._from_clean({
+        (z, shift - 2 * k): d
+        for z, v in elem.get((0,), {}).items()
+        for k, d in _unpacked(v, width)
+    })
     return poly.mirrored() if mirrored else poly
 
 

@@ -13,11 +13,14 @@ Both are immutable values backed by sparse exponent->coefficient maps with no
 stored zero coefficients.  Coefficients are plain Python integers, so the
 arithmetic is exact at any size.
 
-Every exact sum of the package -- ``+``, ``-`` and ``*`` here, the skein
-test, the Alexander substitution, the Hecke trace's coefficient updates and
-the resolving-tree sum -- adds through one loop, :func:`_add_shifted`: add
-``c * z^dz * a^da`` times a term map into an accumulator and delete each
-coefficient that cancels.  That loop alone keeps the no-zero rule.
+Every exact sum of term maps in the package -- ``+``, ``-`` and ``*`` here,
+the skein test, the Alexander substitution and the resolving-tree sum --
+adds through one loop, :func:`_add_shifted`: add ``c * z^dz * a^da`` times
+a term map into an accumulator and delete each coefficient that cancels.
+That loop alone keeps the no-zero rule of this module's values.  The one
+exception is the Hecke trace's coefficients (:mod:`braidpoly.hecke`), which
+are not term maps: each maps a ``z``-degree to one int that packs a
+polynomial in ``a^-2``, and the trace adds them over their int keys.
 
 The canonical printed order of a two-variable polynomial is by ``a``-degree
 descending, then ``z``-degree descending, e.g. ``a^2*z^-2 - 2*z^-2 + a^-2*z^-2``.
@@ -94,7 +97,7 @@ def _add_shifted(acc: dict[tuple[int, int], int], pairs: Iterable[tuple[tuple[in
 
     Each ``((z, a), v)`` of ``pairs`` adds ``c * v`` at ``(z + dz, a + da)``,
     and a key whose sum cancels is deleted, so ``acc`` keeps no zero
-    coefficient.  Every exact sum of the package is made here.  ``c`` and
+    coefficient.  Every exact sum of term maps is made here.  ``c`` and
     every ``v`` must be nonzero; ``pairs`` is only read.
     """
     for (z, a), v in pairs:

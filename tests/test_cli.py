@@ -686,21 +686,29 @@ class TestBatch:
         "text, pools",
         [("1 1 1\n", []), ("# only a comment\n", []), ("1 1 1\n# note\n2 2 1\n", [2])],
     )
-    def test_pool_is_no_larger_than_the_file(self, tmp_path, capsys, monkeypatch, text, pools):
-        import concurrent.futures
-
-        built = []
-        pool_class = concurrent.futures.ProcessPoolExecutor
-
-        def counted(max_workers=None, **kwargs):
-            built.append(max_workers)
-            return pool_class(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    def test_pool_is_no_larger_than_the_file(
+        self, tmp_path, capsys, monkeypatch, pool_sizes, text, pools
+    ):
+        # enough CPUs that only the file caps the pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         batch = tmp_path / "words.txt"
         batch.write_text(text)
         parallel = run(capsys, "batch", str(batch), "--json", "--jobs", "4")
-        assert built == pools
+        assert pool_sizes == pools
+        assert parallel == run(capsys, "batch", str(batch), "--json", "--jobs", "1")
+
+    @pytest.mark.parametrize(
+        "cpus, jobs, pools", [(2, "8", [2]), (3, "2", [2]), (16, "64", [5]), (None, "8", [])]
+    )
+    def test_pool_is_no_larger_than_the_cpu_count(
+        self, tmp_path, capsys, monkeypatch, pool_sizes, cpus, jobs, pools
+    ):
+        # os.cpu_count() is None where the count cannot be read: one process
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        batch = tmp_path / "words.txt"
+        batch.write_text("1 1 1\n1 -2 1 -2\n2 2 1\n-1 -1 3 3\n1 2 1 2\n")
+        parallel = run(capsys, "batch", str(batch), "--json", "--jobs", jobs)
+        assert pool_sizes == pools
         assert parallel == run(capsys, "batch", str(batch), "--json", "--jobs", "1")
 
     def test_missing_file_exits_2(self, capsys):
@@ -722,6 +730,22 @@ class TestBatch:
         code, out, _ = run(capsys, "batch", str(batch))
         assert code == 0
         assert "P = " in out
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of each process pool ``batch`` builds during the test."""
+    import concurrent.futures
+
+    built = []
+    pool_class = concurrent.futures.ProcessPoolExecutor
+
+    def counted(max_workers=None, **kwargs):
+        built.append(max_workers)
+        return pool_class(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    return built
 
 
 @pytest.fixture

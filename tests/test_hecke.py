@@ -566,6 +566,45 @@ def test_sigma1_power_closed_form_at_200():
     assert homfly_hecke(BraidWord((1,) * 200, 2)) == current
 
 
+class TestPackedCoefficients:
+    """The trace packs each coefficient's polynomial in ``x = a^-2`` into one int."""
+
+    def test_every_sigma1_power_to_80_follows_the_skein_recursion(self):
+        # P_k = a^-1 z P_(k-1) + a^-2 P_(k-2), P_0 = delta, P_1 = 1
+        previous, current = DELTA, LaurentPoly2.one()
+        assert homfly_hecke(BraidWord((), 2)) == previous
+        for k in range(1, 81):
+            if k > 1:
+                previous, current = current, (
+                    current.scale_monomial(dz=1, da=-1) + previous.scale_monomial(da=-2)
+                )
+            assert homfly_hecke(BraidWord((1,) * k, 2)) == current, k
+        # the digits grow past 2^52, so a narrow digit would wrap
+        assert max(abs(c) for _, c in current.terms()) > 2**52
+
+    @staticmethod
+    def packed(digits, width):
+        return sum(d << (width * k) for k, d in enumerate(digits))
+
+    @pytest.mark.parametrize(
+        "digits", [[-3], [-3, 5, -1], [7, 0, 0, -2], [0, 0, 4], [-1, -1, -1], [1, 0, -1]]
+    )
+    def test_unpacked_reads_signed_digits(self, digits):
+        width = 8
+        got = list(braidpoly.hecke._unpacked(self.packed(digits, width), width))
+        assert got == [(k, d) for k, d in enumerate(digits) if d]
+
+    @pytest.mark.parametrize("width", [2, 3, 8, 61, 200])
+    def test_unpacked_reads_digits_of_the_largest_magnitude(self, width):
+        top = (1 << (width - 1)) - 1
+        digits = [top, -top, 0, top, -1, -top]
+        got = list(braidpoly.hecke._unpacked(self.packed(digits, width), width))
+        assert got == [(k, d) for k, d in enumerate(digits) if d]
+
+    def test_zero_unpacks_to_no_digit(self):
+        assert list(braidpoly.hecke._unpacked(0, 8)) == []
+
+
 def test_methods_check_compares_the_tree_with_the_trace(monkeypatch):
     word = parse_braid("1 -2 1 -2")
     assert check_methods_agree(word) is None
