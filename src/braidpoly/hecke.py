@@ -52,12 +52,16 @@ uses the top gap, the top strand is traced out there and then, and the rest
 of the word is multiplied in at one strand fewer.  The element then keeps
 only the permutations of the strands that the rest of the word still
 touches; ``sigma_1^2 sigma_2^2 ... sigma_(n-1)^2`` never holds more than two.
-The closure, and with it the trace, is the same for every rotation of the
-word (a conjugation) and under the flip ``sigma_i -> sigma_(n-i)``
-(conjugation by the half twist), so a block of more than three strands is
-first turned to whichever of a few such orders lets go of its strands
-soonest.  The cost is polynomial in the number of letters for a fixed strand
-count and grows with ``n!`` otherwise.
+Letters at gaps at least 2 apart commute, so a word fixes only its heap of
+pieces (P. Cartier and D. Foata, LNM 85 (1969)): every order that keeps each
+pair of letters within one gap of each other as the word has them is the
+same braid.  :func:`_schedule` multiplies in the letters top gap first,
+which lets go of the top strands soonest: at no step is another such order
+wider.  The closure, and with it the trace, is also the same under the flip
+``sigma_i -> sigma_(n-i)`` (conjugation by the half twist), so a block of
+more than three strands is scheduled both ways, and the schedule whose
+widths sum less is traced.  The cost is polynomial in the number of letters
+for a fixed strand count and grows with ``n!`` otherwise.
 
 A gap that no letter uses splits the closure into the word's
 :attr:`~braidpoly.braid.BraidWord.split_blocks`: maximal runs of used gaps,
@@ -114,8 +118,8 @@ from .polynomial import LaurentPoly2, difference_power
 
 HECKE = "hecke"
 
-# The widest block traced with its letters as they stand: on the ``analyze``
-# benchmark's 3-strand blocks, choosing a rotation cost more than it saved.
+# The widest block whose flip is not scheduled: on the ``analyze`` benchmark's
+# 3-strand blocks, trying it cost more than it saved.
 _AS_THEY_STAND = 3
 
 # z-degree -> the polynomial in x = a^-2 of that z-degree, packed as the module docstring says
@@ -231,69 +235,60 @@ def _delta_power(k: int) -> LaurentPoly2:
     return LaurentPoly2._from_clean({(-k, e): c for (_, e), c in difference_power(k)})
 
 
-def _live_widths(letters: Sequence[int]) -> list[int]:
-    """For each letter, the strands that it and the letters after it touch.
+def _schedule(letters: Sequence[int], m: int) -> tuple[list[int], list[int]]:
+    """The letters top gap first, and the live width at which each is multiplied in.
 
-    That is one more than the largest gap among them, and it is the width at
-    which the trace multiplies the letter in.  One more entry, 1, closes the
-    list: after the last letter every strand is traced out.
+    Letters at gaps at least 2 apart commute, so any order that keeps each
+    pair within one gap of each other as the word has them is the same
+    braid.  One pass from the last letter keys each letter by the highest
+    gap it must stay before: its own, and the keys of the nearest later
+    letters at its gap and the two next to it.  A stable sort by key,
+    highest first, is such an order, and at no step is another one wider.
+    A letter's live width, the strands it and the letters after it touch,
+    is its key plus 1; one more width, 1, closes the list: after the last
+    letter every strand is traced out.
     """
-    widths = [1] * (len(letters) + 1)
-    for k in range(len(letters) - 1, -1, -1):
-        widths[k] = max(widths[k + 1], abs(letters[k]) + 1)
-    return widths
-
-
-def _finishing_rotation(letters: Sequence[int], gap: int) -> int:
-    """The start of the shortest cyclic window that holds every letter at ``gap``."""
-    where = [k for k, t in enumerate(letters) if abs(t) == gap]
-    # it starts at the letter that ends the longest cyclic run without one
-    j = max(range(len(where)), key=lambda j: (where[j] - where[j - 1]) % len(letters))
-    return where[j]
-
-
-def _cheapest_order(core: BraidWord) -> Sequence[int]:
-    """A conjugate of the letters, maybe flipped, whose top gaps finish early.
-
-    The candidates are the word as it stands and the rotation that starts
-    the shortest cyclic window holding every top-gap letter, each also under
-    the flip ``sigma_i -> sigma_(m-i)``.  The one whose live widths
-    (:func:`_live_widths`) sum least wins; ties keep the earlier candidate.
-    """
-    m = core.strands
-    letters = core.letters
-    flipped = tuple(m - t if t > 0 else -m - t for t in letters)
-    candidates = []
-    for order in (letters, flipped):
-        k = _finishing_rotation(order, m - 1)
-        candidates += [order, order[k:] + order[:k]]
-    return min(candidates, key=lambda order: sum(_live_widths(order)))
+    reach = [0] * (m + 1)  # reach[g]: the key of the nearest later letter at gap g
+    keys = []
+    for t in reversed(letters):
+        g = abs(t)
+        reach[g] = key = max(g, reach[g - 1], reach[g], reach[g + 1])
+        keys.append(key)
+    keys.reverse()
+    order = sorted(range(len(letters)), key=keys.__getitem__, reverse=True)
+    return [letters[k] for k in order], [keys[k] + 1 for k in order] + [1]
 
 
 def _block_trace(core: BraidWord) -> LaurentPoly2:
     """The trace of a word whose letters use every gap.
 
     A word of negative writhe is traced as its mirror image, and the result
-    mirrored back.  The top strand is traced out by :func:`_restrict` as
-    soon as no remaining letter touches it: ``E`` commutes with right
+    mirrored back.  The letters are multiplied in the order of
+    :func:`_schedule`, and the top strand is traced out by :func:`_restrict`
+    as soon as no remaining letter touches it: ``E`` commutes with right
     multiplication by the rest of the word, which lives in the smaller
     algebra, so the trace is the same as tracing out at the end.  A block of
-    more than ``_AS_THEY_STAND`` strands is first put in
-    :func:`_cheapest_order`, a conjugate of the same closure.  The word is
-    multiplied in as ``G = a g`` letters, so the polynomial is ``a^((m - 1)
-    - w)`` times the decoded trace, ``w`` the writhe that is traced.
+    more than ``_AS_THEY_STAND`` strands is also scheduled under the flip
+    ``sigma_i -> sigma_(m-i)``, a conjugate of the same closure, and the
+    schedule whose widths sum less is traced.  The word is multiplied in as
+    ``G = a g`` letters, so the polynomial is ``a^((m - 1) - w)`` times the
+    decoded trace, ``w`` the writhe that is traced.
     """
     w = writhe(core)
     mirrored = w < 0
     if mirrored:
         core = mirror(core)
     m = core.strands
-    letters = _cheapest_order(core) if m > _AS_THEY_STAND else core.letters
+    letters, widths = _schedule(core.letters, m)
+    if m > _AS_THEY_STAND:
+        flipped = _schedule([m - t if t > 0 else -m - t for t in core.letters], m)
+        if sum(flipped[1]) < sum(widths):
+            letters, widths = flipped
     # every digit stays below 2^(width - 2): the module docstring gives the bound
     width = len(letters) + sum(max(k - 2, 1) for k in range(2, m + 1)) + 2
     shift = m - 1 - abs(w)
     elem: Element = {tuple(range(m)): {0: 1}}
-    for k, live in enumerate(_live_widths(letters)):
+    for k, live in enumerate(widths):
         for level in range(m, live, -1):
             elem = _restrict(elem, level, width)
         m = live

@@ -18,7 +18,7 @@ strands from the families README times the trace on, and words of many
 split blocks, where the trace runs on pieces no tree in the suite checks.
 For each, :func:`wide_commands` runs ``compute --method hecke --json`` and
 ``analyze --json``, and ``wide_digests.txt`` holds their digests in the
-same format.  Their values come from the trace alone; ``tests/test_wide.py``
+same format.  Their values come from the trace alone; ``tests/test_golden.py``
 checks them against the tree where it is cheap and against the Burau matrix
 everywhere.
 
@@ -141,6 +141,11 @@ def _negative(rng: random.Random, gap: int) -> int:
     return -1
 
 
+def _random(rng: random.Random, m: int) -> list[int]:
+    """6m letters at uniformly drawn gaps, each sign drawn with even odds (ROADMAP item 19)."""
+    return [rng.randint(1, m - 1) * rng.choice((1, -1)) for _ in range(6 * m)]
+
+
 def _descending(rng: random.Random, m: int) -> list[int]:
     """A dense word with each letter's sign set so that the all-kept diagram is descending.
 
@@ -163,10 +168,16 @@ def wide_words() -> list[tuple[str, int, list[int]]]:
     (2-3 letters per gap, signs by gap parity), *all-negative* (each gap
     twice) and *descending*; then the torus word T(5, 11), the staircase
     sigma_1 ... sigma_21, ROADMAP item 9's word and three words of many
-    split blocks.  Last come four words whose whole pieces stay wide, where
-    the trace takes tenths of a second: the torus word T(7, 8), two
-    alternating words on 14 strands and one each-gap-twice word on 16
-    strands with signs by gap parity.
+    split blocks.  Then come four words whose whole pieces stay wide, which
+    the trace takes 1-20 ms on: the torus word T(7, 8), two alternating
+    words on 14 strands and one each-gap-twice word on 16 strands with signs
+    by gap parity.  Last come words whose pieces only the top-gap-first
+    schedule keeps small (a search over rotations took 4.6 s to past 40 s on
+    them): each gap twice with parity signs on 24 and 26 strands, and two
+    random words of 6m letters on 16 and 20 strands, which take up to about
+    0.9 s.  Like every wide word's, their values come from the code under
+    test; the Burau check and the trace-side identities in
+    ``tests/test_golden.py`` back them.
     """
     rng = random.Random(WIDE_SEED)
     out = [("dense", m, _dense(rng, m)) for m in (10, 12, 14, 16, 20, 24)]
@@ -185,12 +196,20 @@ def wide_words() -> list[tuple[str, int, list[int]]]:
         ("split", 15, [1, 1, 1] + [g for g in range(4, 15) for _ in (0, 1)]),
         ("split", 200, [1]),
     ]
-    # words the trace takes 0.1-2 s on, appended so that the rng draws above stay as they were
+    # words whose pieces stay wide, appended so that the rng draws above stay as they were
     out += [
         ("torus", 7, [1, 2, 3, 4, 5, 6] * 8),
         ("alternating", 14, _each_gap(rng, 14, 2, 3, _parity)),
         ("alternating", 14, _each_gap(rng, 14, 2, 3, _parity)),
         ("each gap twice, parity", 16, _each_gap(rng, 16, 2, 2, _parity)),
+    ]
+    # words that only the top-gap-first schedule finishes in under a second, appended in turn;
+    # the random ones are ROADMAP item 19's draws of seeds 1 and 2 (BENCH_packedtrace.json)
+    out += [
+        ("each gap twice, parity", 24, _each_gap(rng, 24, 2, 2, _parity)),
+        ("each gap twice, parity", 26, _each_gap(rng, 26, 2, 2, _parity)),
+        ("random", 16, _random(random.Random(1), 16)),
+        ("random", 20, _random(random.Random(2), 20)),
     ]
     return out
 

@@ -4,7 +4,8 @@ The word lists, the commands and their recorded output live in
 ``tests/golden/`` (see ``tests/golden/regenerate.py``, which rewrites them).
 The wide words' values come from the trace alone, so the last tests check
 them against code that shares nothing with it: the descending tree where it
-resolves them cheaply, and the Burau matrix on every one.
+resolves them cheaply, and the Burau matrix on every one; and they hold the
+trace to the identities that ``verify`` checks on the tree.
 """
 
 import importlib.util
@@ -13,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from braidpoly import BraidWord, alexander, homfly, homfly_hecke
+from braidpoly import BraidWord, alexander, homfly, homfly_hecke, markov_variants, mirror
+from braidpoly.checks import skein_triple
+from braidpoly.polynomial import skein_holds
 
 from _burau import burau_matches
 
@@ -97,3 +100,24 @@ def test_the_wide_alexander_polynomial_equals_the_burau_minor(family, strands, l
     delta = alexander(BraidWord(tuple(letters), strands)).delta
     for q in (2, 3):
         assert burau_matches(strands, letters, delta.terms(), q), q
+
+
+@pytest.mark.parametrize("family, strands, letters", WIDE_WORDS, ids=_ids(WIDE_WORDS))
+def test_the_wide_trace_keeps_the_skein_mirror_and_markov_identities(family, strands, letters):
+    """The identities of ``verify --moves all``, through the trace instead of the tree.
+
+    Each skein triple, mirror image and Markov variant is a new word, so the
+    front end cuts it anew and each piece gets its own schedule.  The skein
+    is skipped on the random words of 96 and 120 letters: a sample of their
+    letters puts it at about 100 s a word (2 CPUs, Python 3.11).
+    """
+    word = BraidWord(tuple(letters), strands)
+    reference = homfly_hecke(word)
+    if family != "random":
+        distinct = {word: word}
+        for i in range(len(word)):
+            plus, minus, zero = (homfly_hecke(distinct.setdefault(w, w)) for w in skein_triple(word, i))
+            assert skein_holds(plus, minus, zero), i
+    assert homfly_hecke(mirror(word)) == reference.mirrored()
+    for variant in markov_variants(word, seed=1, count=5):
+        assert homfly_hecke(variant.word) == reference, variant.moves

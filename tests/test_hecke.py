@@ -4,6 +4,7 @@ import functools
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -397,9 +398,11 @@ def _peak_basis(monkeypatch, word):
 def clustered_words(draw, max_strands=6, max_extra=3):
     """One block of 4 or more strands whose top-gap letters sit together.
 
-    The cluster lands anywhere in the cyclic word: at the start (the top
-    strand is traced out early), at the end (late), or across the end of the
-    word, where only a rotation brings it together.  Half of the words are
+    The cluster lands anywhere in the cyclic word: at the start, at the
+    end, or split across the end of the word.  The schedule moves a letter
+    only past letters two or more gaps away, never round the end, so a
+    cluster at the end or split across it keeps the top strand late unless
+    the letters between commute out of its way.  Half of the words are
     flipped, ``sigma_i -> sigma_(m-i)``, so that gap 1 clusters instead and
     the top gap finishes early only in a flipped order.
     """
@@ -417,27 +420,70 @@ def clustered_words(draw, max_strands=6, max_extra=3):
     return BraidWord(tuple(g * s for g, s in zip(gaps, signs)), m)
 
 
-class TestEarlyTraceOut:
-    """Each strand is traced out once no later letter uses it, in the cheapest order."""
+def flip(letters, m):
+    """``sigma_i -> sigma_(m-i)``: conjugation by the half twist."""
+    return tuple(m - t if t > 0 else -m - t for t in letters)
 
-    # (letters on 5 strands, the order the trace multiplies them in)
+
+def live_widths(order):
+    """One more than the largest gap at or after each letter, then 1: the width each letter is traced at."""
+    widths = [1]
+    for t in reversed(order):
+        widths.append(max(widths[-1], abs(t) + 1))
+    return widths[::-1]
+
+
+def linear_extensions(letters):
+    """Every order of ``letters`` that keeps each pair within one gap of each other in word order."""
+    if not letters:
+        yield ()
+        return
+    for k, t in enumerate(letters):
+        # a letter can go first when no earlier letter is within one gap of it
+        if all(abs(abs(s) - abs(t)) > 1 for s in letters[:k]):
+            for rest in linear_extensions(letters[:k] + letters[k + 1:]):
+                yield (t, *rest)
+
+
+class TestEarlyTraceOut:
+    """Each strand is traced out once no later letter uses it, in the top-gap-first schedule."""
+
+    # (letters on 5 strands, whether the flip's schedule is traced, the order traced, its widths)
     ORDERS = [
         # the top gap finishes first as the word stands
-        ((4, -4, 3, 3, -2, 2, 1, -1), (4, -4, 3, 3, -2, 2, 1, -1)),
-        # a rotation brings the top gap to the front
-        ((1, 4, -4, 2, 3, -2, 3, 1), (4, -4, 2, 3, -2, 3, 1, 1)),
+        ((4, -4, 3, 3, -2, 2, 1, -1), False, (4, -4, 3, 3, -2, 2, 1, -1), (5, 5, 4, 4, 3, 3, 2, 2, 1)),
+        # the first letter, at gap 1, commutes past the top gap's letters
+        ((1, 4, -4, 2, 3, -2, 3, 1), False, (4, -4, 1, 2, 3, -2, 3, 1), (5, 5, 4, 4, 4, 4, 4, 2, 1)),
         # the flip turns the word so that its top gap finishes first
-        ((1, 1, -2, 2, 3, 3, -4, 4), (4, 4, -3, 3, 2, 2, -1, 1)),
-        # the flip, then a rotation
-        ((4, 1, -1, 2, -2, 3, 3, 4), (4, -4, 3, -3, 2, 2, 1, 1)),
+        ((1, 1, -2, 2, 3, 3, -4, 4), True, (4, 4, -3, 3, 2, 2, -1, 1), (5, 5, 4, 4, 3, 3, 2, 2, 1)),
+        # the flip, then gap 1's first letter commutes past gaps 4 and 3
+        ((4, 1, -1, 2, -2, 3, 3, 4), True, (4, -4, 3, -3, 1, 2, 2, 1), (5, 5, 4, 4, 3, 3, 3, 2, 1)),
     ]
 
-    @pytest.mark.parametrize("letters, order", ORDERS)
-    def test_the_cheapest_order_wins(self, letters, order):
+    @pytest.mark.parametrize("letters, flipped, order, widths", ORDERS)
+    def test_the_schedule_traces_the_top_gap_first(self, letters, flipped, order, widths):
         word = BraidWord(letters, 5)
-        assert braidpoly.hecke._cheapest_order(word) == order
+        schedule = braidpoly.hecke._schedule(letters, 5)
+        flipped_schedule = braidpoly.hecke._schedule(flip(letters, 5), 5)
+        # the flip's schedule is traced only when its widths sum less
+        assert (sum(flipped_schedule[1]) < sum(schedule[1])) == flipped
+        assert (flipped_schedule if flipped else schedule) == (list(order), list(widths))
         assert homfly_hecke(word) == homfly(word)
+        assert braidpoly.hecke._block_trace(word) == homfly(word)
         assert poly2_to_sympy(homfly_hecke(word)) == brute_homfly(5, word_letters(word))
+
+    @given(words(max_len=7, max_gap=5))
+    @settings(max_examples=300, deadline=None)
+    def test_no_other_order_of_the_same_braid_is_narrower(self, word):
+        letters, m = word.letters, word.strands
+        order, widths = braidpoly.hecke._schedule(letters, m)
+        assert widths == live_widths(order)
+        # each pair of letters within one gap of each other keeps its order, and each gap its letters
+        for g in range(1, m):
+            near = (g, g + 1)
+            assert [t for t in order if abs(t) in near] == [t for t in letters if abs(t) in near]
+        for other in linear_extensions(letters):
+            assert all(a <= b for a, b in zip(widths, live_widths(other))), other
 
     @given(clustered_words())
     @settings(max_examples=150, deadline=None)
@@ -459,6 +505,22 @@ class TestEarlyTraceOut:
         poly, peak = _peak_basis(monkeypatch, word)
         assert 0 < peak <= 4
         assert poly == homfly(word)
+
+
+WIDE_LINES = (Path(__file__).resolve().parent / "golden" / "wide.txt").read_text(encoding="utf-8").splitlines()
+
+# (line of ``tests/golden/wide.txt``, the most permutations the schedule's trace holds): the four
+# words appended with ROADMAP item 8, where the rotation search held 5,040, 2,100, 10,240 and 21,120
+ITEM_8_PEAKS = [(30, 672), (31, 350), (32, 44), (33, 28)]
+
+
+@pytest.mark.parametrize(
+    "line, bound", ITEM_8_PEAKS, ids=["torus-7-8", "alternating-14a", "alternating-14b", "parity-16"]
+)
+def test_a_wide_piece_keeps_the_basis_of_its_schedule(monkeypatch, line, bound):
+    strands, text = WIDE_LINES[line].split(";")
+    _, peak = _peak_basis(monkeypatch, BraidWord(tuple(map(int, text.split())), int(strands)))
+    assert peak <= bound
 
 
 def dense_word(strands, seed):
