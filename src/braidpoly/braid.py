@@ -288,7 +288,7 @@ class ResolvedDiagram(_Frozen):
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"-?[1-9][0-9]*")
-_SEPARATORS = re.compile(r"[ \t,]+")
+_SEPARATORS = re.compile(r"[\s,]+")
 
 
 def parse_braid(text: str, strands: Optional[int] = None) -> BraidWord:

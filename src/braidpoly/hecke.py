@@ -58,8 +58,8 @@ pair of letters within one gap of each other as the word has them is the
 same braid.  :func:`_schedule` multiplies in the letters top gap first,
 which lets go of the top strands soonest: at no step is another such order
 wider.  The closure, and with it the trace, is also the same under the flip
-``sigma_i -> sigma_(n-i)`` (conjugation by the half twist), so a block of
-more than three strands is scheduled both ways, and the schedule whose
+``sigma_i -> sigma_(n-i)`` (conjugation by the half twist), so the one pass
+that schedules a block schedules its flip too, and the schedule whose
 widths sum less is traced.  The cost is polynomial in the number of letters
 for a fixed strand count and grows with ``n!`` otherwise.
 
@@ -113,14 +113,10 @@ from collections import deque
 from operator import neg
 from typing import Iterator, Sequence
 
-from .braid import BraidWord, _cut, mirror, writhe
+from .braid import BraidWord, _cut, writhe
 from .polynomial import LaurentPoly2, difference_power
 
 HECKE = "hecke"
-
-# The widest block whose flip is not scheduled: on the ``analyze`` benchmark's
-# 3-strand blocks, trying it cost more than it saved.
-_AS_THEY_STAND = 3
 
 # z-degree -> the polynomial in x = a^-2 of that z-degree, packed as the module docstring says
 Coeff = dict[int, int]
@@ -247,13 +243,25 @@ def _schedule(letters: Sequence[int], m: int) -> tuple[list[int], list[int]]:
     A letter's live width, the strands it and the letters after it touch,
     is its key plus 1; one more width, 1, closes the list: after the last
     letter every strand is traced out.
+
+    The flip ``sigma_i -> sigma_(m-i)`` is a conjugate of the same closure,
+    and under it the highest gap a letter must stay before is ``m`` less the
+    lowest one in the word, so the same pass keys each letter both ways.
+    When the flip's keys sum less, its letters, each sign kept, are the ones
+    ordered; a tie keeps the word as it stands.
     """
     reach = [0] * (m + 1)  # reach[g]: the key of the nearest later letter at gap g
-    keys = []
+    low = [m] * (m + 1)  # low[g]: the lowest gap the same letter must stay before
+    keys, flips = [], []
     for t in reversed(letters):
         g = abs(t)
         reach[g] = key = max(g, reach[g - 1], reach[g], reach[g + 1])
+        low[g] = bottom = min(g, low[g - 1], low[g], low[g + 1])
         keys.append(key)
+        flips.append(m - bottom)
+    if sum(flips) < sum(keys):
+        letters = [m - t if t > 0 else -m - t for t in letters]
+        keys = flips
     keys.reverse()
     order = sorted(range(len(letters)), key=keys.__getitem__, reverse=True)
     return [letters[k] for k in order], [keys[k] + 1 for k in order] + [1]
@@ -262,28 +270,19 @@ def _schedule(letters: Sequence[int], m: int) -> tuple[list[int], list[int]]:
 def _block_trace(core: BraidWord) -> LaurentPoly2:
     """The trace of a word whose letters use every gap.
 
-    A word of negative writhe is traced as its mirror image, and the result
-    mirrored back.  The letters are multiplied in the order of
-    :func:`_schedule`, and the top strand is traced out by :func:`_restrict`
-    as soon as no remaining letter touches it: ``E`` commutes with right
-    multiplication by the rest of the word, which lives in the smaller
-    algebra, so the trace is the same as tracing out at the end.  A block of
-    more than ``_AS_THEY_STAND`` strands is also scheduled under the flip
-    ``sigma_i -> sigma_(m-i)``, a conjugate of the same closure, and the
-    schedule whose widths sum less is traced.  The word is multiplied in as
-    ``G = a g`` letters, so the polynomial is ``a^((m - 1) - w)`` times the
-    decoded trace, ``w`` the writhe that is traced.
+    A word of negative writhe is traced as its mirror image, every letter
+    negated, and the result mirrored back.  The letters are multiplied in
+    the order of :func:`_schedule`, the word's or its flip's, and the top
+    strand is traced out by :func:`_restrict` as soon as no remaining
+    letter touches it: ``E`` commutes with right multiplication by the rest
+    of the word, which lives in the smaller algebra, so the trace is the
+    same as tracing out at the end.  The word is multiplied in as ``G = a
+    g`` letters, so the polynomial is ``a^((m - 1) - w)`` times the decoded
+    trace, ``w`` the writhe that is traced.
     """
     w = writhe(core)
-    mirrored = w < 0
-    if mirrored:
-        core = mirror(core)
     m = core.strands
-    letters, widths = _schedule(core.letters, m)
-    if m > _AS_THEY_STAND:
-        flipped = _schedule([m - t if t > 0 else -m - t for t in core.letters], m)
-        if sum(flipped[1]) < sum(widths):
-            letters, widths = flipped
+    letters, widths = _schedule(core.letters if w >= 0 else [-t for t in core.letters], m)
     # every digit stays below 2^(width - 2): the module docstring gives the bound
     width = len(letters) + sum(max(k - 2, 1) for k in range(2, m + 1)) + 2
     shift = m - 1 - abs(w)
@@ -299,7 +298,7 @@ def _block_trace(core: BraidWord) -> LaurentPoly2:
         for z, v in elem.get((0,), {}).items()
         for k, d in _unpacked(v, width)
     })
-    return poly.mirrored() if mirrored else poly
+    return poly.mirrored() if w < 0 else poly
 
 
 def _cancelled(letters: tuple[int, ...], strands: int) -> tuple[int, ...]:

@@ -20,9 +20,11 @@ For each, :func:`wide_commands` runs ``compute --method hecke --json`` and
 ``analyze --json``, and ``wide_digests.txt`` holds their digests in the
 same format.  Their values come from the trace alone; ``tests/test_golden.py``
 checks them against the tree where it is cheap and against the Burau matrix
-everywhere.
+everywhere.  ``wide_work.txt`` holds, for each line of ``wide.txt``, the
+work of the trace as three exact counts that repeat on any host (see
+:func:`wide_work_lines`).
 
-Run from the repository root to rewrite all five files:
+Run from the repository root to rewrite all six files:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
@@ -47,6 +49,7 @@ DIGESTS = HERE / "digests.txt"
 TRANSCRIPTS = HERE / "transcripts.json"
 WIDE = HERE / "wide.txt"
 WIDE_DIGESTS = HERE / "wide_digests.txt"
+WIDE_WORK = HERE / "wide_work.txt"
 
 # the number of words, from the top of the list, whose full transcripts are kept
 FULL = 20
@@ -175,9 +178,14 @@ def wide_words() -> list[tuple[str, int, list[int]]]:
     schedule keeps small (a search over rotations took 4.6 s to past 40 s on
     them): each gap twice with parity signs on 24 and 26 strands, and two
     random words of 6m letters on 16 and 20 strands, which take up to about
-    0.9 s.  Like every wide word's, their values come from the code under
-    test; the Burau check and the trace-side identities in
-    ``tests/test_golden.py`` back them.
+    0.9 s.  After them come three words of the sizes an earlier list left
+    out for time, which now take about a millisecond: an alternating word
+    on 12 strands, a sign-biased one on 20 and a dense one on 30.  The
+    11-strand, 67-letter word that CI runs stays out: at about 80 ms a
+    trace, the skein check of ``tests/test_golden.py``, one trace per
+    letter, would take seconds.  Like every wide word's, their values come
+    from the code under test; the Burau check and the trace-side identities
+    in ``tests/test_golden.py`` back them.
     """
     rng = random.Random(WIDE_SEED)
     out = [("dense", m, _dense(rng, m)) for m in (10, 12, 14, 16, 20, 24)]
@@ -211,12 +219,40 @@ def wide_words() -> list[tuple[str, int, list[int]]]:
         ("random", 16, _random(random.Random(1), 16)),
         ("random", 20, _random(random.Random(2), 20)),
     ]
+    # sizes left out of the first list for time, appended in turn
+    out += [
+        ("alternating", 12, _each_gap(rng, 12, 2, 3, _parity)),
+        ("sign-biased", 20, _dense(rng, 20, 0.8)),
+        ("dense", 30, _dense(rng, 30)),
+    ]
     return out
 
 
 def wide_lines() -> list[str]:
     """The lines of ``wide.txt``."""
     return [f"{m};{' '.join(map(str, letters))}" for _, m, letters in wide_words()]
+
+
+def wide_work_lines(lines: list[str]) -> list[str]:
+    """One ``pieces letters widths`` line per line of ``wide.txt``.
+
+    Each count is exact: the pieces :func:`braidpoly.hecke._pieces` hands
+    the trace, the letters of those pieces, and the sum of the live widths
+    that :func:`braidpoly.hecke._schedule` returns for them, which is the
+    sum the trace runs at (the mirror image that a piece of negative writhe
+    is traced as has the same gaps).
+    """
+    from braidpoly.braid import parse_braid
+    from braidpoly.hecke import _pieces, _schedule
+
+    out = []
+    for line in lines:
+        strands, text = line.split(";")
+        _, pieces = _pieces(parse_braid(text, int(strands)))
+        letters = sum(len(piece.letters) for piece in pieces)
+        widths = sum(sum(_schedule(piece.letters, piece.strands)[1]) for piece in pieces)
+        out.append(f"{len(pieces)} {letters} {widths}")
+    return out
 
 
 def split_line(line: str) -> tuple[list[str], str]:
@@ -302,6 +338,7 @@ def main() -> int:
     WIDE.write_text("".join(line + "\n" for line in wide), encoding="utf-8")
     digests = [f"{digest(transcript(argv))}  {label(argv)}\n" for argv in wide_commands(wide)]
     WIDE_DIGESTS.write_text("".join(digests), encoding="utf-8")
+    WIDE_WORK.write_text("".join(line + "\n" for line in wide_work_lines(wide)), encoding="utf-8")
     print(f"{len(wide)} wide words, {len(digests)} commands")
     return 0
 

@@ -103,6 +103,9 @@ class TestParsing:
 
     def test_separators(self):
         assert parse_braid("1,2,\t-1  3").tokens() == (1, 2, -1, 3)
+        # any whitespace, as ``"$(seq 1 21)"`` hands the CLI one token per line
+        assert parse_braid("1\n-2\r\n3").tokens() == (1, -2, 3)
+        assert parse_braid("1\f2\v-1\n").tokens() == (1, 2, -1)
 
     def test_empty_input(self):
         assert parse_braid("").strands == 1

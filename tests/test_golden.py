@@ -76,6 +76,17 @@ def test_every_wide_command_prints_its_recorded_digest():
     assert not moved, moved
 
 
+def test_every_wide_word_does_its_recorded_work():
+    """Pieces, letters fed and width sum per wide word: a change of schedule or front end moves them."""
+    lines = golden.WIDE.read_text(encoding="utf-8").splitlines()
+    recorded = golden.WIDE_WORK.read_text(encoding="utf-8").splitlines()
+    counts = golden.wide_work_lines(lines)
+    assert len(counts) == len(recorded)
+    # (line of wide.txt, recorded counts, counts now)
+    moved = [(n, old, new) for n, (old, new) in enumerate(zip(recorded, counts), 1) if old != new]
+    assert not moved, moved
+
+
 WIDE_WORDS = golden.wide_words()
 
 

@@ -445,32 +445,47 @@ def linear_extensions(letters):
                 yield (t, *rest)
 
 
+def keeps_the_heap(order, letters):
+    """Whether ``order`` keeps each pair of ``letters`` within one gap of each other in word order."""
+    gaps = {abs(t) for t in letters} | {abs(t) for t in order}
+    return all(
+        [t for t in order if abs(t) in (g, g + 1)] == [t for t in letters if abs(t) in (g, g + 1)]
+        for g in gaps
+    )
+
+
+def best_sum(letters):
+    """The least sum of live widths over the orders that keep the heap of ``letters``."""
+    return min(sum(live_widths(order)) for order in linear_extensions(letters))
+
+
 class TestEarlyTraceOut:
     """Each strand is traced out once no later letter uses it, in the top-gap-first schedule."""
 
-    # (letters on 5 strands, whether the flip's schedule is traced, the order traced, its widths)
+    # (letters, strands, whether the flip's schedule is traced, the order traced, its widths)
     ORDERS = [
         # the top gap finishes first as the word stands
-        ((4, -4, 3, 3, -2, 2, 1, -1), False, (4, -4, 3, 3, -2, 2, 1, -1), (5, 5, 4, 4, 3, 3, 2, 2, 1)),
+        ((4, -4, 3, 3, -2, 2, 1, -1), 5, False, (4, -4, 3, 3, -2, 2, 1, -1), (5, 5, 4, 4, 3, 3, 2, 2, 1)),
         # the first letter, at gap 1, commutes past the top gap's letters
-        ((1, 4, -4, 2, 3, -2, 3, 1), False, (4, -4, 1, 2, 3, -2, 3, 1), (5, 5, 4, 4, 4, 4, 4, 2, 1)),
+        ((1, 4, -4, 2, 3, -2, 3, 1), 5, False, (4, -4, 1, 2, 3, -2, 3, 1), (5, 5, 4, 4, 4, 4, 4, 2, 1)),
         # the flip turns the word so that its top gap finishes first
-        ((1, 1, -2, 2, 3, 3, -4, 4), True, (4, 4, -3, 3, 2, 2, -1, 1), (5, 5, 4, 4, 3, 3, 2, 2, 1)),
+        ((1, 1, -2, 2, 3, 3, -4, 4), 5, True, (4, 4, -3, 3, 2, 2, -1, 1), (5, 5, 4, 4, 3, 3, 2, 2, 1)),
         # the flip, then gap 1's first letter commutes past gaps 4 and 3
-        ((4, 1, -1, 2, -2, 3, 3, 4), True, (4, -4, 3, -3, 1, 2, 2, 1), (5, 5, 4, 4, 3, 3, 3, 2, 1)),
+        ((4, 1, -1, 2, -2, 3, 3, 4), 5, True, (4, -4, 3, -3, 1, 2, 2, 1), (5, 5, 4, 4, 3, 3, 3, 2, 1)),
+        # three strands: as it stands the word holds all three until its last letter
+        ((1, 1, 2, 2), 3, True, (2, 2, 1, 1), (3, 3, 2, 2, 1)),
     ]
 
-    @pytest.mark.parametrize("letters, flipped, order, widths", ORDERS)
-    def test_the_schedule_traces_the_top_gap_first(self, letters, flipped, order, widths):
-        word = BraidWord(letters, 5)
-        schedule = braidpoly.hecke._schedule(letters, 5)
-        flipped_schedule = braidpoly.hecke._schedule(flip(letters, 5), 5)
+    @pytest.mark.parametrize("letters, m, flipped, order, widths", ORDERS)
+    def test_the_schedule_traces_the_top_gap_first(self, letters, m, flipped, order, widths):
+        word = BraidWord(letters, m)
+        assert braidpoly.hecke._schedule(letters, m) == (list(order), list(widths))
         # the flip's schedule is traced only when its widths sum less
-        assert (sum(flipped_schedule[1]) < sum(schedule[1])) == flipped
-        assert (flipped_schedule if flipped else schedule) == (list(order), list(widths))
+        assert (best_sum(flip(letters, m)) < best_sum(letters)) == flipped
+        assert keeps_the_heap(order, flip(letters, m) if flipped else letters)
         assert homfly_hecke(word) == homfly(word)
         assert braidpoly.hecke._block_trace(word) == homfly(word)
-        assert poly2_to_sympy(homfly_hecke(word)) == brute_homfly(5, word_letters(word))
+        assert poly2_to_sympy(homfly_hecke(word)) == brute_homfly(m, word_letters(word))
 
     @given(words(max_len=7, max_gap=5))
     @settings(max_examples=300, deadline=None)
@@ -478,12 +493,16 @@ class TestEarlyTraceOut:
         letters, m = word.letters, word.strands
         order, widths = braidpoly.hecke._schedule(letters, m)
         assert widths == live_widths(order)
-        # each pair of letters within one gap of each other keeps its order, and each gap its letters
-        for g in range(1, m):
-            near = (g, g + 1)
-            assert [t for t in order if abs(t) in near] == [t for t in letters if abs(t) in near]
-        for other in linear_extensions(letters):
+        # the schedule is of the word or of its flip: each pair of letters within one gap of
+        # each other keeps its order there, and each gap its letters
+        traced = letters if keeps_the_heap(order, letters) else flip(letters, m)
+        assert keeps_the_heap(order, traced)
+        for other in linear_extensions(traced):
             assert all(a <= b for a, b in zip(widths, live_widths(other))), other
+        # the traced orientation sums least of the two, and a tie keeps the word as it stands
+        as_it_stands, flipped = best_sum(letters), best_sum(flip(letters, m))
+        assert sum(widths) == min(as_it_stands, flipped)
+        assert (traced is letters) == (as_it_stands <= flipped)
 
     @given(clustered_words())
     @settings(max_examples=150, deadline=None)
